@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import SumsetKind, union_sumset
-from .errors import HypothesisError, UnsupportedClassError
-from .intset import HSet, IntSet, SetClass, classify, dilate, make_interval
+from .errors import HypothesisError
+from .intset import HSet, IntSet, make_interval, sign_reduce
 
 
 @dataclass(frozen=True)
@@ -184,16 +184,8 @@ def evaluate(
     invariant under dilation by -1); mixed-sign sets are refused since no
     catalog formula covers them.
     """
-    set_class = classify(A)
-    if set_class is SetClass.MIXED:
-        raise UnsupportedClassError(
-            "mixed-sign sets have well-defined sumsets but no catalog bound"
-        )
-    work = A
-    reflected = False
-    if set_class in (SetClass.ALL_NEGATIVE, SetClass.ZERO_REST_NEGATIVE):
-        work = dilate(A, -1)
-        reflected = True
+    work, _ = sign_reduce(A)
+    reflected = work is not A
     zero_in = work.elements[0] == 0
     k = len(work)
     if kinds is None:

@@ -19,7 +19,7 @@ import sys
 from . import bounds
 from .engine import SumsetKind, union_sumset
 from .errors import SumsetError
-from .intset import classify, dilate, format_set, parse_hset, parse_intset
+from .intset import format_set, parse_hset, parse_intset, sign_reduce
 from .structure import check_inverse
 from .verifier import (
     DEFAULT_CASE_CAP,
@@ -160,11 +160,8 @@ def _cmd_compute(args) -> int:
 def _cmd_bound(args) -> int:
     A = parse_intset(args.set_a)
     H = parse_hset(args.set_h)
-    work = A
-    set_class = classify(A)
-    if set_class.value in ("all-negative", "contains-zero-rest-negative"):
-        work = dilate(A, -1)
-    zero_in = not work.is_empty and work.elements[0] == 0
+    work, _ = sign_reduce(A)
+    zero_in = work.elements[0] == 0
     results = []
     for kind in _kinds_from(args.kind):
         outcome = bounds.catalog_bound(kind, len(work), H, zero_in)

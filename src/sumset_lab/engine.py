@@ -8,6 +8,10 @@ Two independent routes compute the same objects:
 * a naive path that enumerates tuples or subsets directly, kept slow and
   obvious so it can serve as an oracle for the fast path.
 
+The fast path has one kernel, the ladder of rungs 0A, 1A, ..., topA (or
+their restricted counterparts). Every fold and union picks or ORs rungs of
+one ladder and decodes the result once.
+
 Every operation is a pure function of its inputs; concurrent callers need
 no coordination.
 """
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ArityError, OracleRefusedError
 from .intset import HSet, IntSet, checked_int64
@@ -51,13 +56,10 @@ class SumBitmap:
         return self.bits == 0
 
     def to_intset(self) -> IntSet:
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(self.offset + low.bit_length() - 1)
-            bits ^= low
-        return IntSet(tuple(out))
+        # one pass over the binary digits, lowest bit first
+        digits = bin(self.bits)[:1:-1]
+        offset = self.offset
+        return IntSet(tuple(offset + i for i, d in enumerate(digits) if d == "1"))
 
     @classmethod
     def from_intset(cls, s: IntSet) -> SumBitmap:
@@ -68,18 +70,6 @@ class SumBitmap:
         for a in s.elements:
             bits |= 1 << (a - base)
         return cls(base, bits)
-
-
-def _convolve(x: int, y: int) -> int:
-    # sumset-add of two zero-based bit vectors; walk the sparser operand
-    if x.bit_count() < y.bit_count():
-        x, y = y, x
-    out = 0
-    while y:
-        low = y & -y
-        out |= x << (low.bit_length() - 1)
-        y ^= low
-    return out
 
 
 def _require_nonempty(A: IntSet) -> None:
@@ -96,69 +86,114 @@ def _check_restricted_range(A: IntSet, h: int) -> None:
     if h > len(A):
         return
     checked_int64(sum(A.elements[:h]))
-    checked_int64(sum(A.elements[-h:]))
+    checked_int64(sum(A.elements[len(A) - h :]))
+
+
+def _check_rungs(A: IntSet, hs: Iterable[int], kind: SumsetKind) -> None:
+    """The one guard rule: range-check the extreme sums of exactly the rungs
+    hs that a call returns. Rungs built only on the way are never checked."""
+    ordinary = kind is SumsetKind.ORDINARY
+    check = _check_ordinary_range if ordinary else _check_restricted_range
+    for h in hs:
+        check(A, h)
+
+
+def _ladder(A: IntSet, top: int, kind: SumsetKind) -> Iterator[SumBitmap]:
+    """Rungs 0..top in order, unchecked; the engine's only sumset kernel.
+
+    Works on A translated to start at 0, so rung h has offset h*min(A).
+    Ordinary rungs grow by folding one element layer per step, holding only
+    the current rung. Restricted rungs fall out of one cardinality-indexed
+    subset-sum DP: scanning elements in increasing order and updating rungs
+    in descending order prevents reuse. Restricted rungs may carry dead low
+    bits below the true minimum, and those above |A| are empty.
+    """
+    t = A.min
+    shifted = [a - t for a in A.elements]
+    if kind is SumsetKind.ORDINARY:
+        cur = 1
+        yield SumBitmap(0, cur)
+        for h in range(1, top + 1):
+            nxt = 0
+            for e in shifted:
+                nxt |= cur << e
+            cur = nxt
+            yield SumBitmap(h * t, cur)
+    else:
+        B = [1] + [0] * top
+        for idx, e in enumerate(shifted):
+            for j in range(min(top, idx + 1), 0, -1):
+                if B[j - 1]:
+                    B[j] |= B[j - 1] << e
+        for j, bits in enumerate(B):
+            yield SumBitmap(j * t, bits)
+
+
+def or_rungs(
+    ladder: Sequence[SumBitmap] | Mapping[int, SumBitmap], hs: Iterable[int]
+) -> tuple[int, int]:
+    """(offset, bits) of the OR of the rungs hs of a ladder, anchored at the
+    lowest nonempty offset. A pair, not a SumBitmap: the exhaustive sweep
+    calls this once per (A, H) pair and needs only the popcount."""
+    base = bits = 0
+    for h in hs:
+        part = ladder[h]
+        if not part.bits:
+            continue
+        if not bits:
+            base, bits = part.offset, part.bits
+        elif part.offset < base:
+            bits = (bits << (base - part.offset)) | part.bits
+            base = part.offset
+        else:
+            bits |= part.bits << (part.offset - base)
+    return base, bits
+
+
+def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[SumBitmap]:
+    """All of 0A..h_max·A (or restricted) as bit vectors.
+
+    Callers that union many H over one A, such as the exhaustive verifier,
+    build this once and OR its rungs with `or_rungs`. Rungs may carry dead
+    low bits below the true minimum; entries beyond |A| in restricted mode
+    are empty.
+    """
+    _require_nonempty(A)
+    _check_rungs(A, range(h_max + 1), kind)
+    return list(_ladder(A, h_max, kind))
+
+
+def _sumset(A: IntSet, hs: tuple[int, ...], kind: SumsetKind) -> IntSet:
+    # hs is increasing. Guard, one ladder up to the largest contributing
+    # rung, OR the rungs hs, decode once.
+    _require_nonempty(A)
+    if hs[0] < 0:
+        raise ArityError("multiplicity must be nonnegative")
+    if kind is SumsetKind.RESTRICTED:
+        hs = tuple(h for h in hs if h <= len(A))
+    if not hs:
+        return IntSet(())
+    _check_rungs(A, hs, kind)
+    wanted = set(hs)
+    ladder = {h: rung for h, rung in enumerate(_ladder(A, hs[-1], kind)) if h in wanted}
+    return SumBitmap(*or_rungs(ladder, hs)).to_intset()
 
 
 def h_fold(A: IntSet, h: int) -> IntSet:
     """Sums of exactly h elements of A, repetition allowed.
 
-    h = 0 gives {0}, h = 1 gives A back. The vector for hA is built by
-    shifted-OR folding with doubling: partial sumsets for 2A, 4A, ... are
-    combined following the binary expansion of h. Working on the set
-    translated to start at 0 keeps every partial vector anchored at its own
-    minimum for free.
+    h = 0 gives {0}, h = 1 gives A back. The result is rung h of the ladder.
     """
-    _require_nonempty(A)
-    if h < 0:
-        raise ArityError("multiplicity must be nonnegative")
-    if h == 0:
-        return IntSet((0,))
-    _check_ordinary_range(A, h)
-    t = A.min
-    base = 0
-    for a in A.elements:
-        base |= 1 << (a - t)
-    acc = 1  # {0}, the empty-sum vector
-    power = base
-    remaining = h
-    while remaining:
-        if remaining & 1:
-            acc = _convolve(acc, power)
-        remaining >>= 1
-        if remaining:
-            power = _convolve(power, power)
-    return SumBitmap(h * t, acc).to_intset()
+    return _sumset(A, (h,), SumsetKind.ORDINARY)
 
 
 def h_fold_restricted(A: IntSet, h: int) -> IntSet:
     """Sums of h pairwise distinct elements of A.
 
     h = 0 gives {0}, h = |A| the singleton total, h > |A| the empty set.
-    Classic cardinality-indexed subset-sum DP: B[j] is the vector of sums of
-    j distinct elements; scanning elements in increasing order and updating
-    j descending prevents reuse.
+    The result is rung h of the restricted ladder.
     """
-    _require_nonempty(A)
-    if h < 0:
-        raise ArityError("multiplicity must be nonnegative")
-    if h == 0:
-        return IntSet((0,))
-    if h > len(A):
-        return IntSet(())
-    _check_restricted_range(A, h)
-    t = A.min
-    B = [0] * (h + 1)
-    B[0] = 1
-    for idx, a in enumerate(A.elements):
-        e = a - t
-        for j in range(min(h, idx + 1), 0, -1):
-            if B[j - 1]:
-                B[j] |= B[j - 1] << e
-    bits = B[h]
-    offset = h * t
-    # re-anchor: the DP vector has dead low bits below the true minimum
-    slide = (bits & -bits).bit_length() - 1
-    return SumBitmap(offset + slide, bits >> slide).to_intset()
+    return _sumset(A, (h,), SumsetKind.RESTRICTED)
 
 
 def union_sumset(A: IntSet, H: HSet, kind: SumsetKind) -> IntSet:
@@ -167,31 +202,9 @@ def union_sumset(A: IntSet, H: HSet, kind: SumsetKind) -> IntSet:
     Restricted entries with h > |A| contribute nothing; h = 0 contributes
     {0} under either kind.
     """
-    _require_nonempty(A)
     if H.is_empty:
         raise ArityError("union over an empty multiplicity set is undefined")
-    parts = _sumset_parts(A, H, kind)
-    if not parts:
-        return IntSet(())
-    return _union_bitmaps(parts).to_intset()
-
-
-def _sumset_parts(A: IntSet, H: HSet, kind: SumsetKind) -> list[SumBitmap]:
-    fold = h_fold if kind is SumsetKind.ORDINARY else h_fold_restricted
-    parts = []
-    for h in H.elements:
-        piece = fold(A, h)
-        if not piece.is_empty:
-            parts.append(SumBitmap.from_intset(piece))
-    return parts
-
-
-def _union_bitmaps(parts: list[SumBitmap]) -> SumBitmap:
-    base = min(p.offset for p in parts)
-    bits = 0
-    for p in parts:
-        bits |= p.bits << (p.offset - base)
-    return SumBitmap(base, bits)
+    return _sumset(A, H.elements, kind)
 
 
 def naive_h_fold(
@@ -219,49 +232,3 @@ def naive_h_fold(
     picker = combinations_with_replacement if kind is SumsetKind.ORDINARY else combinations
     sums = {sum(tup) for tup in picker(A.elements, h)}
     return IntSet(tuple(sorted(sums)))
-
-
-def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[SumBitmap]:
-    """All of 0A..h_max·A (or restricted) in one pass; the batch path.
-
-    Used by the exhaustive verifier, which unions many H over one A.
-    Ordinary vectors grow by folding one element layer per step; restricted
-    ones fall out of a single DP sweep. Ladder vectors may carry dead low
-    bits below the true minimum (position arithmetic is unaffected); entries
-    beyond |A| in restricted mode are empty.
-    """
-    _require_nonempty(A)
-    if kind is SumsetKind.ORDINARY:
-        _check_ordinary_range(A, h_max)
-    else:
-        # the extreme sum can sit at an intermediate multiplicity when signs
-        # mix, so check every prefix and suffix sum up to the ladder height
-        running = 0
-        for a in A.elements[: min(h_max, len(A))]:
-            running = checked_int64(running + a)
-        running = 0
-        for a in A.elements[-min(h_max, len(A)) :][::-1]:
-            running = checked_int64(running + a)
-    t = A.min
-    shifted = tuple(a - t for a in A.elements)
-    ladder = [SumBitmap(0, 1)]
-    if kind is SumsetKind.ORDINARY:
-        cur = 1
-        for h in range(1, h_max + 1):
-            nxt = 0
-            for e in shifted:
-                nxt |= cur << e
-            cur = nxt
-            ladder.append(SumBitmap(h * t, cur))
-    else:
-        top = min(h_max, len(A))
-        B = [0] * (top + 1)
-        B[0] = 1
-        for idx, e in enumerate(shifted):
-            for j in range(min(top, idx + 1), 0, -1):
-                if B[j - 1]:
-                    B[j] |= B[j - 1] << e
-        for j in range(1, h_max + 1):
-            bits = B[j] if j <= top else 0
-            ladder.append(SumBitmap(j * t, bits))
-    return ladder

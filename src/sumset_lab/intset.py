@@ -17,6 +17,7 @@ from .errors import (
     IntegerOverflowError,
     InvalidRangeError,
     ParseError,
+    UnsupportedClassError,
 )
 
 INT64_MIN = -(2**63)
@@ -203,6 +204,23 @@ def classify(A: IntSet) -> SetClass:
     if hi == 0:
         return SetClass.ZERO_REST_NEGATIVE
     return SetClass.MIXED
+
+
+def sign_reduce(A: IntSet) -> tuple[IntSet, SetClass]:
+    """The nonnegative working set for A, and A's sign class.
+
+    A nonnegative set comes back as is; negative sets are reflected (sumset
+    sizes are invariant under dilation by -1). Mixed-sign sets are refused:
+    no catalog formula or inverse statement covers them.
+    """
+    set_class = classify(A)
+    if set_class is SetClass.MIXED:
+        raise UnsupportedClassError(
+            "mixed-sign sets have well-defined sumsets but no catalog bound"
+        )
+    if set_class in (SetClass.ALL_NEGATIVE, SetClass.ZERO_REST_NEGATIVE):
+        return dilate(A, -1), set_class
+    return A, set_class
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from . import bounds
 from .engine import SumBitmap, SumsetKind, h_fold, h_fold_restricted, union_sumset
 from .errors import HypothesisError, InternalInconsistencyError, UnsupportedClassError
-from .intset import HSet, IntSet, SetClass, classify, dilate, translate
+from .intset import HSet, IntSet, SetClass, classify, sign_reduce, translate
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,10 @@ class APDescriptor:
     difference: int | None
 
 
-def _ap_of(elements: tuple[int, ...]) -> APDescriptor:
+def ap_descriptor(A: IntSet | HSet) -> APDescriptor:
+    if A.is_empty:
+        raise HypothesisError("empty set has no progression structure")
+    elements = A.elements
     if len(elements) == 1:
         return APDescriptor(True, elements[0], None)
     d = elements[1] - elements[0]
@@ -38,12 +41,6 @@ def _ap_of(elements: tuple[int, ...]) -> APDescriptor:
         if elements[i] - elements[i - 1] != d:
             return APDescriptor(False, elements[0], None)
     return APDescriptor(True, elements[0], d)
-
-
-def ap_descriptor(A: IntSet) -> APDescriptor:
-    if A.is_empty:
-        raise HypothesisError("empty set has no progression structure")
-    return _ap_of(A.elements)
 
 
 def is_dilated_interval(A: IntSet, include_zero: bool) -> int | None:
@@ -121,12 +118,13 @@ def witness_blocks(A: IntSet, H: HSet, kind: SumsetKind) -> BlockDecomposition:
             f"restricted blocks need max multiplicity <= {k}, got {H.max}"
         )
     fold = h_fold_restricted if restricted else h_fold
+    folds = [fold(A, h) for h in H.elements]
     blocks: list[IntSet] = []
     prev = 0
-    for h in H.elements:
+    for h, full in zip(H.elements, folds):
         delta = h - prev
         if prev == 0:
-            block = fold(A, h)
+            block = full
         elif restricted:
             prefix = IntSet(A.elements[: k - prev])
             shift = sum(A.elements[k - prev :])
@@ -140,8 +138,8 @@ def witness_blocks(A: IntSet, H: HSet, kind: SumsetKind) -> BlockDecomposition:
             raise InternalInconsistencyError(
                 f"blocks {i + 1} and {i + 2} overlap for A={A}, H={H}, {kind.value}"
             )
-    for h, block in zip(H.elements, blocks):
-        if not _bitmap_superset(fold(A, h), block):
+    for h, full, block in zip(H.elements, folds, blocks):
+        if not _bitmap_superset(full, block):
             raise InternalInconsistencyError(
                 f"block for multiplicity {h} escapes its fold for A={A}, H={H}"
             )
@@ -213,31 +211,19 @@ class InverseVerdict:
 
 
 def _observed_facts(A: IntSet, H: HSet, zero_in: bool) -> StructureFacts:
-    k = len(A)
-    r = len(H)
-    hd = _ap_of(H.elements) if r else APDescriptor(True, 0, None)
-    ad = _ap_of(A.elements)
-    h_shift = r >= 1 and (r == 1 or (hd.is_ap and hd.difference == 1))
-    if zero_in:
-        if k == 1:
-            dilated = True
-        else:
-            d = A.elements[1]
-            dilated = A.elements == tuple(d * i for i in range(k))
-    else:
-        d = A.elements[0]
-        dilated = A.elements == tuple(d * i for i in range(1, k + 1))
-    if r >= 2 and k >= 2 and hd.is_ap and ad.is_ap:
+    hd = ap_descriptor(H) if H.elements else APDescriptor(True, 0, None)
+    ad = ap_descriptor(A)
+    if len(H) >= 2 and len(A) >= 2 and hd.is_ap and ad.is_ap:
         relation = ad.difference == hd.difference * A.min
     else:
         relation = None
     return StructureFacts(
         h_is_ap=hd.is_ap,
         h_difference=hd.difference,
-        h_shifted_interval=h_shift,
+        h_shifted_interval=h_shifted_interval(H) is not None,
         a_is_ap=ad.is_ap,
         a_difference=ad.difference,
-        a_dilated_interval=dilated,
+        a_dilated_interval=is_dilated_interval(A, zero_in) is not None,
         difference_relation=relation,
     )
 
@@ -334,15 +320,9 @@ def build_verdict(
 
 def check_inverse(A: IntSet, H: HSet, kind: SumsetKind) -> InverseVerdict:
     """Full inverse check: compute the size, the bound, and the verdict."""
-    set_class = classify(A)
-    if set_class is SetClass.MIXED:
-        raise UnsupportedClassError(
-            "mixed-sign sets have well-defined sumsets but no inverse statement"
-        )
-    work = A
+    work, set_class = sign_reduce(A)
     extra: tuple[str, ...] = ()
-    if set_class in (SetClass.ALL_NEGATIVE, SetClass.ZERO_REST_NEGATIVE):
-        work = dilate(A, -1)
+    if work is not A:
         extra = ("reduced by reflection to a nonnegative set",)
     size = len(union_sumset(work, H, kind))
     outcome = bounds.catalog_bound(kind, len(work), H, work.elements[0] == 0)

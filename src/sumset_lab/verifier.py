@@ -21,7 +21,7 @@ from math import comb
 from typing import Iterator
 
 from . import bounds
-from .engine import SumsetKind, sumset_ladder
+from .engine import SumsetKind, or_rungs, sumset_ladder
 from .errors import SpaceTooLargeError
 from .intset import HSet, IntSet, SetClass, format_elements, parse_elements
 from .structure import InverseVerdict, build_verdict
@@ -260,23 +260,7 @@ def _scan_a(
                 outcome = bounds.catalog_bound(kind, k, H, zero_in)
                 if not outcome.applicable:
                     continue
-                ladder = ladders[kind]
-                base = None
-                bits = 0
-                for h in h_combo:
-                    part = ladder[h]
-                    if part.bits == 0:
-                        continue
-                    if base is None:
-                        base = part.offset
-                        bits = part.bits
-                    else:
-                        if part.offset < base:
-                            bits = (bits << (base - part.offset)) | part.bits
-                            base = part.offset
-                        else:
-                            bits |= part.bits << (part.offset - base)
-                size = bits.bit_count()
+                size = or_rungs(ladders[kind], h_combo)[1].bit_count()
                 if size < outcome.value:
                     acc.violations.append(
                         {
@@ -388,6 +372,14 @@ class VerificationReport:
         return cls.from_dict(json.loads(text))
 
 
+def _pool_size(workers: int | None, chunks: int) -> int:
+    """Worker processes to start: the request (default: available
+    parallelism), never more than one per chunk and never fewer than one."""
+    if workers is None:
+        workers = os.cpu_count() or 1
+    return max(1, min(workers, chunks))
+
+
 def verify(
     space: SearchSpace,
     workers: int | None = None,
@@ -395,6 +387,10 @@ def verify(
     case_cap: int = DEFAULT_CASE_CAP,
 ) -> VerificationReport:
     """Check every pair in the space; see VerificationReport for semantics."""
+    if case_cap < 0:
+        raise ValueError(f"case cap must be nonnegative, got {case_cap}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
     started = time.perf_counter()
     expected = space.enumeration_count()
     if expected > pair_cap:
@@ -406,16 +402,15 @@ def verify(
         (space, start, min(start + _CHUNK_A_TASKS, total_a), case_cap)
         for start in range(0, total_a, _CHUNK_A_TASKS)
     ]
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers <= 1 or len(chunk_args) <= 1:
+    processes = _pool_size(workers, len(chunk_args))
+    if processes == 1:
         partials = [_run_chunk(args) for args in chunk_args]
     else:
         if "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
         else:
             ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=workers) as pool:
+        with ctx.Pool(processes=processes) as pool:
             partials = pool.map(_run_chunk, chunk_args)
     merged = _Partial()
     for part in partials:

@@ -55,6 +55,23 @@ def test_bound_prints_formula_values_only(capsys):
     assert "ordinary: bound=10 formula=union-positive" in out
     assert "restricted: bound=9 formula=union-restricted-positive" in out
     assert "sumset" not in out
+    # a negative set is reflected and gets the same bounds
+    assert run_cli(capsys, "bound", "--set-a=-5..-1", "-H", "1,2") == (0, out, "")
+
+
+def test_bound_refuses_mixed_sign_set(capsys):
+    code, out, err = run_cli(capsys, "bound", "--set-a=-3,2", "-H", "1,2")
+    assert code == 1
+    assert out == ""
+    assert "mixed-sign" in err
+
+
+def test_verify_rejects_bad_workers_and_case_cap(capsys):
+    base = ["verify", "--universe", "4", "--k", "2..2", "--hmax", "2"]
+    for extra in (["--workers", "0"], ["--case-cap", "-1"]):
+        code, out, err = run_cli(capsys, *base, *extra)
+        assert code == 1
+        assert out == "" and "error:" in err
 
 
 def test_check_text(capsys):

@@ -21,6 +21,9 @@ from sumset_lab.intset import HSet, IntSet, dilate, make_interval
 ORD = SumsetKind.ORDINARY
 RES = SumsetKind.RESTRICTED
 
+# elements fit int64 but every sum of two or more of them does not
+HUGE3 = IntSet((2**62, 2**62 + 1, 2**62 + 2))
+
 
 def tuple_sums(elements, h):
     """Independent oracle: all h-tuples with repetition."""
@@ -79,6 +82,8 @@ def test_union_sumset_zero_multiplicity():
     u = union_sumset(A, HSet((0, 1)), ORD)
     assert u.elements == (0, 2, 5)
     assert union_sumset(A, HSet((0,)), RES).elements == (0,)
+    # only the 0-fold contributes, so sums of the huge elements are never formed
+    assert union_sumset(HUGE3, HSet((0,)), RES).elements == (0,)
 
 
 def test_union_sumset_restricted_overlarge_entries():
@@ -86,6 +91,8 @@ def test_union_sumset_restricted_overlarge_entries():
     A = IntSet((1, 2, 4))
     assert union_sumset(A, HSet((2, 5)), RES) == h_fold_restricted(A, 2)
     assert union_sumset(A, HSet((5, 6)), RES).is_empty
+    # rungs 2 and 3 would overflow but are never returned, so never checked
+    assert union_sumset(HUGE3, HSet((1, 5)), RES) == HUGE3
 
 
 def test_empty_inputs_refused():
@@ -199,6 +206,13 @@ def test_bitmap_anchoring_and_popcount():
     assert bm.bits & 1  # anchored: lowest bit is the minimum
     assert bm.popcount == len(result)
     assert bm.to_intset() == result
+    # sparse and wide, with a negative offset
+    sparse = IntSet((-(2**20), -7, 0, 3, 2**20 + 5))
+    wide = SumBitmap.from_intset(sparse)
+    assert wide.offset == -(2**20) and wide.popcount == 5
+    assert wide.to_intset() == sparse
+    assert SumBitmap.from_intset(wide.to_intset()) == wide
+    assert SumBitmap(0, 0).to_intset().is_empty
 
 
 def test_threaded_callers_agree():
@@ -227,7 +241,12 @@ def test_overflow_guard():
     with pytest.raises(IntegerOverflowError):
         h_fold_restricted(IntSet((2**62, 2**62 + 1)), 2)
     with pytest.raises(IntegerOverflowError):
+        h_fold_restricted(HUGE3, 2)
+    with pytest.raises(IntegerOverflowError):
         naive_h_fold(huge, 4, ORD)
+    # the 0-fold has no summands, so the oracle and the fast path agree on {0}
+    pair = IntSet((2**62, 2**62 + 1))
+    assert naive_h_fold(pair, 0, RES) == h_fold_restricted(pair, 0) == IntSet((0,))
 
 
 def test_ladder_overflow_at_intermediate_multiplicity():

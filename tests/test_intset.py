@@ -9,6 +9,7 @@ from sumset_lab.errors import (
     IntegerOverflowError,
     InvalidRangeError,
     ParseError,
+    UnsupportedClassError,
 )
 from sumset_lab.intset import (
     INT64_MAX,
@@ -25,6 +26,7 @@ from sumset_lab.intset import (
     parse_elements,
     parse_hset,
     parse_intset,
+    sign_reduce,
     translate,
 )
 
@@ -87,6 +89,17 @@ def test_classify():
     assert classify(IntSet((0,))) is SetClass.ZERO_REST_POSITIVE
     with pytest.raises(ArityError):
         classify(IntSet(()))
+
+
+def test_sign_reduce():
+    pos = IntSet((1, 2, 4))
+    assert sign_reduce(pos) == (pos, SetClass.ALL_POSITIVE)
+    assert sign_reduce(pos)[0] is pos
+    assert sign_reduce(IntSet((0, 3))) == (IntSet((0, 3)), SetClass.ZERO_REST_POSITIVE)
+    assert sign_reduce(IntSet((-4, -1))) == (IntSet((1, 4)), SetClass.ALL_NEGATIVE)
+    assert sign_reduce(IntSet((-4, 0))) == (IntSet((0, 4)), SetClass.ZERO_REST_NEGATIVE)
+    with pytest.raises(UnsupportedClassError):
+        sign_reduce(IntSet((-3, 2)))
 
 
 @given(small_sets, st.integers(min_value=-20, max_value=20).filter(lambda c: c != 0))

@@ -15,6 +15,7 @@ from sumset_lab.verifier import (
     VerificationReport,
     ZeroMode,
     _combinations_from,
+    _pool_size,
     enumerate_pairs,
     find_extremal,
     verify,
@@ -129,6 +130,23 @@ def test_equality_case_cap_truncates_lists_not_counts():
     assert len(capped.equality_cases) == 5
     assert capped.equality_cases == full.equality_cases[:5]
     assert capped.equality_case_cap == 5
+
+
+def test_verify_rejects_negative_case_cap_and_workers():
+    space = SearchSpace(4, (2, 2), 2, (1, 2))
+    with pytest.raises(ValueError):
+        verify(space, workers=1, case_cap=-1)
+    for workers in (0, -3):
+        with pytest.raises(ValueError):
+            verify(space, workers=workers)
+
+
+def test_pool_size_clamps_to_chunk_count():
+    assert _pool_size(8, 3) == 3
+    assert _pool_size(2, 100) == 2
+    assert _pool_size(10**9, 5) == 5
+    assert _pool_size(4, 0) == 1  # an empty space still runs serially
+    assert 1 <= _pool_size(None, 2) <= 2
 
 
 def test_corrupted_bound_is_detected(monkeypatch):
