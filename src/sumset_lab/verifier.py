@@ -195,15 +195,29 @@ def enumerate_pairs(
 
 
 @dataclass
+class _Cases:
+    """A complete count and the first case_cap records behind it."""
+
+    count: int = 0
+    records: list = field(default_factory=list)
+
+    def add(self, record: dict, case_cap: int) -> None:
+        self.count += 1
+        if len(self.records) < case_cap:
+            self.records.append(record)
+
+    def extend(self, other: _Cases) -> None:
+        self.count += other.count
+        self.records.extend(other.records)
+
+
+@dataclass
 class _Partial:
     pairs: int = 0
-    violations: list = field(default_factory=list)
-    equality_count: int = 0
-    equality: list = field(default_factory=list)
-    nonstructured_count: int = 0
-    nonstructured: list = field(default_factory=list)
-    inconsistency_count: int = 0
-    inconsistencies: list = field(default_factory=list)
+    violations: _Cases = field(default_factory=_Cases)
+    equality: _Cases = field(default_factory=_Cases)
+    nonstructured: _Cases = field(default_factory=_Cases)
+    inconsistencies: _Cases = field(default_factory=_Cases)
 
 
 def case_record(
@@ -262,7 +276,7 @@ def _scan_a(
                     continue
                 size = or_rungs(ladders[kind], h_combo)[1].bit_count()
                 if size < outcome.value:
-                    acc.violations.append(
+                    acc.violations.add(
                         {
                             "a": a_text,
                             "h": h_text,
@@ -271,24 +285,19 @@ def _scan_a(
                             "size": size,
                             "bound": outcome.value,
                             "formula": outcome.formula.identifier,
-                        }
+                        },
+                        case_cap,
                     )
                 elif size == outcome.value:
                     verdict = build_verdict(A, H, kind, set_class, size, outcome)
                     record = case_record(
                         a_text, h_text, kind, zero_in, size, outcome.value, verdict
                     )
-                    acc.equality_count += 1
-                    if len(acc.equality) < case_cap:
-                        acc.equality.append(record)
+                    acc.equality.add(record, case_cap)
                     if verdict.is_nonstructured_equality:
-                        acc.nonstructured_count += 1
-                        if len(acc.nonstructured) < case_cap:
-                            acc.nonstructured.append(record)
+                        acc.nonstructured.add(record, case_cap)
                     if not verdict.consistent:
-                        acc.inconsistency_count += 1
-                        if len(acc.inconsistencies) < case_cap:
-                            acc.inconsistencies.append(record)
+                        acc.inconsistencies.add(record, case_cap)
 
 
 def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
@@ -373,11 +382,16 @@ class VerificationReport:
 
 
 def _pool_size(workers: int | None, chunks: int) -> int:
-    """Worker processes to start: the request (default: available
-    parallelism), never more than one per chunk and never fewer than one."""
+    """Worker processes to start: the request (default: the CPUs this
+    process may run on), never more than those CPUs, never more than one
+    per chunk and never fewer than one."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     if workers is None:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, chunks))
+        workers = cpus
+    return max(1, min(workers, cpus, chunks))
 
 
 def verify(
@@ -416,24 +430,21 @@ def verify(
     for part in partials:
         merged.pairs += part.pairs
         merged.violations.extend(part.violations)
-        merged.equality_count += part.equality_count
         merged.equality.extend(part.equality)
-        merged.nonstructured_count += part.nonstructured_count
         merged.nonstructured.extend(part.nonstructured)
-        merged.inconsistency_count += part.inconsistency_count
         merged.inconsistencies.extend(part.inconsistencies)
     return VerificationReport(
         space=space,
         pairs_checked=merged.pairs,
         enumeration_count=expected,
-        bound_violation_count=len(merged.violations),
-        bound_violations=merged.violations[:case_cap],
-        equality_case_count=merged.equality_count,
-        equality_cases=merged.equality[:case_cap],
-        allowed_nonstructured_count=merged.nonstructured_count,
-        allowed_nonstructured_equalities=merged.nonstructured[:case_cap],
-        inverse_inconsistency_count=merged.inconsistency_count,
-        inverse_inconsistencies=merged.inconsistencies[:case_cap],
+        bound_violation_count=merged.violations.count,
+        bound_violations=merged.violations.records[:case_cap],
+        equality_case_count=merged.equality.count,
+        equality_cases=merged.equality.records[:case_cap],
+        allowed_nonstructured_count=merged.nonstructured.count,
+        allowed_nonstructured_equalities=merged.nonstructured.records[:case_cap],
+        inverse_inconsistency_count=merged.inconsistencies.count,
+        inverse_inconsistencies=merged.inconsistencies.records[:case_cap],
         equality_case_cap=case_cap,
         wall_time_seconds=time.perf_counter() - started,
     )
@@ -447,10 +458,17 @@ def find_extremal(
 ) -> list[dict]:
     """All equality cases grouped by (k, r, kind), each with its structure.
 
-    Group contents come from the (possibly capped) equality case list of a
-    verify run over the same space.
+    Group contents come from the equality case list of a verify run over the
+    same space. Raises ValueError when case_cap truncated that list, since
+    groups built from it would be silently partial.
     """
     report = verify(space, workers=workers, pair_cap=pair_cap, case_cap=case_cap)
+    if report.equality_case_count > len(report.equality_cases):
+        raise ValueError(
+            f"{report.equality_case_count} equality cases but only"
+            f" {len(report.equality_cases)} kept under the case cap;"
+            " raise --case-cap to group them all"
+        )
     groups: dict[tuple[int, int, str], list] = {}
     for record in report.equality_cases:
         key = (

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +135,31 @@ def test_extremal_lists_groups(capsys):
     payload = json.loads(out)
     assert len(payload["groups"]) == 1
     assert len(payload["groups"][0]["cases"]) == 8
+
+
+def test_extremal_refuses_truncated_case_list(capsys):
+    code, out, err = run_cli(
+        capsys, "extremal", "--universe", "10", "--k", "3..4", "--hmax", "3",
+        "--r", "1..2", "--kind", "ordinary", "--case-cap", "3", "--workers", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "only 3 kept" in err and "--case-cap" in err
+
+
+def test_worked_examples_run(capsys):
+    # every `sumset-lab ...` line of the worked-examples script, through main
+    script = Path(__file__).resolve().parents[1] / "docs" / "worked_examples.sh"
+    lines = [
+        line for line in script.read_text().splitlines() if line.startswith("sumset-lab ")
+    ]
+    assert len(lines) == 11
+    for line in lines:
+        argv = [tok for tok in shlex.split(line)[1:] if not tok.startswith(">")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (line, err)
+        if argv[0] == "extremal":
+            assert "8 equality cases" in out
 
 
 def test_parse_error_exits_1(capsys):

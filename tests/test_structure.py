@@ -5,9 +5,9 @@ from itertools import combinations
 import pytest
 
 from sumset_lab.bounds import catalog_bound
-from sumset_lab.engine import SumsetKind, union_sumset
-from sumset_lab.errors import HypothesisError, UnsupportedClassError
-from sumset_lab.intset import HSet, IntSet, dilate, make_interval
+from sumset_lab.engine import SumsetKind, naive_h_fold, union_sumset
+from sumset_lab.errors import HypothesisError, IntegerOverflowError, UnsupportedClassError
+from sumset_lab.intset import HSet, IntSet, dilate, make_interval, translate
 from sumset_lab.structure import (
     ap_descriptor,
     check_inverse,
@@ -55,9 +55,9 @@ def test_witness_blocks_ordinary_example():
 
 
 def test_witness_blocks_single_multiplicity():
-    for k in (1, 4, 7):
-        deco = witness_blocks(make_interval(1, k), HSet((1,)), ORD)
-        assert deco.blocks == (make_interval(1, k),)
+    for A in (make_interval(1, 1), make_interval(1, 4), make_interval(1, 7), IntSet((2, 3, 9))):
+        for kind in (ORD, RES):
+            assert witness_blocks(A, HSet((1,)), kind).blocks == (A,)
 
 
 def test_witness_blocks_restricted_example():
@@ -78,11 +78,30 @@ def test_witness_blocks_preconditions():
         witness_blocks(IntSet((1, 2, 3)), HSet((0, 1)), ORD)
     with pytest.raises(HypothesisError):
         witness_blocks(IntSet((1, 2, 3)), HSet((2, 4)), RES)
+    for kind in (ORD, RES):
+        with pytest.raises(IntegerOverflowError):
+            witness_blocks(IntSet((2**62, 2**62 + 1)), HSet((1, 2)), kind)
+
+
+def _oracle_blocks(A, H, kind):
+    # block i: the delta-fold of the k-prev smallest elements (all of A when
+    # ordinary) shifted past the previous fold, by enumeration
+    k = len(A)
+    blocks, prev = [], 0
+    for h in H.elements:
+        if kind is ORD:
+            part, shift = A, prev * A.max
+        else:
+            part, shift = IntSet(A.elements[: k - prev]), sum(A.elements[k - prev :])
+        blocks.append(translate(naive_h_fold(part, h - prev, kind), shift))
+        prev = h
+    return tuple(blocks)
 
 
 def test_witness_blocks_sweep_never_inconsistent():
     # exhaustive small space: the construction must always stack cleanly,
-    # its total pinned between the bound and the true union size
+    # match its definition, and have its total pinned between the bound and
+    # the true union size
     h_pool = range(1, 5)
     for k in range(1, 5):
         for combo in combinations(range(1, 9), k):
@@ -94,6 +113,7 @@ def test_witness_blocks_sweep_never_inconsistent():
                         if kind is RES and hs[-1] > k:
                             continue
                         deco = witness_blocks(A, H, kind)
+                        assert deco.blocks == _oracle_blocks(A, H, kind)
                         out = catalog_bound(kind, k, H, False)
                         size = len(union_sumset(A, H, kind))
                         assert out.value <= deco.total_size <= size

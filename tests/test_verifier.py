@@ -1,6 +1,7 @@
 """Exhaustive verifier: enumeration, determinism, reports."""
 
 import json
+import os
 from itertools import combinations
 from math import comb
 
@@ -16,6 +17,7 @@ from sumset_lab.verifier import (
     ZeroMode,
     _combinations_from,
     _pool_size,
+    _run_chunk,
     enumerate_pairs,
     find_extremal,
     verify,
@@ -141,12 +143,35 @@ def test_verify_rejects_negative_case_cap_and_workers():
             verify(space, workers=workers)
 
 
-def test_pool_size_clamps_to_chunk_count():
+def _pin_cpus(monkeypatch, count):
+    # pure function under test: no pool is started
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def test_pool_size_clamps_to_chunk_count(monkeypatch):
+    _pin_cpus(monkeypatch, 64)
     assert _pool_size(8, 3) == 3
     assert _pool_size(2, 100) == 2
     assert _pool_size(10**9, 5) == 5
     assert _pool_size(4, 0) == 1  # an empty space still runs serially
     assert 1 <= _pool_size(None, 2) <= 2
+
+
+def test_pool_size_clamps_to_cpu_affinity(monkeypatch):
+    _pin_cpus(monkeypatch, 3)
+    assert _pool_size(None, 100) == 3  # the default is the usable CPU count
+    assert _pool_size(8, 100) == 3  # an explicit request is capped too
+    assert _pool_size(2, 100) == 2
+    assert _pool_size(8, 2) == 2  # the chunk clamp still applies
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert _pool_size(None, 100) == 5
+    assert _pool_size(10**9, 100) == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(None, 100) == 1
 
 
 def test_corrupted_bound_is_detected(monkeypatch):
@@ -163,6 +188,24 @@ def test_corrupted_bound_is_detected(monkeypatch):
     assert not report.clean
     violation = report.bound_violations[0]
     assert violation["size"] == violation["bound"] - 1
+
+
+def test_bound_violations_capped_per_chunk_counts_complete(monkeypatch):
+    real = bounds.bound_union
+    monkeypatch.setattr(bounds, "bound_union", lambda k, H, z: real(k, H, z) + 1)
+    # more than one chunk, so the cap is applied before the merge
+    space = SearchSpace(10, (3, 3), 2, (1, 2), kinds=(ORD,))
+    reports = {w: verify(space, workers=w, case_cap=1) for w in (1, 2)}
+    report = reports[1]
+    assert report.bound_violation_count > 1
+    assert len(report.bound_violations) == 1
+    assert reports[1].to_json() == reports[2].to_json()
+    full = verify(space, workers=1)
+    assert full.bound_violation_count == report.bound_violation_count
+    assert full.bound_violations[:1] == report.bound_violations
+    chunk = _run_chunk((space, 0, space.a_task_count(), 1))
+    assert chunk.violations.count == report.bound_violation_count
+    assert len(chunk.violations.records) == 1  # capped before the merge
 
 
 def test_report_json_round_trip():
@@ -206,6 +249,18 @@ def test_find_extremal_restricted_family_is_exact():
         for h1 in range(1, 5):
             expected.add((a_text, f"{h1},{h1 + 1}"))
     assert cases == expected
+
+
+def test_find_extremal_refuses_truncated_case_list():
+    space = SearchSpace(10, (3, 4), 3, (1, 2), kinds=(ORD,))
+    with pytest.raises(ValueError) as exc:
+        find_extremal(space, workers=1, case_cap=3)
+    message = str(exc.value)
+    count = verify(space, workers=1).equality_case_count
+    assert f"{count} equality cases" in message and "only 3 kept" in message
+    assert "--case-cap" in message
+    groups = find_extremal(space, workers=1, case_cap=count)
+    assert sum(len(group["cases"]) for group in groups) == count
 
 
 def test_find_extremal_empty_space():
