@@ -117,15 +117,12 @@ def witness_blocks(A: IntSet, H: HSet, kind: SumsetKind) -> BlockDecomposition:
     prev = 0
     for h in H.elements:
         delta = h - prev
-        if prev == 0:
-            block = ladder[h]
-        elif restricted:
+        if restricted and prev:
             rung = sumset_ladder(IntSet(A.elements[: k - prev]), delta, kind)[delta]
-            block = SumBitmap(rung.offset + sum(A.elements[k - prev :]), rung.bits)
+            shift = sum(A.elements[k - prev :])
         else:
-            rung = ladder[delta]
-            block = SumBitmap(rung.offset + prev * A.max, rung.bits)
-        bitmaps.append(block)
+            rung, shift = ladder[delta], prev * A.max
+        bitmaps.append(SumBitmap(rung.offset + shift, rung.bits))
         prev = h
     blocks = tuple(block.to_intset() for block in bitmaps)
     for i in range(len(blocks) - 1):
