@@ -137,7 +137,7 @@ def catalog_bound(kind: SumsetKind, k: int, H: HSet, zero_in_A: bool) -> BoundOu
             )
         hs = hs[1:]
         note = "multiplicity 0 stripped (contributes nothing when 0 is in A)"
-    positive = HSet(hs)
+    positive = H if note is None else HSet(hs)
     if kind is SumsetKind.ORDINARY:
         value = bound_union(k, positive, zero_in_A)
         ident = "union-zero" if zero_in_A else "union-positive"

@@ -291,11 +291,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SumsetError as exc:
+    except (SumsetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        # bit vectors span max - min of each sumset, which int64 alone does not bound
+        print("error: sumset too wide to allocate its bit vector", file=sys.stderr)
         return 1
 
 

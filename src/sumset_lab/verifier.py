@@ -2,8 +2,10 @@
 
 Enumerates every (A, H, kind) pair in a search space, checks each computed
 size against its catalog bound, runs the inverse check on every equality
-case, and folds everything into a machine-readable report. Work is split
-into contiguous chunks of the A-enumeration by combinatorial rank; chunk
+case, and folds everything into a machine-readable report. A bound depends
+on (kind, k, H, 0 in A) only, so each chunk looks it up once per (k,
+zero-mode) block and reads that table for every A. Work is split into
+contiguous chunks of the A-enumeration by combinatorial rank; chunk
 boundaries are independent of the worker count and partial results merge in
 rank order, so the report is byte-identical no matter how many workers ran.
 """
@@ -16,7 +18,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Iterator
 
@@ -161,18 +163,18 @@ def _combinations_from(
 
 def _a_tasks(
     space: SearchSpace, start: int, end: int
-) -> Iterator[tuple[ZeroMode, tuple[int, ...]]]:
-    """A-sets with global rank in [start, end), in enumeration order."""
+) -> Iterator[tuple[bool, int, Iterator[tuple[int, ...]]]]:
+    """(0 in A, k, A-sets in enumeration order) per k-block in [start, end)."""
     base = 0
-    for mode, _k, universe, pick, count in space.a_blocks():
+    for mode, k, universe, pick, count in space.a_blocks():
         if base + count > start and base < end:
             local_start = max(0, start - base)
-            remaining = min(count, end - base) - local_start
-            for combo in _combinations_from(universe, pick, local_start):
-                if remaining <= 0:
-                    break
-                yield mode, ((0,) + combo if mode is ZeroMode.WITH else combo)
-                remaining -= 1
+            combos = islice(
+                _combinations_from(universe, pick, local_start),
+                min(count, end - base) - local_start,
+            )
+            zero_in = mode is ZeroMode.WITH
+            yield zero_in, k, (map((0,).__add__, combos) if zero_in else combos)
         base += count
 
 
@@ -185,13 +187,14 @@ def enumerate_pairs(
         raise SpaceTooLargeError(
             f"enumeration would visit {count} pairs, above the cap {pair_cap}"
         )
-    for _mode, elements in _a_tasks(space, 0, space.a_task_count()):
-        A = IntSet(elements)
-        for r in space.r_values():
-            for h_combo in combinations(range(1, space.h_max + 1), r):
-                H = HSet(h_combo)
-                for kind in space.kinds:
-                    yield A, H, kind
+    for _zero_in, _k, a_sets in _a_tasks(space, 0, space.a_task_count()):
+        for elements in a_sets:
+            A = IntSet(elements)
+            for r in space.r_values():
+                for h_combo in combinations(range(1, space.h_max + 1), r):
+                    H = HSet(h_combo)
+                    for kind in space.kinds:
+                        yield A, H, kind
 
 
 @dataclass
@@ -252,29 +255,32 @@ def case_record(
     }
 
 
-def _scan_a(
-    space: SearchSpace,
-    mode: ZeroMode,
-    elements: tuple[int, ...],
-    acc: _Partial,
-    case_cap: int,
-) -> None:
-    A = IntSet(elements)
-    k = len(elements)
-    zero_in = mode is ZeroMode.WITH
-    set_class = SetClass.ZERO_REST_POSITIVE if zero_in else SetClass.ALL_POSITIVE
-    ladders = {kind: sumset_ladder(A, space.h_max, kind) for kind in space.kinds}
-    a_text = format_elements(elements)
-    for r in space.r_values():
-        for h_combo in combinations(range(1, space.h_max + 1), r):
-            H = HSet(h_combo)
-            h_text = format_elements(h_combo)
-            for kind in space.kinds:
-                acc.pairs += 1
-                outcome = bounds.catalog_bound(kind, k, H, zero_in)
-                if not outcome.applicable:
-                    continue
-                size = or_rungs(ladders[kind], h_combo)[1].bit_count()
+def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
+    space, start, end, case_cap = args
+    acc = _Partial()
+    for zero_in, k, a_sets in _a_tasks(space, start, end):
+        set_class = SetClass.ZERO_REST_POSITIVE if zero_in else SetClass.ALL_POSITIVE
+        # the block's bound table, built per call (not cached): patched formulas show
+        rows = []
+        visited = 0
+        for r in space.r_values():
+            for h_combo in combinations(range(1, space.h_max + 1), r):
+                H = HSet(h_combo)
+                h_text = format_elements(h_combo)
+                for kind in space.kinds:
+                    visited += 1
+                    outcome = bounds.catalog_bound(kind, k, H, zero_in)
+                    if outcome.applicable:
+                        rows.append((H, h_text, kind, outcome))
+        for elements in a_sets:
+            acc.pairs += visited
+            A = IntSet(elements)
+            ladders = {
+                kind: sumset_ladder(A, space.h_max, kind) for kind in space.kinds
+            }
+            a_text = format_elements(elements)
+            for H, h_text, kind, outcome in rows:
+                size = or_rungs(ladders[kind], H.elements)[1].bit_count()
                 if size < outcome.value:
                     acc.violations.add(
                         {
@@ -298,13 +304,6 @@ def _scan_a(
                         acc.nonstructured.add(record, case_cap)
                     if not verdict.consistent:
                         acc.inconsistencies.add(record, case_cap)
-
-
-def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
-    space, start, end, case_cap = args
-    acc = _Partial()
-    for mode, elements in _a_tasks(space, start, end):
-        _scan_a(space, mode, elements, acc, case_cap)
     return acc
 
 

@@ -68,6 +68,16 @@ def test_bound_refuses_mixed_sign_set(capsys):
     assert "mixed-sign" in err
 
 
+def test_compute_too_wide_to_allocate_exits_1(capsys):
+    # a 2^55-bit vector: the allocation fails at once, using no real memory
+    code, out, err = run_cli(
+        capsys, "compute", "-A", "1,36028797018963968", "-H", "1", "--kind", "ordinary"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: sumset too wide to allocate its bit vector\n"
+
+
 def test_verify_rejects_bad_workers_and_case_cap(capsys):
     base = ["verify", "--universe", "4", "--k", "2..2", "--hmax", "2"]
     for extra in (["--workers", "0"], ["--case-cap", "-1"]):

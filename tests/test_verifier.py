@@ -117,7 +117,17 @@ def test_verify_counts_and_lists_consistent():
     assert len(nonstructured) == report.allowed_nonstructured_count
 
 
-def test_worker_determinism_small_space():
+def _pin_cpus(monkeypatch, count):
+    # the CPU count _pool_size sees; a pool started under it may oversubscribe
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def test_worker_determinism_small_space(monkeypatch):
+    # more CPUs than the machine may have, so that 3 processes really start
+    _pin_cpus(monkeypatch, 8)
     space = SearchSpace(8, (2, 4), 4, (1, 3), zero_mode=ZeroMode.BOTH)
     reports = {w: verify(space, workers=w) for w in (1, 2, 3)}
     blobs = {w: r.to_json() for w, r in reports.items()}
@@ -141,14 +151,6 @@ def test_verify_rejects_negative_case_cap_and_workers():
     for workers in (0, -3):
         with pytest.raises(ValueError):
             verify(space, workers=workers)
-
-
-def _pin_cpus(monkeypatch, count):
-    # pure function under test: no pool is started
-    if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    else:
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
 def test_pool_size_clamps_to_chunk_count(monkeypatch):
@@ -206,6 +208,22 @@ def test_bound_violations_capped_per_chunk_counts_complete(monkeypatch):
     chunk = _run_chunk((space, 0, space.a_task_count(), 1))
     assert chunk.violations.count == report.bound_violation_count
     assert len(chunk.violations.records) == 1  # capped before the merge
+
+
+def test_bounds_looked_up_once_per_block(monkeypatch):
+    real = bounds.catalog_bound
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bounds, "catalog_bound", counting)
+    space = SearchSpace(7, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
+    blocks = len(space.a_blocks())  # k = 2..4 in both zero modes
+    chunk = _run_chunk((space, 0, space.a_task_count(), 0))
+    assert len(calls) == blocks * space.h_subset_count() * len(space.kinds)
+    assert chunk.pairs == space.enumeration_count()
 
 
 def test_report_json_round_trip():
