@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ArityError, OracleRefusedError
 from .intset import HSet, IntSet, checked_int64
@@ -129,12 +129,8 @@ def _ladder(A: IntSet, top: int, kind: SumsetKind) -> Iterator[SumBitmap]:
             yield SumBitmap(j * t, bits)
 
 
-def or_rungs(
-    ladder: Sequence[SumBitmap] | Mapping[int, SumBitmap], hs: Iterable[int]
-) -> tuple[int, int]:
-    """(offset, bits) of the OR of the rungs hs of a ladder, anchored at the
-    lowest nonempty offset. A pair, not a SumBitmap: the exhaustive sweep
-    calls this once per (A, H) pair and needs only the popcount."""
+def or_rungs(ladder: Mapping[int, SumBitmap], hs: Iterable[int]) -> SumBitmap:
+    """The OR of the rungs hs of a ladder, anchored at the lowest nonempty offset."""
     base = bits = 0
     for h in hs:
         part = ladder[h]
@@ -147,14 +143,14 @@ def or_rungs(
             base = part.offset
         else:
             bits |= part.bits << (part.offset - base)
-    return base, bits
+    return SumBitmap(base, bits)
 
 
 def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[SumBitmap]:
     """All of 0A..h_max·A (or restricted) as bit vectors.
 
     Callers that union many H over one A, such as the exhaustive verifier,
-    build this once and OR its rungs with `or_rungs`. Rungs may carry dead
+    build this once and OR its rungs themselves. Rungs may carry dead
     low bits below the true minimum; entries beyond |A| in restricted mode
     are empty.
     """
@@ -176,7 +172,7 @@ def _sumset(A: IntSet, hs: tuple[int, ...], kind: SumsetKind) -> IntSet:
     _check_rungs(A, hs, kind)
     wanted = set(hs)
     ladder = {h: rung for h, rung in enumerate(_ladder(A, hs[-1], kind)) if h in wanted}
-    return SumBitmap(*or_rungs(ladder, hs)).to_intset()
+    return or_rungs(ladder, hs).to_intset()
 
 
 def h_fold(A: IntSet, h: int) -> IntSet:

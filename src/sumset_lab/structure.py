@@ -204,24 +204,6 @@ class InverseVerdict:
         }
 
 
-def _observed_facts(A: IntSet, H: HSet, zero_in: bool) -> StructureFacts:
-    hd = ap_descriptor(H) if H.elements else APDescriptor(True, 0, None)
-    ad = ap_descriptor(A)
-    if len(H) >= 2 and len(A) >= 2 and hd.is_ap and ad.is_ap:
-        relation = ad.difference == hd.difference * A.min
-    else:
-        relation = None
-    return StructureFacts(
-        h_is_ap=hd.is_ap,
-        h_difference=hd.difference,
-        h_shifted_interval=h_shifted_interval(H) is not None,
-        a_is_ap=ad.is_ap,
-        a_difference=ad.difference,
-        a_dilated_interval=is_dilated_interval(A, zero_in) is not None,
-        difference_relation=relation,
-    )
-
-
 def _expectation(
     kind: SumsetKind, zero_in: bool, k: int, H: HSet
 ) -> tuple[str, tuple[str, ...], list[str]]:
@@ -271,26 +253,54 @@ def _expectation(
     return rule, predicted, reasons
 
 
+def verdict_h_half(
+    kind: SumsetKind, zero_in: bool, k: int, H: HSet, outcome: bounds.BoundOutcome
+) -> tuple[str, tuple[str, ...], tuple[str, ...], APDescriptor, bool]:
+    """The verdict inputs that do not look at A's elements: rule, predicted
+    fact names, unmet-hypothesis reasons, H's progression, whether H is a run."""
+    rule, predicted, reasons = _expectation(kind, zero_in, k, H)
+    if not outcome.applicable and outcome.reason:
+        reasons.append(f"no applicable bound: {outcome.reason}")
+    hd = ap_descriptor(H) if H.elements else APDescriptor(True, 0, None)
+    return rule, predicted, tuple(reasons), hd, h_shifted_interval(H) is not None
+
+
+def verdict_a_half(A: IntSet, zero_in: bool) -> tuple[APDescriptor, bool]:
+    """The verdict inputs that look at A alone: its progression, whether it
+    is a dilated interval."""
+    return ap_descriptor(A), is_dilated_interval(A, zero_in) is not None
+
+
 def build_verdict(
-    A: IntSet,
-    H: HSet,
     kind: SumsetKind,
     set_class: SetClass,
     size: int,
     outcome: bounds.BoundOutcome,
+    h_half: tuple[str, tuple[str, ...], tuple[str, ...], APDescriptor, bool],
+    a_half: tuple[APDescriptor, bool],
     extra_reasons: tuple[str, ...] = (),
 ) -> InverseVerdict:
-    """Assemble the verdict from a precomputed size and bound outcome.
-
-    A must already be sign-reduced (nonnegative); the exhaustive verifier
-    calls this directly to avoid recomputing sumsets it already has.
+    """Assemble the verdict from a precomputed size, bound outcome and the
+    two halves of its inputs (verdict_h_half, verdict_a_half), of a
+    sign-reduced A. Only the relation between the halves is computed here,
+    so the exhaustive verifier builds each half once per row and once per A.
     """
-    zero_in = A.elements[0] == 0
-    k = len(A)
-    rule, predicted, reasons = _expectation(kind, zero_in, k, H)
-    if not outcome.applicable and outcome.reason:
-        reasons.append(f"no applicable bound: {outcome.reason}")
-    observed = _observed_facts(A, H, zero_in)
+    rule, predicted, reasons, hd, h_run = h_half
+    ad, a_dilated = a_half
+    # a difference is None unless the set is a progression of 2+ elements
+    if hd.difference is not None and ad.difference is not None:
+        relation = ad.difference == hd.difference * ad.first
+    else:
+        relation = None
+    observed = StructureFacts(
+        h_is_ap=hd.is_ap,
+        h_difference=hd.difference,
+        h_shifted_interval=h_run,
+        a_is_ap=ad.is_ap,
+        a_difference=ad.difference,
+        a_dilated_interval=a_dilated,
+        difference_relation=relation,
+    )
     matches = all(bool(getattr(observed, name)) for name in predicted)
     hypotheses = not reasons
     equality = outcome.applicable and size == outcome.value
@@ -303,7 +313,7 @@ def build_verdict(
         bound_applicable=outcome.applicable,
         equality_holds=equality,
         hypotheses_hold=hypotheses,
-        reasons=tuple(extra_reasons) + tuple(reasons),
+        reasons=extra_reasons + reasons,
         rule=rule,
         structure_predicted=predicted,
         structure_observed=observed,
@@ -318,6 +328,9 @@ def check_inverse(A: IntSet, H: HSet, kind: SumsetKind) -> InverseVerdict:
     extra: tuple[str, ...] = ()
     if work is not A:
         extra = ("reduced by reflection to a nonnegative set",)
+    zero_in = work.elements[0] == 0
     size = len(union_sumset(work, H, kind))
-    outcome = bounds.catalog_bound(kind, len(work), H, work.elements[0] == 0)
-    return build_verdict(work, H, kind, set_class, size, outcome, extra)
+    outcome = bounds.catalog_bound(kind, len(work), H, zero_in)
+    h_half = verdict_h_half(kind, zero_in, len(work), H, outcome)
+    a_half = verdict_a_half(work, zero_in)
+    return build_verdict(kind, set_class, size, outcome, h_half, a_half, extra)

@@ -4,7 +4,10 @@ Enumerates every (A, H, kind) pair in a search space, checks each computed
 size against its catalog bound, runs the inverse check on every equality
 case, and folds everything into a machine-readable report. A bound depends
 on (kind, k, H, 0 in A) only, so each chunk looks it up once per (k,
-zero-mode) block and reads that table for every A. Work is split into
+zero-mode) block, with the H half of the verdict, and reads that table for
+every A. Each A's union sizes come from one table of prefix unions, one OR
+and one popcount per H; only pairs that reach their bound go further, and
+the A half of the verdict is built once per A. Work is split into
 contiguous chunks of the A-enumeration by combinatorial rank; chunk
 boundaries are independent of the worker count and partial results merge in
 rank order, so the report is byte-identical no matter how many workers ran.
@@ -23,10 +26,10 @@ from math import comb
 from typing import Iterator
 
 from . import bounds
-from .engine import SumsetKind, or_rungs, sumset_ladder
+from .engine import SumsetKind, sumset_ladder
 from .errors import SpaceTooLargeError
 from .intset import HSet, IntSet, SetClass, format_elements, parse_elements
-from .structure import InverseVerdict, build_verdict
+from .structure import InverseVerdict, build_verdict, verdict_a_half, verdict_h_half
 
 REPORT_VERSION = "sumset-lab-report/1"
 DEFAULT_PAIR_CAP = 10**8
@@ -187,14 +190,17 @@ def enumerate_pairs(
         raise SpaceTooLargeError(
             f"enumeration would visit {count} pairs, above the cap {pair_cap}"
         )
+    h_sets = [
+        HSet(h_combo)
+        for r in space.r_values()
+        for h_combo in combinations(range(1, space.h_max + 1), r)
+    ]
     for _zero_in, _k, a_sets in _a_tasks(space, 0, space.a_task_count()):
         for elements in a_sets:
             A = IntSet(elements)
-            for r in space.r_values():
-                for h_combo in combinations(range(1, space.h_max + 1), r):
-                    H = HSet(h_combo)
-                    for kind in space.kinds:
-                        yield A, H, kind
+            for H in h_sets:
+                for kind in space.kinds:
+                    yield A, H, kind
 
 
 @dataclass
@@ -258,29 +264,53 @@ def case_record(
 def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
     space, start, end, case_cap = args
     acc = _Partial()
+    # prefix plan: (parent index, last h) for every H in [1, h_max] with
+    # 1 <= |H| <= the largest r, each after its prefix; union 0 is the empty H
+    plan, index = [], {(): 0}
+    for r in range(1, max(space.r_values(), default=0) + 1):
+        for h_combo in combinations(range(1, space.h_max + 1), r):
+            index[h_combo] = len(plan) + 1
+            plan.append((index[h_combo[:-1]], h_combo[-1]))
+    first_row = len(plan) + 1 - space.h_subset_count()
+    row_combos = list(index)[first_row:]  # the rows are the plan's tail
+    n_kinds = len(space.kinds)
     for zero_in, k, a_sets in _a_tasks(space, start, end):
         set_class = SetClass.ZERO_REST_POSITIVE if zero_in else SetClass.ALL_POSITIVE
-        # the block's bound table, built per call (not cached): patched formulas show
-        rows = []
-        visited = 0
-        for r in space.r_values():
-            for h_combo in combinations(range(1, space.h_max + 1), r):
-                H = HSet(h_combo)
-                h_text = format_elements(h_combo)
-                for kind in space.kinds:
-                    visited += 1
-                    outcome = bounds.catalog_bound(kind, k, H, zero_in)
-                    if outcome.applicable:
-                        rows.append((H, h_text, kind, outcome))
+        # the block's (H, kind) slots, built per call (not cached): patched
+        # formulas show; limits holds each bound, or -1 where none applies
+        rows, limits = [], []
+        for h_combo in row_combos:
+            H = HSet(h_combo)
+            h_text = format_elements(h_combo)
+            for kind in space.kinds:
+                outcome = bounds.catalog_bound(kind, k, H, zero_in)
+                if outcome.applicable:
+                    h_half = verdict_h_half(kind, zero_in, k, H, outcome)
+                    rows.append((h_text, kind, outcome, h_half))
+                    limits.append(outcome.value)
+                else:
+                    rows.append(None)
+                    limits.append(-1)
         for elements in a_sets:
-            acc.pairs += visited
+            acc.pairs += len(rows)
             A = IntSet(elements)
-            ladders = {
-                kind: sumset_ladder(A, space.h_max, kind) for kind in space.kinds
-            }
+            sizes = [0] * len(rows)
+            for j, kind in enumerate(space.kinds):
+                # A >= 0, so every offset h*min(A) is too: rungs as absolute vectors
+                ladder = sumset_ladder(A, space.h_max, kind)
+                rungs = [rung.bits << rung.offset for rung in ladder]
+                unions = [0]
+                for parent, h in plan:
+                    unions.append(unions[parent] | rungs[h])
+                sizes[j::n_kinds] = map(int.bit_count, unions[first_row:])
+            hits = [i for i, size in enumerate(sizes) if size <= limits[i]]
+            if not hits:
+                continue
             a_text = format_elements(elements)
-            for H, h_text, kind, outcome in rows:
-                size = or_rungs(ladders[kind], H.elements)[1].bit_count()
+            a_half = verdict_a_half(A, zero_in)
+            for i in hits:
+                h_text, kind, outcome, h_half = rows[i]
+                size = sizes[i]
                 if size < outcome.value:
                     acc.violations.add(
                         {
@@ -294,8 +324,10 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
                         },
                         case_cap,
                     )
-                elif size == outcome.value:
-                    verdict = build_verdict(A, H, kind, set_class, size, outcome)
+                else:
+                    verdict = build_verdict(
+                        kind, set_class, size, outcome, h_half, a_half
+                    )
                     record = case_record(
                         a_text, h_text, kind, zero_in, size, outcome.value, verdict
                     )

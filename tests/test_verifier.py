@@ -2,15 +2,17 @@
 
 import json
 import os
+from dataclasses import asdict, replace
 from itertools import combinations
 from math import comb
 
 import pytest
 
 import sumset_lab.bounds as bounds
-from sumset_lab.engine import SumsetKind
+import sumset_lab.structure as structure
+from sumset_lab.engine import SumsetKind, union_sumset
 from sumset_lab.errors import SpaceTooLargeError
-from sumset_lab.intset import parse_elements
+from sumset_lab.intset import HSet, IntSet, parse_elements
 from sumset_lab.verifier import (
     SearchSpace,
     VerificationReport,
@@ -224,6 +226,70 @@ def test_bounds_looked_up_once_per_block(monkeypatch):
     chunk = _run_chunk((space, 0, space.a_task_count(), 0))
     assert len(calls) == blocks * space.h_subset_count() * len(space.kinds)
     assert chunk.pairs == space.enumeration_count()
+
+
+def test_sweep_matches_single_pair_path(monkeypatch):
+    # r starts above 1, so some union prefixes are never rows themselves
+    space = SearchSpace(7, (1, 5), 4, (2, 4), zero_mode=ZeroMode.BOTH)
+    report = verify(space, workers=1)
+    equal, applicable = set(), 0
+    for A, H, kind in enumerate_pairs(space):
+        verdict = structure.check_inverse(A, H, kind)
+        applicable += verdict.bound_applicable
+        if verdict.equality_holds:
+            equal.add((A.elements, H.elements, kind.value))
+    assert report.equality_case_count == len(report.equality_cases) == len(equal)
+    for case in report.equality_cases:
+        A, H = IntSet(parse_elements(case["a"])), HSet(parse_elements(case["h"]))
+        kind = SumsetKind(case["kind"])
+        assert (A.elements, H.elements, kind.value) in equal
+        verdict = structure.check_inverse(A, H, kind)
+        assert case["size"] == verdict.computed_size
+        assert case["rule"] == verdict.rule
+        assert case["hypotheses_hold"] == verdict.hypotheses_hold
+        assert case["structure_matches"] == verdict.structure_matches
+        assert case["consistent"] == verdict.consistent
+        assert case["nonstructured"] == verdict.is_nonstructured_equality
+        observed = asdict(verdict.structure_observed)
+        assert len(observed) == 7
+        assert {name: case[name] for name in observed} == observed
+    # every applicable pair now falls short of its bound, with its true size
+    real = bounds.catalog_bound
+
+    def raised(*args):
+        outcome = real(*args)
+        return replace(outcome, value=outcome.value + 10**6)
+
+    monkeypatch.setattr(bounds, "catalog_bound", raised)
+    report = verify(space, workers=1)
+    assert report.bound_violation_count == len(report.bound_violations) == applicable
+    for violation in report.bound_violations:
+        A = IntSet(parse_elements(violation["a"]))
+        H = HSet(parse_elements(violation["h"]))
+        kind = SumsetKind(violation["kind"])
+        assert violation["size"] == len(union_sumset(A, H, kind))
+
+
+def test_verdict_h_half_built_once_per_row(monkeypatch):
+    space = SearchSpace(7, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
+    rows = sum(
+        bounds.catalog_bound(kind, k, H, mode is ZeroMode.WITH).applicable
+        for mode, k, *_ in space.a_blocks()
+        for r in space.r_values()
+        for H in map(HSet, combinations(range(1, space.h_max + 1), r))
+        for kind in space.kinds
+    )
+    real = structure._expectation
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(structure, "_expectation", counting)
+    chunk = _run_chunk((space, 0, space.a_task_count(), 0))
+    assert len(calls) == rows == 70
+    assert chunk.equality.count > rows  # not once per equality case
 
 
 def test_report_json_round_trip():
