@@ -1,10 +1,12 @@
 """Lower-bound formulas for sumset sizes, and their extremal witnesses.
 
 Each formula is an exact integer function of the cardinality k of the base
-set and the multiplicity set H. `evaluate` compares a formula against the
-true size computed by the engine and reports whether the bound is met with
-equality; `catalog_bound` is the dispatch used both here and by the
-exhaustive verifier.
+set and the multiplicity set H. `bound_report` compares a formula against
+a union's size for one kind and reports whether the bound is met with
+equality; `evaluate` computes each union with the engine and calls it per
+kind, while the CLI's `compute` passes the size of the union it already
+holds. `catalog_bound` is the dispatch used both here and by the exhaustive
+verifier.
 """
 
 from __future__ import annotations
@@ -175,38 +177,36 @@ def extremal_example(
     return A, HSet(tuple(range(1, r + 1)))
 
 
-def evaluate(
-    A: IntSet, H: HSet, kinds: tuple[SumsetKind, ...] | None = None
-) -> list[BoundReport]:
-    """Size-vs-bound reports for (A, H), one per requested kind.
+def bound_report(A: IntSet, H: HSet, kind: SumsetKind, size: int) -> BoundReport:
+    """The size-vs-bound report for one kind, given the union's size.
 
     Sign-homogeneous negative sets are reduced by reflection (sizes are
     invariant under dilation by -1); mixed-sign sets are refused since no
     catalog formula covers them.
     """
     work, _ = sign_reduce(A)
-    reflected = work is not A
-    zero_in = work.elements[0] == 0
-    k = len(work)
+    outcome = catalog_bound(kind, len(work), H, work.elements[0] == 0)
+    reason = outcome.reason
+    if work is not A:
+        prefix = "reduced by reflection to a nonnegative set"
+        reason = prefix if reason is None else f"{prefix}; {reason}"
+    return BoundReport(
+        kind=kind,
+        computed_size=size,
+        bound_value=outcome.value,
+        formula=outcome.formula,
+        is_equality=outcome.applicable and size == outcome.value,
+        hypotheses_met=outcome.applicable,
+        reason=reason,
+    )
+
+
+def evaluate(
+    A: IntSet, H: HSet, kinds: tuple[SumsetKind, ...] | None = None
+) -> list[BoundReport]:
+    """Size-vs-bound reports for (A, H), one per requested kind (see
+    bound_report); each union is computed on the sign-reduced set."""
+    work, _ = sign_reduce(A)
     if kinds is None:
         kinds = (SumsetKind.ORDINARY, SumsetKind.RESTRICTED)
-    reports = []
-    for kind in kinds:
-        size = len(union_sumset(work, H, kind))
-        outcome = catalog_bound(kind, k, H, zero_in)
-        reason = outcome.reason
-        if reflected:
-            prefix = "reduced by reflection to a nonnegative set"
-            reason = prefix if reason is None else f"{prefix}; {reason}"
-        reports.append(
-            BoundReport(
-                kind=kind,
-                computed_size=size,
-                bound_value=outcome.value,
-                formula=outcome.formula,
-                is_equality=outcome.applicable and size == outcome.value,
-                hypotheses_met=outcome.applicable,
-                reason=reason,
-            )
-        )
-    return reports
+    return [bound_report(A, H, kind, len(union_sumset(work, H, kind))) for kind in kinds]

@@ -118,7 +118,7 @@ def _cmd_compute(args) -> int:
     for kind in kinds:
         sumset = union_sumset(A, H, kind)
         try:
-            report = bounds.evaluate(A, H, kinds=(kind,))[0]
+            report = bounds.bound_report(A, H, kind, len(sumset))
         except SumsetError as exc:
             report = None
             note = str(exc)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, compress
 from math import comb
 from typing import Iterable, Iterator, Mapping
 
@@ -56,10 +56,11 @@ class SumBitmap:
         return self.bits == 0
 
     def to_intset(self) -> IntSet:
-        # one pass over the binary digits, lowest bit first
-        digits = bin(self.bits)[:1:-1]
-        offset = self.offset
-        return IntSet(tuple(offset + i for i, d in enumerate(digits) if d == "1"))
+        # binary digits lowest first, as 0/1 bytes that select from the range
+        table = bytes.maketrans(b"01", b"\x00\x01")
+        digits = bin(self.bits)[:1:-1].encode().translate(table)
+        n, offset = len(digits), self.offset
+        return IntSet(tuple(compress(range(offset, offset + n), digits)))
 
     @classmethod
     def from_intset(cls, s: IntSet) -> SumBitmap:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -41,8 +43,16 @@ class IntSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        e = self.elements
+        # whole-tuple passes at C speed; the loop below only names the fault
+        if (
+            all(map(isinstance, e, repeat(int)))
+            and all(map(lt, e, e[1:]))
+            and (not e or INT64_MIN <= e[0] <= e[-1] <= INT64_MAX)
+        ):
+            return
         prev = None
-        for a in self.elements:
+        for a in e:
             if not isinstance(a, int):
                 raise TypeError(f"element {a!r} is not an integer")
             checked_int64(a)

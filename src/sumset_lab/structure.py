@@ -241,6 +241,8 @@ def _expectation(
             reasons.append(f"multiplicity count {r} below 2")
         if not H.is_empty and H.max > k - 1:
             reasons.append(f"max multiplicity {H.max} above k-1 = {k - 1}")
+        if H.elements == (1, k - 1):
+            reasons.append(f"H = {{1, {k - 1}}} is met by max A = sum of the rest")
     else:
         rule = "union-restricted-zero-inverse"
         predicted = ("h_shifted_interval", "a_dilated_interval")

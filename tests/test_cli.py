@@ -6,8 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import random
+
 import sumset_lab.bounds as bounds
+import sumset_lab.cli as cli
 from sumset_lab.cli import main
+from sumset_lab.engine import SumsetKind, union_sumset
+from sumset_lab.errors import UnsupportedClassError
+from sumset_lab.intset import HSet, IntSet
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +55,42 @@ def test_compute_mixed_sign_still_prints_sumset(capsys):
     assert code == 0
     assert "sumset=-2,1,4" in out
     assert "bound=None" in out
+
+
+def test_compute_builds_one_union_per_kind(capsys, monkeypatch):
+    calls = []
+
+    def counted(A, H, kind):
+        calls.append(kind)
+        return union_sumset(A, H, kind)
+
+    monkeypatch.setattr(cli, "union_sumset", counted)
+    monkeypatch.setattr(bounds, "union_sumset", counted)
+    code, out, _ = run_cli(capsys, "compute", "-A", "1,2,4,9", "-H", "1,3", "--kind", "both")
+    assert code == 0 and "equality=" in out
+    assert calls == [SumsetKind.ORDINARY, SumsetKind.RESTRICTED]
+
+
+def test_bound_report_matches_evaluate():
+    rng = random.Random(6)
+    for _ in range(120):
+        values = rng.sample(range(1, 14), rng.randint(1, 5))
+        sign_class = rng.randrange(4)  # positive, with 0, negative, negative with 0
+        if sign_class in (1, 3):
+            values[0] = 0
+        if sign_class >= 2:
+            values = [-v for v in values]
+        A = IntSet.of(values)
+        H = HSet.of(rng.sample(range(0, 6), rng.randint(1, 3)))
+        for kind in SumsetKind:
+            report = bounds.bound_report(A, H, kind, len(union_sumset(A, H, kind)))
+            assert report == bounds.evaluate(A, H, (kind,))[0]
+    mixed, H = IntSet((-2, 3, 5)), HSet((1, 2))
+    for kind in SumsetKind:
+        with pytest.raises(UnsupportedClassError):
+            bounds.bound_report(mixed, H, kind, len(union_sumset(mixed, H, kind)))
+        with pytest.raises(UnsupportedClassError):
+            bounds.evaluate(mixed, H, (kind,))
 
 
 def test_bound_prints_formula_values_only(capsys):

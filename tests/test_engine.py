@@ -215,6 +215,25 @@ def test_bitmap_anchoring_and_popcount():
     assert SumBitmap(0, 0).to_intset().is_empty
 
 
+def test_bitmap_decode():
+    for offset in (-7, 0, 5):
+        assert SumBitmap(offset, 0).to_intset() == IntSet(())
+    # dense, with a negative offset
+    dense = make_interval(-40, 25)
+    assert SumBitmap(-40, (1 << 66) - 1).to_intset() == dense
+    assert SumBitmap.from_intset(dense).to_intset() == dense
+    # sparse over 5,000 bits, with a negative offset
+    sparse = IntSet((-3000, -2999, -1234, 0, 17, 1999))
+    bm = SumBitmap.from_intset(sparse)
+    assert bm.bits.bit_length() == 5000
+    assert bm.to_intset() == sparse
+    assert SumBitmap.from_intset(bm.to_intset()) == bm
+    # the decoded range is checked against int64 at both ends
+    assert SumBitmap(-(2**63), 1).to_intset() == IntSet((-(2**63),))
+    with pytest.raises(IntegerOverflowError):
+        SumBitmap(2**63 - 1, 0b11).to_intset()
+
+
 def test_threaded_callers_agree():
     # pure functions: many threads computing the same folds must agree
     from concurrent.futures import ThreadPoolExecutor

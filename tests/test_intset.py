@@ -52,6 +52,35 @@ def test_intset_requires_strictly_increasing():
     assert IntSet.of([4, 1, 2, 2]).elements == (1, 2, 4)
 
 
+@pytest.mark.parametrize(
+    "elements, error, message",
+    [
+        ((1, "2"), TypeError, "element '2' is not an integer"),
+        ((1, 2.0), TypeError, "element 2.0 is not an integer"),
+        ((2, 1), ValueError, "elements must be strictly increasing"),
+        ((1, 1), ValueError, "elements must be strictly increasing"),
+        ((2**63,), IntegerOverflowError, f"value {2**63} outside signed 64-bit range"),
+        ((-(2**63) - 1,), IntegerOverflowError,
+         f"value {-(2**63) - 1} outside signed 64-bit range"),
+        # two faults: the first element's is the one reported
+        ((2**64, "x"), IntegerOverflowError, f"value {2**64} outside signed 64-bit range"),
+        ((2**64, 1), IntegerOverflowError, f"value {2**64} outside signed 64-bit range"),
+        ((1, 3, 2, "x"), ValueError, "elements must be strictly increasing"),
+    ],
+)
+def test_intset_validation_names_the_first_fault(elements, error, message):
+    with pytest.raises(error) as caught:
+        IntSet(elements)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_intset_validation_accepts_bools_and_int64_ends():
+    assert IntSet((True, 2)).elements == (True, 2)
+    assert IntSet((INT64_MIN, 0, INT64_MAX)).elements == (INT64_MIN, 0, INT64_MAX)
+    assert IntSet(()).is_empty
+
+
 def test_hset_rejects_negative():
     with pytest.raises(ValueError):
         HSet((-1, 2))

@@ -175,6 +175,22 @@ def test_check_inverse_boundary_nonstructured():
     assert v.consistent
 
 
+def test_check_inverse_restricted_first_and_last_multiplicity():
+    # H = {1, k-1}: the bound 2k-1 is met exactly when max A is the sum of
+    # the rest, which no dilated interval with k >= 4 is, so the restricted
+    # positive rule must not claim structure there
+    v = check_inverse(IntSet((1, 2, 3, 4, 5, 15)), HSet((1, 5)), RES)
+    assert v.computed_size == v.bound_value == 11
+    assert v.equality_holds and not v.structure_matches
+    assert not v.hypotheses_hold
+    assert v.is_nonstructured_equality and v.consistent
+    # the extremal family still meets its bound with the structure
+    v = check_inverse(make_interval(1, 6), HSet((1, 5)), RES)
+    assert not v.equality_holds and v.consistent
+    v = check_inverse(make_interval(1, 6), HSet((4, 5)), RES)
+    assert v.equality_holds and v.hypotheses_hold and v.structure_matches
+
+
 def test_check_inverse_zero_class_absorbed_rule():
     v = check_inverse(IntSet((0, 1, 2)), HSet((1, 2)), ORD)
     assert v.equality_holds and v.hypotheses_hold

@@ -105,6 +105,21 @@ def test_boundary_nonstructured_case_recorded():
     assert report.clean  # boundary cases are allowed, not failures
 
 
+def test_restricted_first_and_last_multiplicity_family_is_allowed():
+    # N=16, k=6 holds the two smallest members of the H = {1, k-1} family
+    space = SearchSpace(16, (6, 6), 5, (2, 5), kinds=(RES,))
+    report = verify(space, workers=1)
+    assert report.pairs_checked == 208_208
+    assert report.inverse_inconsistency_count == 0
+    assert report.bound_violation_count == 0
+    flagged = {
+        (case["a"], case["h"]) for case in report.allowed_nonstructured_equalities
+    }
+    assert flagged == {("1..5,15", "1,5"), ("1..4,6,16", "1,5")}
+    assert report.allowed_nonstructured_count == 2
+    assert report.clean
+
+
 def test_verify_counts_and_lists_consistent():
     space = SearchSpace(7, (2, 4), 4, (1, 4), zero_mode=ZeroMode.BOTH)
     report = verify(space, workers=1)
