@@ -3,10 +3,9 @@
 Each formula is an exact integer function of the cardinality k of the base
 set and the multiplicity set H. `bound_report` compares a formula against
 a union's size for one kind and reports whether the bound is met with
-equality; `evaluate` computes each union with the engine and calls it per
-kind, while the CLI's `compute` passes the size of the union it already
-holds. `catalog_bound` is the dispatch used both here and by the exhaustive
-verifier.
+equality; `evaluate` computes each union with the engine and reports every
+requested kind. `catalog_bound` is the dispatch used both here and by the
+exhaustive verifier.
 """
 
 from __future__ import annotations

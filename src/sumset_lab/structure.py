@@ -242,7 +242,8 @@ def _expectation(
         if not H.is_empty and H.max > k - 1:
             reasons.append(f"max multiplicity {H.max} above k-1 = {k - 1}")
         if H.elements == (1, k - 1):
-            reasons.append(f"H = {{1, {k - 1}}} is met by max A = sum of the rest")
+            # equality there means max A is the sum of the rest (README proof)
+            reasons.append(f"H = {{1, {k - 1}}} forces no dilated interval")
     else:
         rule = "union-restricted-zero-inverse"
         predicted = ("h_shifted_interval", "a_dilated_interval")
