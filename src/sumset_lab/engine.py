@@ -9,8 +9,9 @@ Two independent routes compute the same objects:
   obvious so it can serve as an oracle for the fast path.
 
 The fast path has one kernel, the ladder of rungs 0A, 1A, ..., topA (or
-their restricted counterparts). Every fold and union picks or ORs rungs of
-one ladder and decodes the result once.
+their restricted counterparts), yielded as plain bit vectors. Every fold and
+union runs one guard, ORs the rungs it wants as the ladder passes them and
+decodes the result once.
 
 Every operation is a pure function of its inputs; concurrent callers need
 no coordination.
@@ -20,14 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, combinations_with_replacement, compress
+from itertools import accumulate, combinations, combinations_with_replacement, compress
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Sequence
 
 from .errors import ArityError, OracleRefusedError
-from .intset import HSet, IntSet, checked_int64
+from .intset import INT64_MAX, INT64_MIN, HSet, IntSet, checked_int64
 
 DEFAULT_ORACLE_CAP = 1_000_000
+
+# binary digits '0'/'1' to the 0/1 bytes that select from a range
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class SumsetKind(Enum):
@@ -57,8 +61,7 @@ class SumBitmap:
 
     def to_intset(self) -> IntSet:
         # binary digits lowest first, as 0/1 bytes that select from the range
-        table = bytes.maketrans(b"01", b"\x00\x01")
-        digits = bin(self.bits)[:1:-1].encode().translate(table)
+        digits = bin(self.bits)[:1:-1].encode().translate(_BIT_BYTES)
         n, offset = len(digits), self.offset
         return IntSet(tuple(compress(range(offset, offset + n), digits)))
 
@@ -90,61 +93,83 @@ def _check_restricted_range(A: IntSet, h: int) -> None:
     checked_int64(sum(A.elements[len(A) - h :]))
 
 
-def _check_rungs(A: IntSet, hs: Iterable[int], kind: SumsetKind) -> None:
+def _check_rungs(A: IntSet, hs: Sequence[int], kind: SumsetKind) -> None:
     """The one guard rule: range-check the extreme sums of exactly the rungs
-    hs that a call returns. Rungs built only on the way are never checked."""
-    ordinary = kind is SumsetKind.ORDINARY
-    check = _check_ordinary_range if ordinary else _check_restricted_range
+    hs (increasing) that a call returns. Rungs built only on the way are
+    never checked.
+
+    One pass per call. |h*x| grows with h, so the largest ordinary rung bounds
+    every smaller one; the restricted extremes of every requested rung come
+    off one ascending and one descending prefix sum of A. Only on failure are the
+    rungs walked in order, so the error names the same sum as a per-rung check.
+    """
+    if not hs:
+        return
+    e = A.elements
+    if kind is SumsetKind.ORDINARY:
+        top = hs[-1]
+        if INT64_MIN <= top * e[0] and top * e[-1] <= INT64_MAX:
+            return
+        check = _check_ordinary_range
+    else:
+        k = len(e)
+        top = min(hs[-1], k)
+        low = list(accumulate(e[:top], initial=0))
+        high = list(accumulate(reversed(e[k - top :]), initial=0))
+        # the h smallest sum to at most the h largest
+        if all(INT64_MIN <= low[h] and high[h] <= INT64_MAX for h in hs if h <= top):
+            return
+        check = _check_restricted_range
     for h in hs:
         check(A, h)
 
 
-def _ladder(A: IntSet, top: int, kind: SumsetKind) -> Iterator[SumBitmap]:
-    """Rungs 0..top in order, unchecked; the engine's only sumset kernel.
+def _ladder(A: IntSet, top: int, kind: SumsetKind) -> Iterator[int]:
+    """Rungs 0..top as bit vectors, in order, unchecked; the engine's only
+    sumset kernel.
 
-    Works on A translated to start at 0, so rung h has offset h*min(A).
+    Works on A translated to start at 0, so rung h sits at offset h*min(A).
     Ordinary rungs grow by folding one element layer per step, holding only
-    the current rung. Restricted rungs fall out of one cardinality-indexed
-    subset-sum DP: scanning elements in increasing order and updating rungs
-    in descending order prevents reuse. Restricted rungs may carry dead low
-    bits below the true minimum, and those above |A| are empty.
+    the current rung. Restricted rungs are the last state of the subset-sum
+    DP (_prefix_ladders); they may carry dead low bits below the true
+    minimum, and those above |A| are empty.
     """
-    t = A.min
-    shifted = [a - t for a in A.elements]
     if kind is SumsetKind.ORDINARY:
+        t = A.min
+        shifted = [a - t for a in A.elements]
         cur = 1
-        yield SumBitmap(0, cur)
-        for h in range(1, top + 1):
+        yield cur
+        for _ in range(top):
             nxt = 0
             for e in shifted:
                 nxt |= cur << e
             cur = nxt
-            yield SumBitmap(h * t, cur)
+            yield cur
     else:
-        B = [1] + [0] * top
-        for idx, e in enumerate(shifted):
-            for j in range(min(top, idx + 1), 0, -1):
-                if B[j - 1]:
-                    B[j] |= B[j - 1] << e
-        for j, bits in enumerate(B):
-            yield SumBitmap(j * t, bits)
+        for rungs in _prefix_ladders(A, top):
+            pass
+        yield from rungs
 
 
-def or_rungs(ladder: Mapping[int, SumBitmap], hs: Iterable[int]) -> SumBitmap:
-    """The OR of the rungs hs of a ladder, anchored at the lowest nonempty offset."""
-    base = bits = 0
-    for h in hs:
-        part = ladder[h]
-        if not part.bits:
-            continue
-        if not bits:
-            base, bits = part.offset, part.bits
-        elif part.offset < base:
-            bits = (bits << (base - part.offset)) | part.bits
-            base = part.offset
-        else:
-            bits |= part.bits << (part.offset - base)
-    return SumBitmap(base, bits)
+def _prefix_ladders(A: IntSet, top: int) -> Iterator[list[int]]:
+    """Restricted rungs 0..top of the m smallest elements of A, for
+    m = 0..|A| in turn, unchecked; the engine's only restricted DP.
+
+    One cardinality-indexed subset-sum DP: scanning elements in increasing
+    order and updating rungs in descending order prevents reuse, so its state
+    after m elements is the restricted ladder of the m smallest. Rung h sits
+    at offset h*min(A). The one state list is updated in place and yielded
+    before the first element and after each one: read it before advancing.
+    """
+    t = A.min
+    rungs = [1] + [0] * top
+    yield rungs
+    for idx, a in enumerate(A.elements):
+        e = a - t
+        for j in range(min(top, idx + 1), 0, -1):
+            if rungs[j - 1]:
+                rungs[j] |= rungs[j - 1] << e
+        yield rungs
 
 
 def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[SumBitmap]:
@@ -157,23 +182,43 @@ def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[SumBitmap]:
     """
     _require_nonempty(A)
     _check_rungs(A, range(h_max + 1), kind)
-    return list(_ladder(A, h_max, kind))
+    t = A.min
+    return [SumBitmap(h * t, bits) for h, bits in enumerate(_ladder(A, h_max, kind))]
+
+
+def prefix_ladders(A: IntSet, h_max: int) -> Iterator[list[int]]:
+    """Restricted rungs 0..h_max of the m smallest elements of A, for
+    m = 0..|A| in turn, from one DP; rung h sits at offset h*min(A).
+
+    The guard of sumset_ladder(A, h_max, RESTRICTED) runs before anything is
+    returned. Each yielded list is the DP's state, updated in place: read it
+    before advancing. The last state is the restricted ladder of A.
+    """
+    _require_nonempty(A)
+    _check_rungs(A, range(h_max + 1), SumsetKind.RESTRICTED)
+    return _prefix_ladders(A, h_max)
 
 
 def _sumset(A: IntSet, hs: tuple[int, ...], kind: SumsetKind) -> IntSet:
-    # hs is increasing. Guard, one ladder up to the largest contributing
-    # rung, OR the rungs hs, decode once.
+    # hs is increasing. One guard, one ladder up to the largest contributing
+    # rung, OR the rungs hs as it passes them, decode once.
     _require_nonempty(A)
     if hs[0] < 0:
         raise ArityError("multiplicity must be nonnegative")
-    if kind is SumsetKind.RESTRICTED:
+    if kind is SumsetKind.RESTRICTED and hs[-1] > len(A):
         hs = tuple(h for h in hs if h <= len(A))
     if not hs:
         return IntSet(())
     _check_rungs(A, hs, kind)
+    # rung h sits at offset h*t, so the lowest offset is at an end of hs
+    t = A.min
+    base = min(hs[0] * t, hs[-1] * t)
     wanted = set(hs)
-    ladder = {h: rung for h, rung in enumerate(_ladder(A, hs[-1], kind)) if h in wanted}
-    return or_rungs(ladder, hs).to_intset()
+    bits = 0
+    for h, rung in enumerate(_ladder(A, hs[-1], kind)):
+        if h in wanted:
+            bits |= rung << (h * t - base)
+    return SumBitmap(base, bits).to_intset()
 
 
 def h_fold(A: IntSet, h: int) -> IntSet:

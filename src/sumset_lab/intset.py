@@ -72,7 +72,7 @@ class IntSet:
         return iter(self.elements)
 
     def __contains__(self, value: int) -> bool:
-        return value in set(self.elements)
+        return value in self.elements
 
     @property
     def is_empty(self) -> bool:

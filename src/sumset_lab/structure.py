@@ -10,9 +10,10 @@ hypotheses hold, the predicted structure must be present.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 from . import bounds
-from .engine import SumBitmap, SumsetKind, sumset_ladder, union_sumset
+from .engine import SumBitmap, SumsetKind, prefix_ladders, sumset_ladder, union_sumset
 # not called here: bench/spans.HOOKS wraps these names on this module
 from .engine import h_fold, h_fold_restricted  # noqa: F401
 from .errors import HypothesisError, InternalInconsistencyError, UnsupportedClassError
@@ -92,38 +93,46 @@ class BlockDecomposition:
 def witness_blocks(A: IntSet, H: HSet, kind: SumsetKind) -> BlockDecomposition:
     """Build the stacked blocks whose disjoint union realizes the bound.
 
-    Every block comes off one ladder of A up to max(H). Block 1 is the
-    smallest fold itself. Each later block advances from the previous
-    fold's maximum: ordinary blocks take rung delta of that ladder shifted
-    by prev*max(A); restricted blocks take rung delta of the ladder of the
-    k-prev smallest elements shifted by the sum of the prev largest (so the
-    summands stay pairwise distinct). Both invariants -- strictly increasing
-    disjointness and containment of block i in the h_i-fold -- are checked
-    on the bit vectors; a failure would falsify the construction and raises
-    an internal error. Each block is decoded once, for the return value.
+    Every block comes off one ladder of A up to max(H), behind one guard.
+    Block 1 is the smallest fold itself. Each later block advances from the
+    previous fold's maximum: ordinary blocks take rung delta of that ladder
+    shifted by prev*max(A); restricted blocks take rung delta of the ladder
+    of the k-prev smallest elements shifted by the sum of the prev largest
+    (so the summands stay pairwise distinct). One restricted DP serves every
+    block: it passes the ladder of each prefix on its way to the ladder of A.
+    Both invariants -- strictly increasing disjointness and containment of
+    block i in the h_i-fold -- are checked on the bit vectors; a failure
+    would falsify the construction and raises an internal error. Each block
+    is decoded once, for the return value.
     """
     if classify(A) is not SetClass.ALL_POSITIVE:
         raise HypothesisError("block construction requires an all-positive set")
     if H.is_empty or not H.all_positive:
         raise HypothesisError("block construction requires positive multiplicities")
     k = len(A)
-    restricted = kind is SumsetKind.RESTRICTED
-    if restricted and H.max > k:
+    if kind is SumsetKind.RESTRICTED and H.max > k:
         raise HypothesisError(
             f"restricted blocks need max multiplicity <= {k}, got {H.max}"
         )
-    ladder = sumset_ladder(A, H.max, kind)
-    bitmaps: list[SumBitmap] = []
-    prev = 0
-    for h in H.elements:
-        delta = h - prev
-        if restricted and prev:
-            rung = sumset_ladder(IntSet(A.elements[: k - prev]), delta, kind)[delta]
-            shift = sum(A.elements[k - prev :])
-        else:
-            rung, shift = ladder[delta], prev * A.max
-        bitmaps.append(SumBitmap(rung.offset + shift, rung.bits))
-        prev = h
+    t = A.min
+    steps = list(zip(H.elements, (0,) + H.elements[:-1]))  # (h, prev) per block
+    if kind is SumsetKind.RESTRICTED:
+        # A > 0, so the guard on A's rungs bounds every prefix rung as well
+        reads = {k - prev: h - prev for h, prev in steps}
+        picked = {}
+        for m, rungs in enumerate(prefix_ladders(A, H.max)):
+            if m in reads:
+                picked[m] = rungs[reads[m]]
+        # rungs is now the DP's last state, the ladder of A
+        largest = list(accumulate(reversed(A.elements), initial=0))
+        bitmaps = [
+            SumBitmap((h - prev) * t + largest[prev], picked[k - prev]) for h, prev in steps
+        ]
+    else:
+        rungs = [rung.bits for rung in sumset_ladder(A, H.max, kind)]
+        bitmaps = [
+            SumBitmap((h - prev) * t + prev * A.max, rungs[h - prev]) for h, prev in steps
+        ]
     blocks = tuple(block.to_intset() for block in bitmaps)
     for i in range(len(blocks) - 1):
         if blocks[i].max >= blocks[i + 1].min:
@@ -131,9 +140,8 @@ def witness_blocks(A: IntSet, H: HSet, kind: SumsetKind) -> BlockDecomposition:
                 f"blocks {i + 1} and {i + 2} overlap for A={A}, H={H}, {kind.value}"
             )
     for h, block in zip(H.elements, bitmaps):
-        full = ladder[h]
-        base = min(full.offset, block.offset)
-        if (block.bits << (block.offset - base)) & ~(full.bits << (full.offset - base)):
+        base = min(h * t, block.offset)
+        if (block.bits << (block.offset - base)) & ~(rungs[h] << (h * t - base)):
             raise InternalInconsistencyError(
                 f"block for multiplicity {h} escapes its fold for A={A}, H={H}"
             )

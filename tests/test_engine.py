@@ -1,5 +1,6 @@
 """Sumset engine: fast path vs the enumeration oracle, and its invariants."""
 
+import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from sumset_lab.engine import (
     SumBitmap,
     SumsetKind,
+    _check_ordinary_range,
+    _check_restricted_range,
+    _check_rungs,
     h_fold,
     h_fold_restricted,
     naive_h_fold,
@@ -16,7 +20,7 @@ from sumset_lab.engine import (
     union_sumset,
 )
 from sumset_lab.errors import ArityError, IntegerOverflowError, OracleRefusedError
-from sumset_lab.intset import HSet, IntSet, dilate, make_interval
+from sumset_lab.intset import INT64_MAX, HSet, IntSet, dilate, make_interval
 
 ORD = SumsetKind.ORDINARY
 RES = SumsetKind.RESTRICTED
@@ -278,3 +282,63 @@ def test_ladder_overflow_at_intermediate_multiplicity():
     assert sumset_ladder(IntSet((-5, 3, 9)), 3, RES)[2].to_intset() == h_fold_restricted(
         IntSet((-5, 3, 9)), 2
     )
+
+
+def _guard_outcome(check):
+    try:
+        check()
+    except IntegerOverflowError as exc:
+        return str(exc)
+    return None
+
+
+def _near_int64_sets(seed, count):
+    """Seeded sets whose sums sit near the int64 ends: positive, negative, mixed."""
+    rng = random.Random(seed)
+    for i in range(count):
+        sign = ("positive", "negative", "mixed")[i % 3]
+        c = INT64_MAX // rng.randint(1, 8) - rng.randint(0, 40)
+        k = rng.randint(1, 6)
+        values = set()
+        while len(values) < k:
+            d = rng.randint(0, 40)
+            big = c - d if sign == "positive" else -c + d
+            if sign == "mixed":
+                big = rng.choice((c - d, -c + d, d - 20))
+            values.add(big)
+        yield IntSet(tuple(sorted(values)))
+
+
+def test_guard_matches_per_rung_rule():
+    # one pass per call raises exactly when some requested rung's own check
+    # does, with that rung's message; multiplicity sets include 0 and h > |A|
+    rng = random.Random(20)
+    checked = raised = 0
+    for A in _near_int64_sets(11, 600):
+        for _ in range(4):
+            hs = tuple(sorted(rng.sample(range(0, 10), rng.randint(1, 5))))
+            for kind, rung_check in ((ORD, _check_ordinary_range), (RES, _check_restricted_range)):
+
+                def per_rung():
+                    for h in hs:
+                        rung_check(A, h)
+
+                expected = _guard_outcome(per_rung)
+                assert _guard_outcome(lambda: _check_rungs(A, hs, kind)) == expected
+                checked += 1
+                raised += expected is not None
+    assert checked == 4800 and 0 < raised < checked
+
+
+def test_guard_mixed_sign_restricted_middle_rung():
+    # rung 2's smallest sum (the two most-negative elements) leaves int64;
+    # rungs 0, 1 and 3 stay inside
+    tricky = IntSet((-(2**62) - 1, -(2**62), 2**62))
+    assert _check_rungs(tricky, (0, 1, 3, 4), RES) is None
+    with pytest.raises(IntegerOverflowError) as caught:
+        _check_rungs(tricky, (1, 2, 3), RES)
+    assert str(caught.value) == f"value {-(2**63) - 1} outside signed 64-bit range"
+    # ordinary rung 3 leaves int64, rung 1 does not
+    with pytest.raises(IntegerOverflowError):
+        _check_rungs(tricky, (0, 1, 3), ORD)
+    assert _check_rungs(tricky, (0, 1), ORD) is None

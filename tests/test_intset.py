@@ -81,6 +81,19 @@ def test_intset_validation_accepts_bools_and_int64_ends():
     assert IntSet(()).is_empty
 
 
+def test_intset_membership():
+    A = IntSet((INT64_MIN, -3, 0, 5, INT64_MAX))
+    assert 5 in A and -3 in A and 0 in A
+    assert 4 not in A and 6 not in A and -4 not in A
+    # boundaries: the int64 ends, and one past each
+    assert INT64_MIN in A and INT64_MAX in A
+    assert INT64_MIN - 1 not in A and INT64_MAX + 1 not in A
+    assert 1 not in IntSet(())
+    # non-int values compare by equality; an unhashable one is simply absent
+    assert 5.0 in A and 5.5 not in A and True in IntSet((1, 2))
+    assert "5" not in A and None not in A and [5] not in A
+
+
 def test_hset_rejects_negative():
     with pytest.raises(ValueError):
         HSet((-1, 2))

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import sumset_lab.engine as engine
 from sumset_lab.bounds import catalog_bound
 from sumset_lab.engine import SumsetKind, naive_h_fold, union_sumset
 from sumset_lab.errors import HypothesisError, IntegerOverflowError, UnsupportedClassError
@@ -117,6 +118,31 @@ def test_witness_blocks_sweep_never_inconsistent():
                         out = catalog_bound(kind, k, H, False)
                         size = len(union_sumset(A, H, kind))
                         assert out.value <= deco.total_size <= size
+
+
+def test_restricted_witness_runs_one_dp_and_one_guard(monkeypatch):
+    runs = {"dp": 0, "guard": 0}
+    dp, guard = engine._prefix_ladders, engine._check_rungs
+
+    def counted_dp(*args):
+        runs["dp"] += 1
+        return dp(*args)
+
+    def counted_guard(*args):
+        runs["guard"] += 1
+        return guard(*args)
+
+    monkeypatch.setattr(engine, "_prefix_ladders", counted_dp)
+    monkeypatch.setattr(engine, "_check_rungs", counted_guard)
+    for A, H in [
+        (IntSet((1, 2, 4, 7, 8)), HSet((1, 2, 3))),
+        (IntSet((2, 3, 5, 9, 10, 14)), HSet((1, 3, 4, 6))),
+        (make_interval(1, 7), HSet((2, 3, 5, 6, 7))),
+    ]:
+        runs.update(dp=0, guard=0)
+        deco = witness_blocks(A, H, RES)
+        assert runs == {"dp": 1, "guard": 1}
+        assert deco.blocks == _oracle_blocks(A, H, RES)
 
 
 def test_check_inverse_equality_with_structure():

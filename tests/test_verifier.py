@@ -120,6 +120,19 @@ def test_restricted_first_and_last_multiplicity_family_is_allowed():
     assert report.clean
 
 
+@pytest.mark.deep
+def test_deep_sweep_n14():
+    # N=14, k 2..7, hmax 7, both kinds, both zero modes: 3,552,952 pairs
+    space = SearchSpace(14, (2, 7), 7, (1, 7), zero_mode=ZeroMode.BOTH)
+    report = verify(space, workers=2, case_cap=0)
+    assert report.pairs_checked == space.enumeration_count() == 3_552_952
+    assert report.equality_case_count == 78_197
+    assert report.allowed_nonstructured_count == 72_052
+    assert report.bound_violation_count == 0
+    assert report.inverse_inconsistency_count == 0
+    assert report.clean
+
+
 def test_verify_counts_and_lists_consistent():
     space = SearchSpace(7, (2, 4), 4, (1, 4), zero_mode=ZeroMode.BOTH)
     report = verify(space, workers=1)
