@@ -12,6 +12,7 @@ bound violation or an inverse inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -258,7 +259,10 @@ def _yn(value) -> str:
     return "yes" if value else "no"
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on the first main() call and reused: parse_args keeps no state
+    # between calls, and _wants_json reads SUMSET_LAB_FORMAT on each one
     parser = _Parser(prog="sumset-lab",
                      description="Sumset sizes, lower bounds, and exhaustive checks.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -172,18 +172,28 @@ def _prefix_ladders(A: IntSet, top: int) -> Iterator[list[int]]:
         yield rungs
 
 
-def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[SumBitmap]:
-    """All of 0A..h_max·A (or restricted) as bit vectors.
+def ladder_bits(A: IntSet, h_max: int, kind: SumsetKind) -> list[int]:
+    """Rungs 0..h_max of the ladder as plain bit vectors, behind one guard;
+    rung h sits at offset h*min(A).
 
-    Callers that union many H over one A, such as the exhaustive verifier,
-    build this once and OR its rungs themselves. Rungs may carry dead
-    low bits below the true minimum; entries beyond |A| in restricted mode
-    are empty.
+    Rungs may carry dead low bits below the true minimum; entries beyond |A|
+    in restricted mode are empty.
     """
     _require_nonempty(A)
     _check_rungs(A, range(h_max + 1), kind)
+    return list(_ladder(A, h_max, kind))
+
+
+def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[SumBitmap]:
+    """All of 0A..h_max·A (or restricted) as bit vectors: ladder_bits with
+    each rung's offset attached.
+
+    Callers that union many H over one A, such as the exhaustive verifier,
+    build this once and OR its rungs themselves.
+    """
+    rungs = ladder_bits(A, h_max, kind)
     t = A.min
-    return [SumBitmap(h * t, bits) for h, bits in enumerate(_ladder(A, h_max, kind))]
+    return [SumBitmap(h * t, bits) for h, bits in enumerate(rungs)]
 
 
 def prefix_ladders(A: IntSet, h_max: int) -> Iterator[list[int]]:

@@ -285,19 +285,35 @@ def parse_hset(text: str) -> HSet:
 
 
 def format_elements(elements: tuple[int, ...]) -> str:
-    """Canonical text for a sorted element tuple; runs of 3+ become a..b."""
+    """Canonical text for a sorted element tuple; runs of 3+ become a..b.
+
+    The elements strictly increase, so e[i+s] - e[i] == s exactly when
+    e[i..i+s] are consecutive. A run of 3 or more is probed ahead with
+    doubling steps and its end found by halving back, so a run costs time
+    logarithmic in its length.
+    """
+    e = elements
+    n = len(e)
     parts: list[str] = []
     i = 0
-    n = len(elements)
     while i < n:
-        j = i
-        while j + 1 < n and elements[j + 1] == elements[j] + 1:
-            j += 1
-        if j - i >= 2:
-            parts.append(f"{elements[i]}..{elements[j]}")
-            i = j + 1
+        a = e[i]
+        if i + 2 < n and e[i + 2] - a == 2:
+            # offset lo is in the run; offset hi is past it or past the end
+            lo, hi = 2, 4
+            while i + hi < n and e[i + hi] - a == hi:
+                lo, hi = hi, 2 * hi
+            hi = min(hi, n - i)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if e[i + mid] - a == mid:
+                    lo = mid
+                else:
+                    hi = mid
+            parts.append(f"{a}..{e[i + lo]}")
+            i += lo + 1
         else:
-            parts.append(str(elements[i]))
+            parts.append(str(a))
             i += 1
     return ",".join(parts)
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from itertools import accumulate
 
 from . import bounds
-from .engine import SumBitmap, SumsetKind, prefix_ladders, sumset_ladder, union_sumset
+from .engine import SumBitmap, SumsetKind, ladder_bits, prefix_ladders, union_sumset
 # not called here: bench/spans.HOOKS wraps these names on this module
 from .engine import h_fold, h_fold_restricted  # noqa: F401
 from .errors import HypothesisError, InternalInconsistencyError, UnsupportedClassError
@@ -129,7 +129,7 @@ def witness_blocks(A: IntSet, H: HSet, kind: SumsetKind) -> BlockDecomposition:
             SumBitmap((h - prev) * t + largest[prev], picked[k - prev]) for h, prev in steps
         ]
     else:
-        rungs = [rung.bits for rung in sumset_ladder(A, H.max, kind)]
+        rungs = ladder_bits(A, H.max, kind)
         bitmaps = [
             SumBitmap((h - prev) * t + prev * A.max, rungs[h - prev]) for h, prev in steps
         ]

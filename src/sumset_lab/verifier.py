@@ -386,7 +386,8 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        # acyclic by construction: a record in two lists is shared, not a cycle
+        return json.dumps(self.to_dict(), separators=(",", ":"), check_circular=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> VerificationReport:

@@ -238,3 +238,46 @@ def test_env_var_sets_default_format(capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out)
     assert payload["results"][0]["bound"] == 7
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch, fresh_parser):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    assert run_cli(capsys, "compute", "-A", "1..3", "-H", "1..2")[0] == 0
+    assert run_cli(capsys, "bound", "-A", "1..3", "-H", "2")[0] == 0
+    assert built.count("sumset-lab") == 1
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch, fresh_parser):
+    monkeypatch.delenv("SUMSET_LAB_FORMAT", raising=False)
+    code, out, _ = run_cli(capsys, "compute", "-A", "1..3", "-H", "1..2", "--json")
+    assert code == 0 and json.loads(out)["a"] == "1..3"
+    code, out, _ = run_cli(capsys, "compute", "-A", "1..3", "-H", "1..2")
+    assert code == 0 and out.startswith("A: 1..3\n")
+
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "-A", "1,2"])  # -H missing
+    assert exc.value.code == 1
+    assert "required: -H/--set-h" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "compute", "-A", "1,2", "-H", "2", "--kind", "ordinary")
+    assert code == 0 and "sumset=2..4" in out and err == ""
+
+    monkeypatch.setenv("SUMSET_LAB_FORMAT", "json")
+    code, out, _ = run_cli(capsys, "bound", "-A", "1..4", "-H", "2")
+    assert code == 0 and json.loads(out)["results"][0]["bound"] == 7
+    monkeypatch.setenv("SUMSET_LAB_FORMAT", "text")
+    code, out, _ = run_cli(capsys, "bound", "-A", "1..4", "-H", "2")
+    assert code == 0 and out.startswith("ordinary: bound=")

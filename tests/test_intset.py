@@ -1,5 +1,7 @@
 """Core set types, transforms, and the text grammar."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -208,6 +210,92 @@ def test_format_runs():
     assert format_elements((1, 2, 3, 7)) == "1..3,7"
     assert format_elements(()) == ""
     assert format_set(parse_intset("2..10,12")) == "2..10,12"
+
+
+def _linear_format(elements):
+    # the one-element-at-a-time formatter that format_elements replaced
+    parts = []
+    i = 0
+    n = len(elements)
+    while i < n:
+        j = i
+        while j + 1 < n and elements[j + 1] == elements[j] + 1:
+            j += 1
+        if j - i >= 2:
+            parts.append(f"{elements[i]}..{elements[j]}")
+            i = j + 1
+        else:
+            parts.append(str(elements[i]))
+            i += 1
+    return ",".join(parts)
+
+
+# every run length 1..70: each 2^m - 1, 2^m, 2^m + 1 up to 65 is among them
+RUN_LENGTHS = range(1, 71)
+
+
+def _runs(start, lengths, gaps):
+    out, x = [], start
+    for length, gap in zip(lengths, gaps):
+        out.extend(range(x, x + length))
+        x += length + gap
+    return tuple(out)
+
+
+def test_format_matches_linear_formatter_on_every_run_length():
+    rng = random.Random(8)
+    for length in RUN_LENGTHS:
+        run = tuple(range(length))
+        sparse = (-40, -37, -30)
+        for elements in (
+            run,
+            run + tuple(a + length + 1 for a in (0, 3, 4, 9)),  # run at the start
+            sparse + tuple(a - 20 for a in run) + (length + 2, length + 3),  # middle
+            (-500, -498) + tuple(a - 3 for a in run),  # run at the end, negative
+            _runs(rng.randint(-99, 99), [length, 1, length, 2], [1, 1, 2, 1]),
+        ):
+            assert format_elements(elements) == _linear_format(elements), elements
+
+
+def test_format_matches_linear_formatter_on_random_tuples():
+    rng = random.Random(81)
+    for trial in range(3000):
+        shape = trial % 4
+        if shape == 0:  # sparse
+            elements = tuple(sorted(rng.sample(range(-5000, 5000), rng.randint(0, 40))))
+        elif shape == 1:  # dense: most of a short range
+            lo = rng.randint(-300, 300)
+            span = rng.randint(1, 300)
+            elements = tuple(sorted(rng.sample(range(lo, lo + span), rng.randint(0, span))))
+        elif shape == 2:  # negative runs
+            count = rng.randint(1, 8)
+            elements = _runs(
+                rng.randint(-10**6, -10**5),
+                [rng.choice(RUN_LENGTHS) for _ in range(count)],
+                [rng.randint(1, 3) for _ in range(count)],
+            )
+        else:  # mixed sign, runs and singletons
+            count = rng.randint(1, 12)
+            elements = _runs(
+                rng.randint(-200, 0),
+                [rng.choice((1, 1, 2, 3, 4, 7, 8, 9, 31, 32, 33)) for _ in range(count)],
+                [rng.randint(1, 4) for _ in range(count)],
+            )
+        assert format_elements(elements) == _linear_format(elements), elements
+
+
+def test_format_at_int64_extremes():
+    for elements in (
+        tuple(range(INT64_MIN, INT64_MIN + 5)),
+        tuple(range(INT64_MAX - 4, INT64_MAX + 1)),
+        (INT64_MIN, INT64_MIN + 1, 0, INT64_MAX - 1, INT64_MAX),
+        (INT64_MIN, INT64_MIN + 1, INT64_MIN + 2, INT64_MAX - 2, INT64_MAX - 1, INT64_MAX),
+        (INT64_MIN, INT64_MAX),
+    ):
+        text = format_elements(elements)
+        assert text == _linear_format(elements)
+        assert parse_elements(text) == elements
+    assert format_elements((INT64_MIN, INT64_MIN + 1, INT64_MIN + 2)) == f"{INT64_MIN}..{INT64_MIN + 2}"
 
 
 @given(st.sets(st.integers(min_value=-200, max_value=200), max_size=30))

@@ -145,6 +145,33 @@ def test_restricted_witness_runs_one_dp_and_one_guard(monkeypatch):
         assert deco.blocks == _oracle_blocks(A, H, RES)
 
 
+def test_ordinary_witness_runs_one_guard_and_no_rung_bitmaps(monkeypatch):
+    runs = {"guard": 0, "rung_bitmaps": 0}
+    guard, bitmap = engine._check_rungs, engine.SumBitmap
+
+    def counted_guard(*args):
+        runs["guard"] += 1
+        return guard(*args)
+
+    def counted_bitmap(*args):
+        runs["rung_bitmaps"] += 1
+        return bitmap(*args)
+
+    monkeypatch.setattr(engine, "_check_rungs", counted_guard)
+    # engine builds a SumBitmap only per rung (sumset_ladder); structure's own
+    # per-block bitmaps go through its own name and are not counted
+    monkeypatch.setattr(engine, "SumBitmap", counted_bitmap)
+    for A, H in [
+        (IntSet((1, 2, 4, 7, 8)), HSet((1, 2, 3))),
+        (IntSet((2, 3, 5, 9, 10, 14)), HSet((1, 3, 4, 6))),
+        (make_interval(1, 7), HSet((2, 3, 5, 6, 9))),
+    ]:
+        runs.update(guard=0, rung_bitmaps=0)
+        deco = witness_blocks(A, H, ORD)
+        assert runs == {"guard": 1, "rung_bitmaps": 0}
+        assert deco.blocks == _oracle_blocks(A, H, ORD)
+
+
 def test_check_inverse_equality_with_structure():
     v = check_inverse(IntSet((2, 4, 6, 8)), HSet((1, 2)), ORD)
     assert v.equality_holds and v.hypotheses_hold

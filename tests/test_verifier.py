@@ -133,6 +133,19 @@ def test_deep_sweep_n14():
     assert report.clean
 
 
+@pytest.mark.deep
+def test_deep_sweep_n16():
+    # N=16, k 2..8, hmax 8, both kinds, both zero modes: 28,340,190 pairs
+    space = SearchSpace(16, (2, 8), 8, (1, 8), zero_mode=ZeroMode.BOTH)
+    report = verify(space, workers=2, case_cap=0)
+    assert report.pairs_checked == space.enumeration_count() == 28_340_190
+    assert report.equality_case_count == 298_286
+    assert report.allowed_nonstructured_count == 285_079
+    assert report.bound_violation_count == 0
+    assert report.inverse_inconsistency_count == 0
+    assert report.clean
+
+
 def test_verify_counts_and_lists_consistent():
     space = SearchSpace(7, (2, 4), 4, (1, 4), zero_mode=ZeroMode.BOTH)
     report = verify(space, workers=1)
