@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .engine import SumsetKind, union_sumset
 from .errors import HypothesisError
-from .intset import HSet, IntSet, make_interval, sign_reduce
+from .intset import REFLECTION_NOTE, HSet, IntSet, make_interval, sign_reduce
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,7 @@ def bound_report(A: IntSet, H: HSet, kind: SumsetKind, size: int) -> BoundReport
     outcome = catalog_bound(kind, len(work), H, work.elements[0] == 0)
     reason = outcome.reason
     if work is not A:
-        prefix = "reduced by reflection to a nonnegative set"
-        reason = prefix if reason is None else f"{prefix}; {reason}"
+        reason = REFLECTION_NOTE if reason is None else f"{REFLECTION_NOTE}; {reason}"
     return BoundReport(
         kind=kind,
         computed_size=size,

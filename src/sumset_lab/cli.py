@@ -101,7 +101,7 @@ _ZERO_MODES = {
 
 def _space_from(args) -> SearchSpace:
     r_span = _parse_span(args.r) if args.r is not None else (1, args.hmax)
-    return SearchSpace(
+    space = SearchSpace(
         universe_max=args.universe,
         k_range=_parse_span(args.k),
         h_max=args.hmax,
@@ -109,6 +109,12 @@ def _space_from(args) -> SearchSpace:
         kinds=_kinds_from(args.kind),
         zero_mode=_ZERO_MODES[args.zero_mode],
     )
+    # an empty run would pass vacuously
+    if space.enumeration_count() == 0:
+        raise ValueError(
+            "the search space holds no pairs; check --universe, --k, --r and --hmax"
+        )
+    return space
 
 
 def _cmd_compute(args) -> int:

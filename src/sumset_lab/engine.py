@@ -41,39 +41,20 @@ class SumsetKind(Enum):
 
 @dataclass(frozen=True)
 class SumBitmap:
-    """Dense bit-vector form of a sum set.
+    """A bit vector on its way to an `IntSet` at the API boundary.
 
-    Bit i of `bits` set means the integer `offset + i` is attainable.
-    Vectors are sized from the exact attainable range, never a global
-    universe, so popcount always equals the cardinality.
+    Bit i of `bits` set means the integer `offset + i` is in the set. The
+    engine's rungs and unions are plain ints; this wraps one only to decode it.
     """
 
     offset: int
     bits: int
-
-    @property
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def is_empty(self) -> bool:
-        return self.bits == 0
 
     def to_intset(self) -> IntSet:
         # binary digits lowest first, as 0/1 bytes that select from the range
         digits = bin(self.bits)[:1:-1].encode().translate(_BIT_BYTES)
         n, offset = len(digits), self.offset
         return IntSet(tuple(compress(range(offset, offset + n), digits)))
-
-    @classmethod
-    def from_intset(cls, s: IntSet) -> SumBitmap:
-        if s.is_empty:
-            return cls(0, 0)
-        base = s.min
-        bits = 0
-        for a in s.elements:
-            bits |= 1 << (a - base)
-        return cls(base, bits)
 
 
 def _require_nonempty(A: IntSet) -> None:
@@ -172,28 +153,17 @@ def _prefix_ladders(A: IntSet, top: int) -> Iterator[list[int]]:
         yield rungs
 
 
-def ladder_bits(A: IntSet, h_max: int, kind: SumsetKind) -> list[int]:
-    """Rungs 0..h_max of the ladder as plain bit vectors, behind one guard;
-    rung h sits at offset h*min(A).
+def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[int]:
+    """Rungs 0..h_max of the ladder (0A..h_max·A, or restricted) as plain
+    bit vectors, behind one guard; rung h sits at offset h*min(A).
 
     Rungs may carry dead low bits below the true minimum; entries beyond |A|
-    in restricted mode are empty.
+    in restricted mode are empty. Callers that union many H over one A, such
+    as the exhaustive verifier, build this once and OR its rungs themselves.
     """
     _require_nonempty(A)
     _check_rungs(A, range(h_max + 1), kind)
     return list(_ladder(A, h_max, kind))
-
-
-def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[SumBitmap]:
-    """All of 0A..h_max·A (or restricted) as bit vectors: ladder_bits with
-    each rung's offset attached.
-
-    Callers that union many H over one A, such as the exhaustive verifier,
-    build this once and OR its rungs themselves.
-    """
-    rungs = ladder_bits(A, h_max, kind)
-    t = A.min
-    return [SumBitmap(h * t, bits) for h, bits in enumerate(rungs)]
 
 
 def prefix_ladders(A: IntSet, h_max: int) -> Iterator[list[int]]:

@@ -216,6 +216,10 @@ def classify(A: IntSet) -> SetClass:
     return SetClass.MIXED
 
 
+# the note that bound reports and inverse verdicts carry for a reflected set
+REFLECTION_NOTE = "reduced by reflection to a nonnegative set"
+
+
 def sign_reduce(A: IntSet) -> tuple[IntSet, SetClass]:
     """The nonnegative working set for A, and A's sign class.
 

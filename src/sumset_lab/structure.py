@@ -13,11 +13,11 @@ from dataclasses import asdict, dataclass
 from itertools import accumulate
 
 from . import bounds
-from .engine import SumBitmap, SumsetKind, ladder_bits, prefix_ladders, union_sumset
+from .engine import SumBitmap, SumsetKind, prefix_ladders, sumset_ladder, union_sumset
 # not called here: bench/spans.HOOKS wraps these names on this module
 from .engine import h_fold, h_fold_restricted  # noqa: F401
 from .errors import HypothesisError, InternalInconsistencyError, UnsupportedClassError
-from .intset import HSet, IntSet, SetClass, classify, sign_reduce
+from .intset import REFLECTION_NOTE, HSet, IntSet, SetClass, classify, sign_reduce
 
 
 @dataclass(frozen=True)
@@ -46,26 +46,28 @@ def ap_descriptor(A: IntSet | HSet) -> APDescriptor:
     return APDescriptor(True, elements[0], d)
 
 
+def _dilation(ad: APDescriptor, include_zero: bool) -> int | None:
+    """The d with the progression ad = d*[1,k] (or d*[0,k-1] when
+    include_zero), else None: an AP of difference d starting at d (or 0)."""
+    if not ad.is_ap:
+        return None
+    # a singleton {a} is a*[1,1]; {0} is d*[0,0] for every d, report the least
+    d = ad.difference or (1 if include_zero else ad.first)
+    return d if ad.first == (0 if include_zero else d) else None
+
+
 def is_dilated_interval(A: IntSet, include_zero: bool) -> int | None:
     """The d with A = d*[1,k] (or d*[0,k-1] when include_zero), else None."""
     set_class = classify(A)
-    if include_zero:
-        if set_class is not SetClass.ZERO_REST_POSITIVE:
-            raise UnsupportedClassError(
-                f"expected a zero-plus-positives set, got {set_class.value}"
-            )
-        if len(A) == 1:
-            return 1  # {0} is d*[0,0] for every d; report the least
-        d = A.elements[1]
-        expected = tuple(d * i for i in range(len(A)))
-    else:
-        if set_class is not SetClass.ALL_POSITIVE:
-            raise UnsupportedClassError(
-                f"expected an all-positive set, got {set_class.value}"
-            )
-        d = A.elements[0]
-        expected = tuple(d * i for i in range(1, len(A) + 1))
-    return d if A.elements == expected else None
+    if include_zero and set_class is not SetClass.ZERO_REST_POSITIVE:
+        raise UnsupportedClassError(
+            f"expected a zero-plus-positives set, got {set_class.value}"
+        )
+    if not include_zero and set_class is not SetClass.ALL_POSITIVE:
+        raise UnsupportedClassError(
+            f"expected an all-positive set, got {set_class.value}"
+        )
+    return _dilation(ap_descriptor(A), include_zero)
 
 
 def h_shifted_interval(H: HSet) -> tuple[int, int] | None:
@@ -129,7 +131,7 @@ def witness_blocks(A: IntSet, H: HSet, kind: SumsetKind) -> BlockDecomposition:
             SumBitmap((h - prev) * t + largest[prev], picked[k - prev]) for h, prev in steps
         ]
     else:
-        rungs = ladder_bits(A, H.max, kind)
+        rungs = sumset_ladder(A, H.max, kind)
         bitmaps = [
             SumBitmap((h - prev) * t + prev * A.max, rungs[h - prev]) for h, prev in steps
         ]
@@ -277,9 +279,10 @@ def verdict_h_half(
 
 
 def verdict_a_half(A: IntSet, zero_in: bool) -> tuple[APDescriptor, bool]:
-    """The verdict inputs that look at A alone: its progression, whether it
-    is a dilated interval."""
-    return ap_descriptor(A), is_dilated_interval(A, zero_in) is not None
+    """The verdict inputs that look at A alone, a sign-reduced set: its
+    progression, whether it is a dilated interval."""
+    ad = ap_descriptor(A)
+    return ad, _dilation(ad, zero_in) is not None
 
 
 def build_verdict(
@@ -338,7 +341,7 @@ def check_inverse(A: IntSet, H: HSet, kind: SumsetKind) -> InverseVerdict:
     work, set_class = sign_reduce(A)
     extra: tuple[str, ...] = ()
     if work is not A:
-        extra = ("reduced by reflection to a nonnegative set",)
+        extra = (REFLECTION_NOTE,)
     zero_in = work.elements[0] == 0
     size = len(union_sumset(work, H, kind))
     outcome = bounds.catalog_bound(kind, len(work), H, zero_in)

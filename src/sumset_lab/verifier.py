@@ -229,23 +229,15 @@ class _Partial:
     inconsistencies: _Cases = field(default_factory=_Cases)
 
 
-def case_record(
-    a_text: str,
-    h_text: str,
-    kind: SumsetKind,
-    zero_in: bool,
-    size: int,
-    bound: int,
-    verdict: InverseVerdict,
-) -> dict:
+def case_record(a_text: str, h_text: str, zero_in: bool, verdict: InverseVerdict) -> dict:
     obs = verdict.structure_observed
     return {
         "a": a_text,
         "h": h_text,
-        "kind": kind.value,
+        "kind": verdict.kind.value,
         "zero_in_a": zero_in,
-        "size": size,
-        "bound": bound,
+        "size": verdict.computed_size,
+        "bound": verdict.bound_value,
         "hypotheses_hold": verdict.hypotheses_hold,
         "structure_matches": verdict.structure_matches,
         "consistent": verdict.consistent,
@@ -295,10 +287,11 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
             acc.pairs += len(rows)
             A = IntSet(elements)
             sizes = [0] * len(rows)
+            t = A.min
             for j, kind in enumerate(space.kinds):
                 # A >= 0, so every offset h*min(A) is too: rungs as absolute vectors
                 ladder = sumset_ladder(A, space.h_max, kind)
-                rungs = [rung.bits << rung.offset for rung in ladder]
+                rungs = [bits << h * t for h, bits in enumerate(ladder)]
                 unions = [0]
                 for parent, h in plan:
                     unions.append(unions[parent] | rungs[h])
@@ -328,9 +321,7 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
                     verdict = build_verdict(
                         kind, set_class, size, outcome, h_half, a_half
                     )
-                    record = case_record(
-                        a_text, h_text, kind, zero_in, size, outcome.value, verdict
-                    )
+                    record = case_record(a_text, h_text, zero_in, verdict)
                     acc.equality.add(record, case_cap)
                     if verdict.is_nonstructured_equality:
                         acc.nonstructured.add(record, case_cap)

@@ -128,6 +128,22 @@ def test_verify_rejects_bad_workers_and_case_cap(capsys):
         assert out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "extremal"])
+@pytest.mark.parametrize(
+    "space",
+    [
+        ["--universe", "8", "--k", "5..3", "--hmax", "3"],  # empty k range
+        ["--universe", "8", "--k", "2..3", "--r", "4..5", "--hmax", "3"],  # r above hmax
+        ["--universe", "3", "--k", "5..6", "--hmax", "3"],  # k above the universe
+    ],
+)
+def test_empty_space_exits_1(capsys, command, space):
+    code, out, err = run_cli(capsys, command, *space, "--workers", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the search space holds no pairs")
+
+
 def test_check_text(capsys):
     code, out, _ = run_cli(
         capsys, "check", "-A", "2,4,6,8", "-H", "1,2", "--kind", "ordinary"

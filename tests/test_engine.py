@@ -194,28 +194,32 @@ def test_sizes_meet_single_fold_bounds():
 
 
 def test_ladder_agrees_with_single_shots():
-    for combo in [(1, 2, 4), (2, 3, 5, 8), (0, 1, 5), (3, 6, 9, 12, 14)]:
+    combos = [(1, 2, 4), (2, 3, 5, 8), (0, 1, 5), (3, 6, 9, 12, 14)]
+    # negative and mixed sign: rung h still sits at offset h*min(A) < 0
+    combos += [(-9, -4, -1), (-5, 3, 9), (-7, 0, 2, 6), (-3, -2, 0)]
+    for combo in combos:
         A = IntSet(combo)
         for kind in (ORD, RES):
             ladder = sumset_ladder(A, 6, kind)
+            assert len(ladder) == 7 and all(type(rung) is int for rung in ladder)
             fold = h_fold if kind is ORD else h_fold_restricted
             for h in range(0, 7):
-                assert ladder[h].to_intset() == fold(A, h)
+                assert SumBitmap(h * A.min, ladder[h]).to_intset() == fold(A, h)
 
 
 def test_bitmap_anchoring_and_popcount():
     result = h_fold_restricted(IntSet((1, 5, 9, 11)), 2)
-    bm = SumBitmap.from_intset(result)
-    assert bm.offset == result.min
-    assert bm.bits & 1  # anchored: lowest bit is the minimum
-    assert bm.popcount == len(result)
+    assert result == IntSet((6, 10, 12, 14, 16, 20))
+    # anchored at the minimum: bits 0, 4, 6, 8, 10 and 14
+    bm = SumBitmap(6, 0b100_0101_0101_0001)
+    assert bm.bits.bit_count() == len(result)
     assert bm.to_intset() == result
     # sparse and wide, with a negative offset
     sparse = IntSet((-(2**20), -7, 0, 3, 2**20 + 5))
-    wide = SumBitmap.from_intset(sparse)
-    assert wide.offset == -(2**20) and wide.popcount == 5
+    wide = SumBitmap(
+        -(2**20), 1 | 1 << 2**20 - 7 | 1 << 2**20 | 1 << 2**20 + 3 | 1 << 2**21 + 5
+    )
     assert wide.to_intset() == sparse
-    assert SumBitmap.from_intset(wide.to_intset()) == wide
     assert SumBitmap(0, 0).to_intset().is_empty
 
 
@@ -225,13 +229,11 @@ def test_bitmap_decode():
     # dense, with a negative offset
     dense = make_interval(-40, 25)
     assert SumBitmap(-40, (1 << 66) - 1).to_intset() == dense
-    assert SumBitmap.from_intset(dense).to_intset() == dense
     # sparse over 5,000 bits, with a negative offset
     sparse = IntSet((-3000, -2999, -1234, 0, 17, 1999))
-    bm = SumBitmap.from_intset(sparse)
+    bm = SumBitmap(-3000, 1 | 1 << 1 | 1 << 1766 | 1 << 3000 | 1 << 3017 | 1 << 4999)
     assert bm.bits.bit_length() == 5000
     assert bm.to_intset() == sparse
-    assert SumBitmap.from_intset(bm.to_intset()) == bm
     # the decoded range is checked against int64 at both ends
     assert SumBitmap(-(2**63), 1).to_intset() == IntSet((-(2**63),))
     with pytest.raises(IntegerOverflowError):
@@ -279,9 +281,8 @@ def test_ladder_overflow_at_intermediate_multiplicity():
     with pytest.raises(IntegerOverflowError):
         sumset_ladder(tricky, 3, RES)
     # comfortable magnitudes pass
-    assert sumset_ladder(IntSet((-5, 3, 9)), 3, RES)[2].to_intset() == h_fold_restricted(
-        IntSet((-5, 3, 9)), 2
-    )
+    rung = sumset_ladder(IntSet((-5, 3, 9)), 3, RES)[2]
+    assert SumBitmap(2 * -5, rung).to_intset() == h_fold_restricted(IntSet((-5, 3, 9)), 2)
 
 
 def _guard_outcome(check):

@@ -14,6 +14,7 @@ from sumset_lab.structure import (
     check_inverse,
     h_shifted_interval,
     is_dilated_interval,
+    verdict_a_half,
     witness_blocks,
 )
 
@@ -40,6 +41,23 @@ def test_is_dilated_interval():
         is_dilated_interval(IntSet((0, 1, 2)), include_zero=False)
     with pytest.raises(UnsupportedClassError):
         is_dilated_interval(IntSet((1, 2, 3)), include_zero=True)
+
+
+def test_dilated_interval_matches_literal_definition():
+    # every subset of [1,12], without and with 0, against A == d*[1,k] / d*[0,k-1]
+    for mask in range(1 << 12):
+        positives = tuple(i + 1 for i in range(12) if mask >> i & 1)
+        for zero_in in (False, True):
+            elements = (0,) + positives if zero_in else positives
+            if not elements:
+                continue
+            lo = 0 if zero_in else 1
+            span = range(lo, lo + len(elements))
+            literal = [d for d in range(1, 13) if elements == tuple(d * i for i in span)]
+            expected = literal[0] if literal else None  # {0} matches every d; the least
+            A = IntSet(elements)
+            assert is_dilated_interval(A, zero_in) == expected, elements
+            assert verdict_a_half(A, zero_in) == (ap_descriptor(A), expected is not None)
 
 
 def test_h_shifted_interval():
@@ -158,8 +176,9 @@ def test_ordinary_witness_runs_one_guard_and_no_rung_bitmaps(monkeypatch):
         return bitmap(*args)
 
     monkeypatch.setattr(engine, "_check_rungs", counted_guard)
-    # engine builds a SumBitmap only per rung (sumset_ladder); structure's own
-    # per-block bitmaps go through its own name and are not counted
+    # engine builds a SumBitmap only to decode a fold or union (_sumset), never
+    # per rung; structure's own per-block bitmaps go through its own name and
+    # are not counted
     monkeypatch.setattr(engine, "SumBitmap", counted_bitmap)
     for A, H in [
         (IntSet((1, 2, 4, 7, 8)), HSet((1, 2, 3))),
