@@ -7,10 +7,13 @@ on (kind, k, H, 0 in A) only, so each chunk looks it up once per (k,
 zero-mode) block, with the H half of the verdict, and reads that table for
 every A. Each A's union sizes come from one table of prefix unions, one OR
 and one popcount per H; only pairs that reach their bound go further, and
-the A half of the verdict is built once per A. Work is split into
-contiguous chunks of the A-enumeration by combinatorial rank; chunk
-boundaries are independent of the worker count and partial results merge in
-rank order, so the report is byte-identical no matter how many workers ran.
+the A half of the verdict is built once per A. An equality case's size is
+its row's bound, so its verdict and record depend on the row and A's half
+alone: each block builds them once per (row, A's half) and copies the
+record with each A's text. Work is split into contiguous chunks of the
+A-enumeration by combinatorial rank; chunk boundaries are independent of
+the worker count and partial results merge in rank order, so the report is
+byte-identical no matter how many workers ran.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 from math import comb
+from operator import le
 from typing import Iterator
 
 from . import bounds
@@ -269,8 +273,11 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
     for zero_in, k, a_sets in _a_tasks(space, start, end):
         set_class = SetClass.ZERO_REST_POSITIVE if zero_in else SetClass.ALL_POSITIVE
         # the block's (H, kind) slots, built per call (not cached): patched
-        # formulas show; limits holds each bound, or -1 where none applies
-        rows, limits = [], []
+        # formulas show; limits holds each bound, or -1 where none applies.
+        # An equality case's size is its row's bound, so its verdict depends
+        # on the row and A's half only: verdicts maps (row, a_half) to the
+        # first such case's (record, nonstructured, inconsistent)
+        rows, limits, verdicts = [], [], {}
         for h_combo in row_combos:
             H = HSet(h_combo)
             h_text = format_elements(h_combo)
@@ -296,7 +303,7 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
                 for parent, h in plan:
                     unions.append(unions[parent] | rungs[h])
                 sizes[j::n_kinds] = map(int.bit_count, unions[first_row:])
-            hits = [i for i, size in enumerate(sizes) if size <= limits[i]]
+            hits = list(compress(range(len(rows)), map(le, sizes, limits)))
             if not hits:
                 continue
             a_text = format_elements(elements)
@@ -318,14 +325,23 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
                         case_cap,
                     )
                 else:
-                    verdict = build_verdict(
-                        kind, set_class, size, outcome, h_half, a_half
-                    )
-                    record = case_record(a_text, h_text, zero_in, verdict)
+                    known = verdicts.get((i, a_half))
+                    if known is None:
+                        verdict = build_verdict(
+                            kind, set_class, size, outcome, h_half, a_half
+                        )
+                        record = case_record(a_text, h_text, zero_in, verdict)
+                        nonstructured = verdict.is_nonstructured_equality
+                        inconsistent = not verdict.consistent
+                        verdicts[i, a_half] = record, nonstructured, inconsistent
+                    else:
+                        template, nonstructured, inconsistent = known
+                        # "a" keeps its place as the first key
+                        record = template | {"a": a_text}
                     acc.equality.add(record, case_cap)
-                    if verdict.is_nonstructured_equality:
+                    if nonstructured:
                         acc.nonstructured.add(record, case_cap)
-                    if not verdict.consistent:
+                    if inconsistent:
                         acc.inconsistencies.add(record, case_cap)
     return acc
 

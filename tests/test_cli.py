@@ -144,6 +144,27 @@ def test_empty_space_exits_1(capsys, command, space):
     assert err.startswith("error: the search space holds no pairs")
 
 
+@pytest.mark.parametrize("command", ["verify", "extremal"])
+@pytest.mark.parametrize(
+    "span, error",
+    [
+        (["--k", "0..2", "--r", "1..2"], "error: --k 0..2 starts below 1; only k=1..2 would"),
+        (["--k", "1..2", "--r", "1..9"],
+         "error: --r 1..9 reaches outside 1..2 (--hmax); only r=1..2 would"),
+        (["--k", "1..2", "--r", "0..2"],
+         "error: --r 0..2 reaches outside 1..2 (--hmax); only r=1..2 would"),
+    ],
+)
+def test_clamped_range_exits_1(capsys, command, span, error):
+    # these spaces hold pairs, but fewer than the requested ranges name
+    code, out, err = run_cli(
+        capsys, command, "--universe", "5", "--hmax", "2", *span, "--workers", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(error)
+
+
 def test_check_text(capsys):
     code, out, _ = run_cli(
         capsys, "check", "-A", "2,4,6,8", "-H", "1,2", "--kind", "ordinary"

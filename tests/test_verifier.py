@@ -10,6 +10,7 @@ import pytest
 
 import sumset_lab.bounds as bounds
 import sumset_lab.structure as structure
+import sumset_lab.verifier as verifier
 from sumset_lab.engine import SumsetKind, union_sumset
 from sumset_lab.errors import SpaceTooLargeError
 from sumset_lab.intset import HSet, IntSet, parse_elements
@@ -20,6 +21,7 @@ from sumset_lab.verifier import (
     _combinations_from,
     _pool_size,
     _run_chunk,
+    case_record,
     enumerate_pairs,
     find_extremal,
     verify,
@@ -331,6 +333,33 @@ def test_verdict_h_half_built_once_per_row(monkeypatch):
     chunk = _run_chunk((space, 0, space.a_task_count(), 0))
     assert len(calls) == rows == 70
     assert chunk.equality.count > rows  # not once per equality case
+
+
+def test_equality_verdicts_built_once_per_row_and_a_half(monkeypatch):
+    # progressions and non-progressions of every k in both zero modes
+    space = SearchSpace(7, (1, 5), 4, (2, 4), zero_mode=ZeroMode.BOTH)
+    keys, equalities = set(), 0
+    for A, H, kind in enumerate_pairs(space):
+        if structure.check_inverse(A, H, kind).equality_holds:
+            zero_in = A.elements[0] == 0
+            equalities += 1
+            keys.add((zero_in, len(A), H, kind, structure.verdict_a_half(A, zero_in)))
+    real = verifier.build_verdict
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verifier, "build_verdict", counting)
+    chunk = _run_chunk((space, 0, space.a_task_count(), equalities))
+    assert chunk.equality.count == len(chunk.equality.records) == equalities
+    assert len(calls) == len(keys) < equalities
+    records = chunk.equality.records
+    assert len(set(map(id, records))) == len(records)
+    verdict = structure.check_inverse(IntSet((1,)), HSet((1,)), ORD)
+    order = list(case_record("", "", False, verdict))
+    assert all(list(record) == order for record in records)
 
 
 def test_report_json_round_trip():
