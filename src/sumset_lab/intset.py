@@ -94,54 +94,22 @@ class IntSet:
         return format_elements(self.elements)
 
 
-@dataclass(frozen=True)
-class HSet:
-    """A finite set of distinct nonnegative multiplicities, increasing."""
-
-    elements: tuple[int, ...]
+class HSet(IntSet):
+    """An IntSet of distinct nonnegative multiplicities, increasing."""
 
     def __post_init__(self) -> None:
-        prev = None
-        for h in self.elements:
-            if not isinstance(h, int):
-                raise TypeError(f"multiplicity {h!r} is not an integer")
-            if h < 0:
-                raise ValueError("multiplicities must be nonnegative")
-            checked_int64(h)
-            if prev is not None and h <= prev:
-                raise ValueError("multiplicities must be strictly increasing")
-            prev = h
-
-    @classmethod
-    def of(cls, values: Iterable[int]) -> HSet:
-        return cls(tuple(sorted(set(values))))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.elements
+        # super(), not IntSet: a tracer may rebind this module's IntSet name
+        super().__post_init__()
+        if self.elements and self.elements[0] < 0:
+            raise ValueError("multiplicities must be nonnegative")
 
     @property
     def r(self) -> int:
         return len(self.elements)
 
     @property
-    def max(self) -> int:
-        if not self.elements:
-            raise ArityError("empty multiplicity set has no maximum")
-        return self.elements[-1]
-
-    @property
     def all_positive(self) -> bool:
         return bool(self.elements) and self.elements[0] >= 1
-
-    def __str__(self) -> str:
-        return format_elements(self.elements)
 
 
 class SetClass(Enum):
@@ -322,5 +290,5 @@ def format_elements(elements: tuple[int, ...]) -> str:
     return ",".join(parts)
 
 
-def format_set(s: IntSet | HSet) -> str:
+def format_set(s: IntSet) -> str:
     return format_elements(s.elements)

@@ -10,7 +10,9 @@ hypotheses hold, the predicted structure must be present.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from enum import Enum
 from itertools import accumulate
+from typing import NamedTuple
 
 from . import bounds
 from .engine import SumBitmap, SumsetKind, prefix_ladders, sumset_ladder, union_sumset
@@ -20,8 +22,7 @@ from .errors import HypothesisError, InternalInconsistencyError, UnsupportedClas
 from .intset import REFLECTION_NOTE, HSet, IntSet, SetClass, classify, sign_reduce
 
 
-@dataclass(frozen=True)
-class APDescriptor:
+class APDescriptor(NamedTuple):
     """Whether a set is an arithmetic progression.
 
     Sets with at most 2 elements always count; the difference is None for
@@ -33,7 +34,7 @@ class APDescriptor:
     difference: int | None
 
 
-def ap_descriptor(A: IntSet | HSet) -> APDescriptor:
+def ap_descriptor(A: IntSet) -> APDescriptor:
     if A.is_empty:
         raise HypothesisError("empty set has no progression structure")
     elements = A.elements
@@ -196,22 +197,16 @@ class InverseVerdict:
         return self.equality_holds and not self.hypotheses_hold and not self.structure_matches
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "set_class": self.set_class.value,
-            "computed_size": self.computed_size,
-            "bound_value": self.bound_value,
-            "bound_applicable": self.bound_applicable,
-            "equality_holds": self.equality_holds,
-            "hypotheses_hold": self.hypotheses_hold,
-            "reasons": list(self.reasons),
-            "rule": self.rule,
-            "structure_predicted": list(self.structure_predicted),
-            "structure_observed": asdict(self.structure_observed),
-            "structure_matches": self.structure_matches,
-            "consistent": self.consistent,
-            "nonstructured": self.is_nonstructured_equality,
-        }
+        """The fields in order, enums as their values and tuples as lists,
+        then the nonstructured flag."""
+        data = asdict(self)
+        for name, value in data.items():
+            if isinstance(value, Enum):
+                data[name] = value.value
+            elif isinstance(value, tuple):
+                data[name] = list(value)
+        data["nonstructured"] = self.is_nonstructured_equality
+        return data
 
 
 def _expectation(

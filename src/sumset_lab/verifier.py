@@ -22,7 +22,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import combinations, compress, islice
 from math import comb
@@ -185,15 +185,21 @@ def _a_tasks(
         base += count
 
 
-def enumerate_pairs(
-    space: SearchSpace, pair_cap: int = DEFAULT_PAIR_CAP
-) -> Iterator[tuple[IntSet, HSet, SumsetKind]]:
-    """Every pair exactly once, ordered by (zero mode, k, A, r, H, kind)."""
+def _capped_count(space: SearchSpace, pair_cap: int) -> int:
+    """The space's pair count; raises when it is above the cap."""
     count = space.enumeration_count()
     if count > pair_cap:
         raise SpaceTooLargeError(
             f"enumeration would visit {count} pairs, above the cap {pair_cap}"
         )
+    return count
+
+
+def enumerate_pairs(
+    space: SearchSpace, pair_cap: int = DEFAULT_PAIR_CAP
+) -> Iterator[tuple[IntSet, HSet, SumsetKind]]:
+    """Every pair exactly once, ordered by (zero mode, k, A, r, H, kind)."""
+    _capped_count(space, pair_cap)
     h_sets = [
         HSet(h_combo)
         for r in space.r_values()
@@ -276,7 +282,7 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
         # formulas show; limits holds each bound, or -1 where none applies.
         # An equality case's size is its row's bound, so its verdict depends
         # on the row and A's half only: verdicts maps (row, a_half) to the
-        # first such case's (record, nonstructured, inconsistent)
+        # case record of the first such case, and every case copies it
         rows, limits, verdicts = [], [], {}
         for h_combo in row_combos:
             H = HSet(h_combo)
@@ -325,23 +331,19 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
                         case_cap,
                     )
                 else:
-                    known = verdicts.get((i, a_half))
-                    if known is None:
+                    template = verdicts.get((i, a_half))
+                    if template is None:
                         verdict = build_verdict(
                             kind, set_class, size, outcome, h_half, a_half
                         )
-                        record = case_record(a_text, h_text, zero_in, verdict)
-                        nonstructured = verdict.is_nonstructured_equality
-                        inconsistent = not verdict.consistent
-                        verdicts[i, a_half] = record, nonstructured, inconsistent
-                    else:
-                        template, nonstructured, inconsistent = known
-                        # "a" keeps its place as the first key
-                        record = template | {"a": a_text}
+                        template = case_record(a_text, h_text, zero_in, verdict)
+                        verdicts[i, a_half] = template
+                    # a new dict per case; "a" keeps its place as the first key
+                    record = template | {"a": a_text}
                     acc.equality.add(record, case_cap)
-                    if nonstructured:
+                    if record["nonstructured"]:
                         acc.nonstructured.add(record, case_cap)
-                    if inconsistent:
+                    if not record["consistent"]:
                         acc.inconsistencies.add(record, case_cap)
     return acc
 
@@ -353,13 +355,14 @@ class VerificationReport:
     Violation and inconsistency lists must be empty on every space the
     catalog covers; a nonempty list is a counterexample. Case lists are
     bounded by equality_case_cap (counts are always complete). Wall time is
-    informational and deliberately left out of the serialized form so that
-    reports are comparable byte for byte.
+    informational: it is left out of equality and of the serialized form, so
+    that reports compare byte for byte. The serialized keys are the version,
+    then the compared fields in declaration order.
     """
 
     space: SearchSpace
-    pairs_checked: int
     enumeration_count: int
+    pairs_checked: int
     bound_violation_count: int
     bound_violations: list
     equality_case_count: int
@@ -369,28 +372,17 @@ class VerificationReport:
     inverse_inconsistency_count: int
     inverse_inconsistencies: list
     equality_case_cap: int
-    wall_time_seconds: float = 0.0
+    wall_time_seconds: float = field(default=0.0, compare=False)
 
     @property
     def clean(self) -> bool:
         return self.bound_violation_count == 0 and self.inverse_inconsistency_count == 0
 
     def to_dict(self) -> dict:
-        return {
-            "version": REPORT_VERSION,
-            "space": self.space.to_dict(),
-            "enumeration_count": self.enumeration_count,
-            "pairs_checked": self.pairs_checked,
-            "bound_violation_count": self.bound_violation_count,
-            "bound_violations": self.bound_violations,
-            "equality_case_count": self.equality_case_count,
-            "equality_cases": self.equality_cases,
-            "allowed_nonstructured_count": self.allowed_nonstructured_count,
-            "allowed_nonstructured_equalities": self.allowed_nonstructured_equalities,
-            "inverse_inconsistency_count": self.inverse_inconsistency_count,
-            "inverse_inconsistencies": self.inverse_inconsistencies,
-            "equality_case_cap": self.equality_case_cap,
-        }
+        data = {"version": REPORT_VERSION}
+        data.update((f.name, getattr(self, f.name)) for f in fields(self) if f.compare)
+        data["space"] = self.space.to_dict()
+        return data
 
     def to_json(self) -> str:
         # acyclic by construction: a record in two lists is shared, not a cycle
@@ -400,20 +392,9 @@ class VerificationReport:
     def from_dict(cls, data: dict) -> VerificationReport:
         if data.get("version") != REPORT_VERSION:
             raise ValueError(f"unsupported report version {data.get('version')!r}")
-        return cls(
-            space=SearchSpace.from_dict(data["space"]),
-            pairs_checked=data["pairs_checked"],
-            enumeration_count=data["enumeration_count"],
-            bound_violation_count=data["bound_violation_count"],
-            bound_violations=data["bound_violations"],
-            equality_case_count=data["equality_case_count"],
-            equality_cases=data["equality_cases"],
-            allowed_nonstructured_count=data["allowed_nonstructured_count"],
-            allowed_nonstructured_equalities=data["allowed_nonstructured_equalities"],
-            inverse_inconsistency_count=data["inverse_inconsistency_count"],
-            inverse_inconsistencies=data["inverse_inconsistencies"],
-            equality_case_cap=data["equality_case_cap"],
-        )
+        values = {f.name: data[f.name] for f in fields(cls) if f.compare}
+        values["space"] = SearchSpace.from_dict(data["space"])
+        return cls(**values)
 
     @classmethod
     def from_json(cls, text: str) -> VerificationReport:
@@ -445,11 +426,7 @@ def verify(
     if workers is not None and workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     started = time.perf_counter()
-    expected = space.enumeration_count()
-    if expected > pair_cap:
-        raise SpaceTooLargeError(
-            f"enumeration would visit {expected} pairs, above the cap {pair_cap}"
-        )
+    expected = _capped_count(space, pair_cap)
     total_a = space.a_task_count()
     chunk_args = [
         (space, start, min(start + _CHUNK_A_TASKS, total_a), case_cap)

@@ -99,7 +99,16 @@ def test_intset_membership():
 def test_hset_rejects_negative():
     with pytest.raises(ValueError):
         HSet((-1, 2))
+    # the IntSet checks still apply, each with its own exception type
+    with pytest.raises(TypeError):
+        HSet((1, 2.0))
+    with pytest.raises(ValueError):
+        HSet((2, 2))
+    with pytest.raises(IntegerOverflowError):
+        HSet((1, 2**63))
+    assert HSet((1, 2)) != IntSet((1, 2))
     assert HSet.of([3, 1]).elements == (1, 3)
+    assert HSet.of([3, 1]).max == 3
     assert HSet((0, 2)).all_positive is False
     assert HSet((1, 2)).all_positive is True
 

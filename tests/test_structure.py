@@ -326,6 +326,14 @@ def test_verdict_to_dict_round_trips_through_json():
     import json
 
     v = check_inverse(IntSet((2, 4, 6, 8)), HSet((1, 2)), ORD)
-    payload = json.loads(json.dumps(v.to_dict()))
+    data = v.to_dict()
+    assert list(data) == [
+        "kind", "set_class", "computed_size", "bound_value", "bound_applicable",
+        "equality_holds", "hypotheses_hold", "reasons", "rule",
+        "structure_predicted", "structure_observed", "structure_matches",
+        "consistent", "nonstructured",
+    ]
+    assert type(data["reasons"]) is list and type(data["structure_predicted"]) is list
+    payload = json.loads(json.dumps(data))
     assert payload["equality_holds"] is True
     assert payload["structure_observed"]["a_difference"] == 2

@@ -373,6 +373,16 @@ def test_report_json_round_trip():
     data = json.loads(blob)
     assert data["version"] == "sumset-lab-report/1"
     assert "wall_time" not in blob  # timing never makes reports incomparable
+    # the README's report schema, key for key
+    assert list(data) == [
+        "version", "space", "enumeration_count", "pairs_checked",
+        "bound_violation_count", "bound_violations",
+        "equality_case_count", "equality_cases",
+        "allowed_nonstructured_count", "allowed_nonstructured_equalities",
+        "inverse_inconsistency_count", "inverse_inconsistencies",
+        "equality_case_cap",
+    ]
+    assert "wall_time_seconds" not in report.to_dict()
 
 
 def test_find_extremal_ordinary_structure():
