@@ -197,16 +197,25 @@ class InverseVerdict:
         return self.equality_holds and not self.hypotheses_hold and not self.structure_matches
 
     def to_dict(self) -> dict:
-        """The fields in order, enums as their values and tuples as lists,
-        then the nonstructured flag."""
-        data = asdict(self)
-        for name, value in data.items():
-            if isinstance(value, Enum):
-                data[name] = value.value
-            elif isinstance(value, tuple):
-                data[name] = list(value)
+        """plain_fields, then the nonstructured flag."""
+        data = plain_fields(self)
         data["nonstructured"] = self.is_nonstructured_equality
         return data
+
+
+def plain_fields(instance) -> dict:
+    """A dataclass's fields in declaration order, ready for JSON: enums as
+    their values and tuples as lists, element by element; a nested
+    dataclass becomes a dict of its fields."""
+    return {name: _plain(value) for name, value in asdict(instance).items()}
+
+
+def _plain(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
 def _expectation(

@@ -12,8 +12,10 @@ its row's bound, so its verdict and record depend on the row and A's half
 alone: each block builds them once per (row, A's half) and copies the
 record with each A's text. Work is split into contiguous chunks of the
 A-enumeration by combinatorial rank; chunk boundaries are independent of
-the worker count and partial results merge in rank order, so the report is
-byte-identical no matter how many workers ran.
+the worker count and chunk results merge in rank order as they finish, so
+the report is byte-identical no matter how many workers ran. Each case
+list stops at the case cap, in a chunk and in the merge alike, so memory
+follows the cap rather than the number of cases.
 """
 
 from __future__ import annotations
@@ -25,15 +27,21 @@ import time
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import combinations, compress, islice
-from math import comb
+from math import comb, log10
 from operator import le
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import bounds
 from .engine import SumsetKind, sumset_ladder
 from .errors import SpaceTooLargeError
 from .intset import HSet, IntSet, SetClass, format_elements, parse_elements
-from .structure import InverseVerdict, build_verdict, verdict_a_half, verdict_h_half
+from .structure import (
+    InverseVerdict,
+    build_verdict,
+    plain_fields,
+    verdict_a_half,
+    verdict_h_half,
+)
 
 REPORT_VERSION = "sumset-lab-report/1"
 DEFAULT_PAIR_CAP = 10**8
@@ -41,6 +49,9 @@ DEFAULT_CASE_CAP = 10**5
 
 # A-sets per work chunk; fixed so that chunking never depends on worker count
 _CHUNK_A_TASKS = 64
+# chunks per pool message: each message costs the parent 1-2 ms of CPU, and
+# each holds up to this many unmerged chunk results in the parent
+_CHUNKS_PER_MESSAGE = 8
 
 
 class ZeroMode(Enum):
@@ -92,29 +103,23 @@ class SearchSpace:
                 universe = tuple(range(1, self.universe_max + 1))
             else:
                 universe = tuple(range(1, self.universe_max))
-            for k in self.k_values():
-                pick = k if mode is ZeroMode.WITHOUT else k - 1
-                blocks.append((mode, k, universe, pick, comb(len(universe), pick)))
+            ks = self.k_values()
+            picks = ks if mode is ZeroMode.WITHOUT else range(ks.start - 1, ks.stop - 1)
+            for k, pick, count in zip(ks, picks, _binomials(len(universe), picks)):
+                blocks.append((mode, k, universe, pick, count))
         return blocks
 
     def a_task_count(self) -> int:
         return sum(block[4] for block in self.a_blocks())
 
     def h_subset_count(self) -> int:
-        return sum(comb(self.h_max, r) for r in self.r_values())
+        return sum(_binomials(self.h_max, self.r_values()))
 
     def enumeration_count(self) -> int:
         return self.a_task_count() * self.h_subset_count() * len(self.kinds)
 
     def to_dict(self) -> dict:
-        return {
-            "universe_max": self.universe_max,
-            "k_range": list(self.k_range),
-            "h_max": self.h_max,
-            "r_range": list(self.r_range),
-            "kinds": [kind.value for kind in self.kinds],
-            "zero_mode": self.zero_mode.value,
-        }
+        return plain_fields(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> SearchSpace:
@@ -126,6 +131,15 @@ class SearchSpace:
             kinds=tuple(SumsetKind(v) for v in data["kinds"]),
             zero_mode=ZeroMode(data["zero_mode"]),
         )
+
+
+def _binomials(n: int, picks: range) -> list[int]:
+    """comb(n, r) for each r of a step-1 range, exactly: one comb call, then
+    C(n, r) = C(n, r-1)(n-r+1)/r, so a long range costs linear time per r."""
+    counts = [comb(n, r) for r in picks[:1]]
+    for r in picks[1:]:
+        counts.append(counts[-1] * (n - r + 1) // r)
+    return counts
 
 
 def _unrank_combination(n: int, k: int, rank: int) -> list[int]:
@@ -190,9 +204,22 @@ def _capped_count(space: SearchSpace, pair_cap: int) -> int:
     count = space.enumeration_count()
     if count > pair_cap:
         raise SpaceTooLargeError(
-            f"enumeration would visit {count} pairs, above the cap {pair_cap}"
+            f"enumeration would visit {_count_text(count)} pairs, above the cap {pair_cap}"
         )
     return count
+
+
+def _count_text(count: int) -> str:
+    """A positive count in decimal, or past 30 digits the largest power of
+    ten it reaches (decimal text of a few thousand digits is refused)."""
+    if count < 10**30:
+        return str(count)
+    exponent = int(log10(count))  # a float, so it may be one off either way
+    if 10**exponent > count:
+        exponent -= 1
+    elif 10 ** (exponent + 1) <= count:
+        exponent += 1
+    return f"at least 10^{exponent}"
 
 
 def enumerate_pairs(
@@ -225,9 +252,9 @@ class _Cases:
         if len(self.records) < case_cap:
             self.records.append(record)
 
-    def extend(self, other: _Cases) -> None:
+    def extend(self, other: _Cases, case_cap: int) -> None:
         self.count += other.count
-        self.records.extend(other.records)
+        self.records.extend(other.records[: case_cap - len(self.records)])
 
 
 @dataclass
@@ -239,9 +266,25 @@ class _Partial:
     inconsistencies: _Cases = field(default_factory=_Cases)
 
 
+def _merged(parts: Iterable[_Partial], case_cap: int) -> _Partial:
+    """Fold chunk results in rank order as they arrive. Each list stops at
+    the cap, so the merge never holds more than case_cap records per list
+    and a chunk's result is dropped once it is folded in."""
+    merged = _Partial()
+    for part in parts:
+        merged.pairs += part.pairs
+        merged.violations.extend(part.violations, case_cap)
+        merged.equality.extend(part.equality, case_cap)
+        merged.nonstructured.extend(part.nonstructured, case_cap)
+        merged.inconsistencies.extend(part.inconsistencies, case_cap)
+    return merged
+
+
 def case_record(a_text: str, h_text: str, zero_in: bool, verdict: InverseVerdict) -> dict:
+    """The pair, the comparison, the verdict flags, then the observed
+    structure's fields in declaration order."""
     obs = verdict.structure_observed
-    return {
+    record = {
         "a": a_text,
         "h": h_text,
         "kind": verdict.kind.value,
@@ -253,14 +296,9 @@ def case_record(a_text: str, h_text: str, zero_in: bool, verdict: InverseVerdict
         "consistent": verdict.consistent,
         "nonstructured": verdict.is_nonstructured_equality,
         "rule": verdict.rule,
-        "h_is_ap": obs.h_is_ap,
-        "h_difference": obs.h_difference,
-        "h_shifted_interval": obs.h_shifted_interval,
-        "a_is_ap": obs.a_is_ap,
-        "a_difference": obs.a_difference,
-        "a_dilated_interval": obs.a_dilated_interval,
-        "difference_relation": obs.difference_relation,
     }
+    record.update((f.name, getattr(obs, f.name)) for f in fields(obs))
+    return record
 
 
 def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
@@ -434,33 +472,27 @@ def verify(
     ]
     processes = _pool_size(workers, len(chunk_args))
     if processes == 1:
-        partials = [_run_chunk(args) for args in chunk_args]
+        merged = _merged(map(_run_chunk, chunk_args), case_cap)
     else:
         if "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
         else:
             ctx = multiprocessing.get_context()
         with ctx.Pool(processes=processes) as pool:
-            partials = pool.map(_run_chunk, chunk_args)
-    merged = _Partial()
-    for part in partials:
-        merged.pairs += part.pairs
-        merged.violations.extend(part.violations)
-        merged.equality.extend(part.equality)
-        merged.nonstructured.extend(part.nonstructured)
-        merged.inconsistencies.extend(part.inconsistencies)
+            parts = pool.imap(_run_chunk, chunk_args, _CHUNKS_PER_MESSAGE)
+            merged = _merged(parts, case_cap)
     return VerificationReport(
         space=space,
         pairs_checked=merged.pairs,
         enumeration_count=expected,
         bound_violation_count=merged.violations.count,
-        bound_violations=merged.violations.records[:case_cap],
+        bound_violations=merged.violations.records,
         equality_case_count=merged.equality.count,
-        equality_cases=merged.equality.records[:case_cap],
+        equality_cases=merged.equality.records,
         allowed_nonstructured_count=merged.nonstructured.count,
-        allowed_nonstructured_equalities=merged.nonstructured.records[:case_cap],
+        allowed_nonstructured_equalities=merged.nonstructured.records,
         inverse_inconsistency_count=merged.inconsistencies.count,
-        inverse_inconsistencies=merged.inconsistencies.records[:case_cap],
+        inverse_inconsistencies=merged.inconsistencies.records,
         equality_case_cap=case_cap,
         wall_time_seconds=time.perf_counter() - started,
     )

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,24 @@ def test_empty_space_exits_1(capsys, command, space):
     assert code == 1
     assert out == ""
     assert err.startswith("error: the search space holds no pairs")
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        ["--universe", "8", "--k", "2..2", "--hmax", "8000"],  # 2^8000 - 1 H-sets
+        ["--universe", "8000", "--k", "1..8000", "--hmax", "1"],  # 2^8000 - 1 A-sets
+        ["--universe", "8", "--k", "2..2", "--hmax", "16000"],  # past 4,300 digits
+    ],
+)
+def test_oversized_space_refused_quickly(capsys, space):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", *space, "--workers", "1")
+    assert time.perf_counter() - started < 5
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: enumeration would visit ")
+    assert err.endswith(" pairs, above the cap 100000000\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "extremal"])

@@ -2,8 +2,9 @@
 
 import json
 import os
+import weakref
 from dataclasses import asdict, replace
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -13,7 +14,7 @@ import sumset_lab.structure as structure
 import sumset_lab.verifier as verifier
 from sumset_lab.engine import SumsetKind, union_sumset
 from sumset_lab.errors import SpaceTooLargeError
-from sumset_lab.intset import HSet, IntSet, parse_elements
+from sumset_lab.intset import HSet, IntSet, format_elements, parse_elements
 from sumset_lab.verifier import (
     SearchSpace,
     VerificationReport,
@@ -86,6 +87,34 @@ def test_space_cap():
         verify(space, pair_cap=1000)
 
 
+def test_space_counts_stay_exact_on_long_ranges():
+    for n in range(10):
+        for lo in range(12):
+            for hi in range(lo - 1, 12):
+                picks = range(lo, hi + 1)
+                assert verifier._binomials(n, picks) == [comb(n, r) for r in picks]
+    space = SearchSpace(8, (2, 2), 16_000, (1, 16_000), kinds=(ORD,))
+    assert space.h_subset_count() == 2**16_000 - 1
+    space = SearchSpace(8000, (1, 8000), 1, (1, 1), zero_mode=ZeroMode.BOTH)
+    # k-subsets of [1, 8000], then {0} plus (k-1)-subsets of [1, 7999]
+    assert space.a_task_count() == 2**8000 - 1 + 2**7999
+
+
+def test_cap_message_stays_readable_for_any_count():
+    text = verifier._count_text
+    assert text(123) == "123"
+    assert text(10**30 - 1) == "9" * 30
+    assert text(10**30) == "at least 10^30"
+    for exponent in (31, 4300, 9000):
+        assert text(10**exponent - 1) == f"at least 10^{exponent - 1}"
+        assert text(10**exponent) == f"at least 10^{exponent}"
+        assert text(10**exponent + 1) == f"at least 10^{exponent}"
+    # 2 kinds * comb(8, 2) * (2^16000 - 1) pairs, about 10^4818.2
+    space = SearchSpace(8, (2, 2), 16_000, (1, 16_000))
+    with pytest.raises(SpaceTooLargeError, match=r"visit at least 10\^4818 pairs, above"):
+        verify(space)
+
+
 def test_single_pair_equality_space():
     space = SearchSpace(3, (3, 3), 2, (2, 2), kinds=(ORD,))
     report = verify(space, workers=1)
@@ -148,6 +177,41 @@ def test_deep_sweep_n16():
     assert report.clean
 
 
+def _sum_family(n, k):
+    """Texts of the k-subsets of [1, n] whose largest element is the sum of
+    the others."""
+    return {
+        format_elements(rest + (sum(rest),))
+        for rest in combinations(range(1, n), k - 1)
+        if sum(rest) <= n
+    }
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize(
+    "n, k, pairs, equality, family",
+    [(22, 6, 1_939_938, 72, 42), (24, 7, 19_727_928, 52, 7)],
+)
+def test_deep_restricted_first_and_last_multiplicity_family(n, k, pairs, equality, family):
+    # restricted, without zero, r >= 2: by the README's proof at H = {1, k-1},
+    # the allowed nonstructured cases are exactly that H on the sets whose
+    # largest element is the sum of the others; the oracle does not sweep
+    space = SearchSpace(n, (k, k), k - 1, (2, k - 1), kinds=(RES,))
+    report = verify(space, workers=2)
+    assert report.pairs_checked == space.enumeration_count() == pairs
+    assert report.equality_case_count == equality
+    assert report.bound_violation_count == 0
+    assert report.inverse_inconsistency_count == 0
+    expected = {(text, f"1,{k - 1}") for text in _sum_family(n, k)}
+    assert len(expected) == family
+    flagged = {
+        (case["a"], case["h"]) for case in report.allowed_nonstructured_equalities
+    }
+    assert flagged == expected
+    assert report.allowed_nonstructured_count == family
+    assert report.clean
+
+
 def test_verify_counts_and_lists_consistent():
     space = SearchSpace(7, (2, 4), 4, (1, 4), zero_mode=ZeroMode.BOTH)
     report = verify(space, workers=1)
@@ -179,14 +243,67 @@ def test_worker_determinism_small_space(monkeypatch):
     assert blobs[1] == blobs[2] == blobs[3]
 
 
-def test_equality_case_cap_truncates_lists_not_counts():
-    space = SearchSpace(6, (2, 3), 3, (1, 3))
+_COUNTS_AND_LISTS = (
+    ("bound_violation_count", "bound_violations"),
+    ("equality_case_count", "equality_cases"),
+    ("allowed_nonstructured_count", "allowed_nonstructured_equalities"),
+    ("inverse_inconsistency_count", "inverse_inconsistencies"),
+)
+
+
+def test_equality_case_cap_truncates_lists_not_counts(monkeypatch):
+    _pin_cpus(monkeypatch, 2)
+    # an ordinary bound one too high fills all four lists in every chunk:
+    # sizes at the true bound fall short of it, and sizes one above become
+    # equality cases, some covered by the hypotheses yet unstructured
+    real = bounds.catalog_bound
+
+    def raised(kind, *args):
+        outcome = real(kind, *args)
+        if kind is ORD and outcome.applicable:
+            return replace(outcome, value=outcome.value + 1)
+        return outcome
+
+    monkeypatch.setattr(bounds, "catalog_bound", raised)
+    space = SearchSpace(10, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
+    chunk_size = verifier._CHUNK_A_TASKS
+    assert space.a_task_count() > 4 * chunk_size
+    first = _run_chunk((space, 0, chunk_size, 10**9))
+    first_counts = [
+        first.violations.count,
+        first.equality.count,
+        first.nonstructured.count,
+        first.inconsistencies.count,
+    ]
     full = verify(space, workers=1)
-    capped = verify(space, workers=1, case_cap=5)
-    assert capped.equality_case_count == full.equality_case_count > 5
-    assert len(capped.equality_cases) == 5
-    assert capped.equality_cases == full.equality_cases[:5]
-    assert capped.equality_case_cap == 5
+    for (count, _), in_first in zip(_COUNTS_AND_LISTS, first_counts):
+        assert 1 < in_first < getattr(full, count) - 1
+    # caps below, at and above what the first chunk holds of each list
+    caps = sorted({c + d for c in first_counts for d in (-1, 0, 1)})
+    for workers, cap in product((1, 2), caps):
+        capped = verify(space, workers=workers, case_cap=cap)
+        assert capped.equality_case_cap == cap
+        for count, cases in _COUNTS_AND_LISTS:
+            assert getattr(capped, count) == getattr(full, count)
+            assert getattr(capped, cases) == getattr(full, cases)[:cap]
+            assert len(getattr(capped, cases)) == min(cap, getattr(full, count))
+
+
+def test_in_process_merge_keeps_one_chunk_result_at_a_time(monkeypatch):
+    real, results, alive = verifier._run_chunk, [], []
+
+    def tracked(args):
+        # earlier chunk results still reachable as this chunk starts
+        alive.append(sum(ref() is not None for ref in results))
+        result = real(args)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(verifier, "_run_chunk", tracked)
+    space = SearchSpace(10, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
+    verify(space, workers=1, case_cap=10)
+    assert len(alive) == -(-space.a_task_count() // verifier._CHUNK_A_TASKS) > 4
+    assert max(alive) <= 1
 
 
 def test_verify_rejects_negative_case_cap_and_workers():
