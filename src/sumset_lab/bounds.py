@@ -125,6 +125,8 @@ def catalog_bound(kind: SumsetKind, k: int, H: HSet, zero_in_A: bool) -> BoundOu
     union is literally unchanged); with 0 outside A no catalog formula
     covers the enlarged union and the outcome is inapplicable.
     """
+    if k < 1:
+        raise HypothesisError(f"need k >= 1, got {k}")
     hs = H.elements
     note = None
     if not hs:

@@ -114,19 +114,6 @@ def _space_from(args) -> SearchSpace:
         raise ValueError(
             "the search space holds no pairs; check --universe, --k, --r and --hmax"
         )
-    # SearchSpace enumerates only k >= 1 and 1 <= r <= hmax; a wider request
-    # would be reported as asked yet checked in part
-    k, r = space.k_values(), space.r_values()
-    if space.k_range[0] < 1:
-        raise ValueError(
-            f"--k {space.k_range[0]}..{space.k_range[1]} starts below 1;"
-            f" only k={k[0]}..{k[-1]} would be checked"
-        )
-    if space.r_range[0] < 1 or space.r_range[1] > space.h_max:
-        raise ValueError(
-            f"--r {space.r_range[0]}..{space.r_range[1]} reaches outside"
-            f" 1..{space.h_max} (--hmax); only r={r[0]}..{r[-1]} would be checked"
-        )
     return space
 
 

@@ -110,7 +110,7 @@ def witness_blocks(A: IntSet, H: HSet, kind: SumsetKind) -> BlockDecomposition:
     """
     if classify(A) is not SetClass.ALL_POSITIVE:
         raise HypothesisError("block construction requires an all-positive set")
-    if H.is_empty or not H.all_positive:
+    if not H.all_positive:
         raise HypothesisError("block construction requires positive multiplicities")
     k = len(A)
     if kind is SumsetKind.RESTRICTED and H.max > k:
@@ -224,7 +224,7 @@ def _expectation(
     """Rule name, predicted fact names, and unmet-hypothesis reasons."""
     r = len(H)
     reasons: list[str] = []
-    if H.is_empty or not H.all_positive:
+    if not H.all_positive:
         reasons.append("multiplicity set must be positive")
     if kind is SumsetKind.ORDINARY and not zero_in:
         if r >= 2:

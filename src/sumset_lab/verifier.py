@@ -74,6 +74,11 @@ class ZeroMode(Enum):
 
 @dataclass(frozen=True)
 class SearchSpace:
+    """Every (A, H, kind): A a k-subset of [1, universe_max] (see ZeroMode for
+    0), H an r-subset of [1, h_max], k in k_range and r in r_range (inclusive).
+    A nonempty k_range must start at 1 or above and a nonempty r_range must lie
+    in 1..h_max (else ValueError); an empty range (lo > hi) gives an empty space."""
+
     universe_max: int
     k_range: tuple[int, int]
     h_max: int
@@ -88,12 +93,17 @@ class SearchSpace:
             raise ValueError("h_max must be at least 1")
         if not self.kinds or len(set(self.kinds)) != len(self.kinds):
             raise ValueError("kinds must be nonempty and distinct")
+        (k_lo, k_hi), (r_lo, r_hi) = self.k_range, self.r_range
+        if k_lo <= k_hi and k_lo < 1:
+            raise ValueError(f"k_range {k_lo}..{k_hi} starts below 1")
+        if r_lo <= r_hi and (r_lo < 1 or r_hi > self.h_max):
+            raise ValueError(f"r_range {r_lo}..{r_hi} reaches outside 1..h_max={self.h_max}")
 
     def k_values(self) -> range:
-        return range(max(1, self.k_range[0]), self.k_range[1] + 1)
+        return range(self.k_range[0], self.k_range[1] + 1)
 
     def r_values(self) -> range:
-        return range(max(1, self.r_range[0]), min(self.h_max, self.r_range[1]) + 1)
+        return range(self.r_range[0], self.r_range[1] + 1)
 
     def a_blocks(self) -> list[tuple[ZeroMode, int, tuple[int, ...], int, int]]:
         """(mode, k, positive universe, pick count, block size) per k-block."""

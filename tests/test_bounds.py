@@ -202,6 +202,15 @@ def test_catalog_bound_matches_direct_formulas():
                 assert not out.applicable
 
 
+def test_catalog_bound_refuses_k_below_1_for_both_kinds():
+    # k is checked before any cap or H rule, so both kinds refuse it alike
+    for kind in (ORD, RES):
+        for zero_in in (False, True):
+            with pytest.raises(HypothesisError) as exc:
+                catalog_bound(kind, 0, HSet((1,)), zero_in)
+            assert str(exc.value) == "need k >= 1, got 0"
+
+
 def test_sizes_never_below_applicable_bounds():
     # dense spot sweep: all A within [1,9] of size 3, assorted H
     for combo in combinations(range(1, 10), 3):

@@ -134,7 +134,7 @@ def test_verify_rejects_bad_workers_and_case_cap(capsys):
     "space",
     [
         ["--universe", "8", "--k", "5..3", "--hmax", "3"],  # empty k range
-        ["--universe", "8", "--k", "2..3", "--r", "4..5", "--hmax", "3"],  # r above hmax
+        ["--universe", "8", "--k", "2..3", "--r", "3..2", "--hmax", "3"],  # empty r range
         ["--universe", "3", "--k", "5..6", "--hmax", "3"],  # k above the universe
     ],
 )
@@ -165,23 +165,26 @@ def test_oversized_space_refused_quickly(capsys, space):
 
 @pytest.mark.parametrize("command", ["verify", "extremal"])
 @pytest.mark.parametrize(
-    "span, error",
+    "space, message",
     [
-        (["--k", "0..2", "--r", "1..2"], "error: --k 0..2 starts below 1; only k=1..2 would"),
-        (["--k", "1..2", "--r", "1..9"],
-         "error: --r 1..9 reaches outside 1..2 (--hmax); only r=1..2 would"),
-        (["--k", "1..2", "--r", "0..2"],
-         "error: --r 0..2 reaches outside 1..2 (--hmax); only r=1..2 would"),
+        (["--universe", "5", "--k", "0..2", "--r", "1..2", "--hmax", "2"],
+         "k_range 0..2 starts below 1"),
+        (["--universe", "5", "--k", "1..2", "--r", "1..9", "--hmax", "2"],
+         "r_range 1..9 reaches outside 1..h_max=2"),
+        (["--universe", "5", "--k", "1..2", "--r", "0..2", "--hmax", "2"],
+         "r_range 0..2 reaches outside 1..h_max=2"),
+        (["--universe", "8", "--k", "2..3", "--r", "4..5", "--hmax", "3"],
+         "r_range 4..5 reaches outside 1..h_max=3"),
     ],
+    ids=["k-below-1", "r-above-hmax", "r-below-1", "r-wholly-above-hmax"],
 )
-def test_clamped_range_exits_1(capsys, command, span, error):
-    # these spaces hold pairs, but fewer than the requested ranges name
-    code, out, err = run_cli(
-        capsys, command, "--universe", "5", "--hmax", "2", *span, "--workers", "1"
-    )
+def test_clamped_range_exits_1(capsys, command, space, message):
+    # SearchSpace refuses a range it would not check in full; the CLI
+    # prints the library's message as it stands
+    code, out, err = run_cli(capsys, command, *space, "--workers", "1")
     assert code == 1
     assert out == ""
-    assert err.startswith(error)
+    assert err == f"error: {message}\n"
 
 
 def test_check_text(capsys):

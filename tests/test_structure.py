@@ -98,8 +98,20 @@ def test_witness_blocks_preconditions():
     with pytest.raises(HypothesisError):
         witness_blocks(IntSet((1, 2, 3)), HSet((2, 4)), RES)
     for kind in (ORD, RES):
+        for H in (HSet(()), HSet((0, 1))):
+            with pytest.raises(HypothesisError) as exc:
+                witness_blocks(IntSet((1, 2, 3)), H, kind)
+            assert str(exc.value) == "block construction requires positive multiplicities"
+    for kind in (ORD, RES):
         with pytest.raises(IntegerOverflowError):
             witness_blocks(IntSet((2**62, 2**62 + 1)), HSet((1, 2)), kind)
+
+
+def test_check_inverse_names_a_nonpositive_multiplicity_set():
+    for kind in (ORD, RES):
+        v = check_inverse(IntSet((1, 2, 4)), HSet((0, 2)), kind)
+        assert "multiplicity set must be positive" in v.reasons
+        assert not v.hypotheses_hold
 
 
 def _oracle_blocks(A, H, kind):

@@ -42,6 +42,27 @@ def test_enumerate_tiny_space():
     ]
 
 
+@pytest.mark.parametrize(
+    "k_range, r_range, message",
+    [
+        ((0, 3), (1, 3), "k_range 0..3 starts below 1"),
+        ((1, 3), (0, 9), "r_range 0..9 reaches outside 1..h_max=3"),
+        ((1, 3), (4, 5), "r_range 4..5 reaches outside 1..h_max=3"),
+    ],
+)
+def test_space_refuses_out_of_range_k_and_r(k_range, r_range, message):
+    # a space that checked less than its ranges name would misreport itself
+    with pytest.raises(ValueError) as exc:
+        SearchSpace(6, k_range, 3, r_range)
+    assert str(exc.value) == message
+    report = verify(SearchSpace(6, (1, 3), 3, (1, 3), kinds=(ORD,)), workers=1)
+    data = json.loads(report.to_json())
+    data["space"]["k_range"], data["space"]["r_range"] = k_range, r_range
+    with pytest.raises(ValueError) as exc:
+        VerificationReport.from_json(json.dumps(data))
+    assert str(exc.value) == message
+
+
 def test_enumeration_count_formula():
     space = SearchSpace(2, (1, 2), 2, (1, 2), kinds=(ORD,))
     assert space.enumeration_count() == 9
@@ -545,8 +566,10 @@ def test_find_extremal_refuses_truncated_case_list():
 
 
 def test_find_extremal_empty_space():
-    space = SearchSpace(5, (3, 2), 2, (1, 2))
-    assert space.enumeration_count() == 0
-    assert find_extremal(space, workers=1) == []
-    report = verify(space, workers=1)
-    assert report.pairs_checked == 0
+    # an empty range (lo > hi) is legal wherever it lies, and gives an empty space
+    for k_range, r_range in [((3, 2), (1, 2)), ((2, 3), (3, 2)), ((0, -1), (1, 2))]:
+        space = SearchSpace(5, k_range, 2, r_range)
+        assert space.enumeration_count() == 0
+        assert find_extremal(space, workers=1) == []
+        report = verify(space, workers=1)
+        assert report.pairs_checked == 0
