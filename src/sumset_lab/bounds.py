@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import SumsetKind, union_sumset
+from .engine import SumsetKind, require_kind, union_sumset
 from .errors import HypothesisError
 from .intset import REFLECTION_NOTE, HSet, IntSet, make_interval, sign_reduce
 
@@ -70,11 +70,23 @@ def bound_h_fold_restricted(k: int, h: int) -> int:
     return h * (k - h) + 1
 
 
-def _require_positive_h(H: HSet) -> None:
+def _require_formula_inputs(k: int, H: HSet) -> None:
+    """The union formulas' preconditions: a nonempty positive H, then k >= 1."""
     if H.is_empty:
         raise HypothesisError("empty multiplicity set")
     if not H.all_positive:
         raise HypothesisError("multiplicity set must be positive for catalog bounds")
+    if k < 1:
+        raise HypothesisError(f"need k >= 1, got {k}")
+
+
+def _cap_breach(k: int, hs: tuple[int, ...], zero_in_A: bool) -> str | None:
+    """Why increasing hs breaks the restricted cap (h_r <= k, or h_r <= k-1
+    when 0 is in A), or None when it does not."""
+    cap = k - 1 if zero_in_A else k
+    if hs[-1] > cap:
+        return f"max multiplicity {hs[-1]} exceeds the cap {cap} for k={k}"
+    return None
 
 
 def bound_union(k: int, H: HSet, zero_in_A: bool) -> int:
@@ -84,9 +96,7 @@ def bound_union(k: int, H: HSet, zero_in_A: bool) -> int:
     0 is an element of A every smaller fold is absorbed by the largest one
     and the value drops to max(H)*(k-1) + 1.
     """
-    _require_positive_h(H)
-    if k < 1:
-        raise HypothesisError(f"need k >= 1, got {k}")
+    _require_formula_inputs(k, H)
     tail = 1 if zero_in_A else H.r
     return H.max * (k - 1) + tail
 
@@ -98,15 +108,11 @@ def bound_union_restricted(k: int, H: HSet, zero_in_A: bool) -> int:
       positive A:   sum_i (h_i - h_{i-1}) * (k - h_i)     + r,  h_r <= k
       0 in A:       sum_i (h_i - h_{i-1}) * (k - h_i - 1) + h_1 + r,  h_r <= k-1
     """
-    _require_positive_h(H)
-    if k < 1:
-        raise HypothesisError(f"need k >= 1, got {k}")
+    _require_formula_inputs(k, H)
     hs = H.elements
-    cap = k - 1 if zero_in_A else k
-    if hs[-1] > cap:
-        raise HypothesisError(
-            f"max multiplicity {hs[-1]} exceeds the cap {cap} for k={k}"
-        )
+    breach = _cap_breach(k, hs, zero_in_A)
+    if breach:
+        raise HypothesisError(breach)
     total = 0
     prev = 0
     for h in hs:
@@ -125,6 +131,7 @@ def catalog_bound(kind: SumsetKind, k: int, H: HSet, zero_in_A: bool) -> BoundOu
     union is literally unchanged); with 0 outside A no catalog formula
     covers the enlarged union and the outcome is inapplicable.
     """
+    require_kind(kind)
     if k < 1:
         raise HypothesisError(f"need k >= 1, got {k}")
     hs = H.elements
@@ -145,14 +152,9 @@ def catalog_bound(kind: SumsetKind, k: int, H: HSet, zero_in_A: bool) -> BoundOu
         value = bound_union(k, positive, zero_in_A)
         ident = "union-zero" if zero_in_A else "union-positive"
     else:
-        cap = k - 1 if zero_in_A else k
-        if hs[-1] > cap:
-            return BoundOutcome(
-                False,
-                0,
-                None,
-                f"max multiplicity {hs[-1]} exceeds the cap {cap} for k={k}",
-            )
+        breach = _cap_breach(k, hs, zero_in_A)
+        if breach:
+            return BoundOutcome(False, 0, None, breach)
         value = bound_union_restricted(k, positive, zero_in_A)
         ident = "union-restricted-zero" if zero_in_A else "union-restricted-positive"
     return BoundOutcome(True, value, BoundFormula(ident, k, hs), note)
@@ -164,18 +166,15 @@ def extremal_example(
     """The witness pair achieving the corresponding bound with equality.
 
     Positive case: A = [1, k] with H = [1, r]; zero case: A = [0, k-1].
-    Restricted kinds need r <= k (positive) resp. r <= k-1 (with zero).
+    Raises HypothesisError with the catalog's reason when no formula
+    applies to (kind, k, H, zero_in_A).
     """
-    if k < 1 or r < 1:
-        raise HypothesisError(f"need k >= 1 and r >= 1, got k={k}, r={r}")
-    if kind is SumsetKind.RESTRICTED:
-        cap = k - 1 if zero_in_A else k
-        if r > cap:
-            raise HypothesisError(
-                f"restricted witness needs r <= {cap} for k={k}, got r={r}"
-            )
+    H = HSet(tuple(range(1, r + 1)))
+    outcome = catalog_bound(kind, k, H, zero_in_A)
+    if not outcome.applicable:
+        raise HypothesisError(f"no {kind.value} witness with r={r}: {outcome.reason}")
     A = make_interval(0, k - 1) if zero_in_A else make_interval(1, k)
-    return A, HSet(tuple(range(1, r + 1)))
+    return A, H
 
 
 def bound_report(A: IntSet, H: HSet, kind: SumsetKind, size: int) -> BoundReport:

@@ -57,6 +57,13 @@ class SumBitmap:
         return IntSet(tuple(compress(range(offset, offset + n), digits)))
 
 
+def require_kind(kind: SumsetKind) -> None:
+    """Refuse a kind that is not a SumsetKind member (a string such as
+    "ordinary" included): every kind branch would take it for restricted."""
+    if not isinstance(kind, SumsetKind):
+        raise TypeError(f"kind must be a SumsetKind, got {kind!r}")
+
+
 def _require_nonempty(A: IntSet) -> None:
     if A.is_empty:
         raise ArityError("sumsets of the empty set are undefined")
@@ -84,6 +91,7 @@ def _check_rungs(A: IntSet, hs: Sequence[int], kind: SumsetKind) -> None:
     off one ascending and one descending prefix sum of A. Only on failure are the
     rungs walked in order, so the error names the same sum as a per-rung check.
     """
+    require_kind(kind)
     if not hs:
         return
     e = A.elements
@@ -237,6 +245,7 @@ def naive_h_fold(
     Refuses inputs whose enumeration count exceeds `cap` rather than
     grinding; the fast path has no such limit.
     """
+    require_kind(kind)
     _require_nonempty(A)
     if h < 0:
         raise ArityError("multiplicity must be nonnegative")

@@ -270,18 +270,6 @@ def _expectation(
     return rule, predicted, reasons
 
 
-def verdict_h_half(
-    kind: SumsetKind, zero_in: bool, k: int, H: HSet, outcome: bounds.BoundOutcome
-) -> tuple[str, tuple[str, ...], tuple[str, ...], APDescriptor, bool]:
-    """The verdict inputs that do not look at A's elements: rule, predicted
-    fact names, unmet-hypothesis reasons, H's progression, whether H is a run."""
-    rule, predicted, reasons = _expectation(kind, zero_in, k, H)
-    if not outcome.applicable and outcome.reason:
-        reasons.append(f"no applicable bound: {outcome.reason}")
-    hd = ap_descriptor(H) if H.elements else APDescriptor(True, 0, None)
-    return rule, predicted, tuple(reasons), hd, h_shifted_interval(H) is not None
-
-
 def verdict_a_half(A: IntSet, zero_in: bool) -> tuple[APDescriptor, bool]:
     """The verdict inputs that look at A alone, a sign-reduced set: its
     progression, whether it is a dilated interval."""
@@ -292,18 +280,24 @@ def verdict_a_half(A: IntSet, zero_in: bool) -> tuple[APDescriptor, bool]:
 def build_verdict(
     kind: SumsetKind,
     set_class: SetClass,
+    zero_in: bool,
+    k: int,
+    H: HSet,
     size: int,
     outcome: bounds.BoundOutcome,
-    h_half: tuple[str, tuple[str, ...], tuple[str, ...], APDescriptor, bool],
     a_half: tuple[APDescriptor, bool],
     extra_reasons: tuple[str, ...] = (),
 ) -> InverseVerdict:
-    """Assemble the verdict from a precomputed size, bound outcome and the
-    two halves of its inputs (verdict_h_half, verdict_a_half), of a
-    sign-reduced A. Only the relation between the halves is computed here,
-    so the exhaustive verifier builds each half once per row and once per A.
+    """Assemble the verdict of a sign-reduced A of k elements from its
+    union's size, its bound outcome and A's half (verdict_a_half). H's facts
+    (rule, predicted facts, unmet hypotheses, progression, run) are derived
+    here, so the exhaustive verifier, which calls this once per (row, A's
+    half), derives them only for the rows that reach an equality case.
     """
-    rule, predicted, reasons, hd, h_run = h_half
+    rule, predicted, reasons = _expectation(kind, zero_in, k, H)
+    if not outcome.applicable and outcome.reason:
+        reasons.append(f"no applicable bound: {outcome.reason}")
+    hd = ap_descriptor(H) if H.elements else APDescriptor(True, 0, None)
     ad, a_dilated = a_half
     # a difference is None unless the set is a progression of 2+ elements
     if hd.difference is not None and ad.difference is not None:
@@ -313,7 +307,7 @@ def build_verdict(
     observed = StructureFacts(
         h_is_ap=hd.is_ap,
         h_difference=hd.difference,
-        h_shifted_interval=h_run,
+        h_shifted_interval=h_shifted_interval(H) is not None,
         a_is_ap=ad.is_ap,
         a_difference=ad.difference,
         a_dilated_interval=a_dilated,
@@ -331,7 +325,7 @@ def build_verdict(
         bound_applicable=outcome.applicable,
         equality_holds=equality,
         hypotheses_hold=hypotheses,
-        reasons=extra_reasons + reasons,
+        reasons=extra_reasons + tuple(reasons),
         rule=rule,
         structure_predicted=predicted,
         structure_observed=observed,
@@ -347,8 +341,8 @@ def check_inverse(A: IntSet, H: HSet, kind: SumsetKind) -> InverseVerdict:
     if work is not A:
         extra = (REFLECTION_NOTE,)
     zero_in = work.elements[0] == 0
+    k = len(work)
     size = len(union_sumset(work, H, kind))
-    outcome = bounds.catalog_bound(kind, len(work), H, zero_in)
-    h_half = verdict_h_half(kind, zero_in, len(work), H, outcome)
+    outcome = bounds.catalog_bound(kind, k, H, zero_in)
     a_half = verdict_a_half(work, zero_in)
-    return build_verdict(kind, set_class, size, outcome, h_half, a_half, extra)
+    return build_verdict(kind, set_class, zero_in, k, H, size, outcome, a_half, extra)

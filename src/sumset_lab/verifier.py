@@ -4,13 +4,13 @@ Enumerates every (A, H, kind) pair in a search space, checks each computed
 size against its catalog bound, runs the inverse check on every equality
 case, and folds everything into a machine-readable report. A bound depends
 on (kind, k, H, 0 in A) only, so each chunk looks it up once per (k,
-zero-mode) block, with the H half of the verdict, and reads that table for
-every A. Each A's union sizes come from one table of prefix unions, one OR
-and one popcount per H; only pairs that reach their bound go further, and
-the A half of the verdict is built once per A. An equality case's size is
-its row's bound, so its verdict and record depend on the row and A's half
-alone: each block builds them once per (row, A's half) and copies the
-record with each A's text. Work is split into contiguous chunks of the
+zero-mode) block and reads that table for every A. Each A's union sizes
+come from one table of prefix unions, one OR and one popcount per H; only
+pairs that reach their bound go further, and the A half of the verdict is
+built once per A. An equality case's size is its row's bound, so its
+verdict and record depend on the row and A's half alone: each block builds
+them, H's facts included, once per (row, A's half) and copies the record
+with each A's text. Work is split into contiguous chunks of the
 A-enumeration by combinatorial rank; chunk boundaries are independent of
 the worker count and chunk results merge in rank order as they finish, so
 the report is byte-identical no matter how many workers ran. Each case
@@ -32,16 +32,10 @@ from operator import le
 from typing import Iterable, Iterator
 
 from . import bounds
-from .engine import SumsetKind, sumset_ladder
+from .engine import SumsetKind, require_kind, sumset_ladder
 from .errors import SpaceTooLargeError
 from .intset import HSet, IntSet, SetClass, format_elements, parse_elements
-from .structure import (
-    InverseVerdict,
-    build_verdict,
-    plain_fields,
-    verdict_a_half,
-    verdict_h_half,
-)
+from .structure import InverseVerdict, build_verdict, plain_fields, verdict_a_half
 
 REPORT_VERSION = "sumset-lab-report/1"
 DEFAULT_PAIR_CAP = 10**8
@@ -91,6 +85,10 @@ class SearchSpace:
             raise ValueError("universe_max must be at least 1")
         if self.h_max < 1:
             raise ValueError("h_max must be at least 1")
+        for kind in self.kinds:
+            require_kind(kind)
+        if not isinstance(self.zero_mode, ZeroMode):
+            raise TypeError(f"zero_mode must be a ZeroMode, got {self.zero_mode!r}")
         if not self.kinds or len(set(self.kinds)) != len(self.kinds):
             raise ValueError("kinds must be nonempty and distinct")
         (k_lo, k_hi), (r_lo, r_hi) = self.k_range, self.r_range
@@ -338,8 +336,7 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
             for kind in space.kinds:
                 outcome = bounds.catalog_bound(kind, k, H, zero_in)
                 if outcome.applicable:
-                    h_half = verdict_h_half(kind, zero_in, k, H, outcome)
-                    rows.append((h_text, kind, outcome, h_half))
+                    rows.append((h_text, kind, outcome, H))
                     limits.append(outcome.value)
                 else:
                     rows.append(None)
@@ -363,7 +360,7 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
             a_text = format_elements(elements)
             a_half = verdict_a_half(A, zero_in)
             for i in hits:
-                h_text, kind, outcome, h_half = rows[i]
+                h_text, kind, outcome, H = rows[i]
                 size = sizes[i]
                 if size < outcome.value:
                     acc.violations.add(
@@ -382,7 +379,7 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
                     template = verdicts.get((i, a_half))
                     if template is None:
                         verdict = build_verdict(
-                            kind, set_class, size, outcome, h_half, a_half
+                            kind, set_class, zero_in, k, H, size, outcome, a_half
                         )
                         template = case_record(a_text, h_text, zero_in, verdict)
                         verdicts[i, a_half] = template

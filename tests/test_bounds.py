@@ -113,12 +113,38 @@ def test_extremal_examples_achieve_their_bounds():
 
 
 def test_extremal_example_rejects_bad_parameters():
-    with pytest.raises(HypothesisError):
-        extremal_example(3, 4, RES, zero_in_A=False)
-    with pytest.raises(HypothesisError):
-        extremal_example(3, 3, RES, zero_in_A=True)
-    with pytest.raises(HypothesisError):
+    # each message names the reason the catalog gives for (kind, k, [1, r])
+    for k, r, kind, zero_in_A in [
+        (3, 4, RES, False),
+        (3, 3, RES, True),
+        (5, 0, ORD, False),
+        (5, 0, RES, True),
+    ]:
+        reason = catalog_bound(kind, k, run(r), zero_in_A).reason
+        with pytest.raises(HypothesisError) as caught:
+            extremal_example(k, r, kind, zero_in_A)
+        assert str(caught.value).endswith(f": {reason}")
+    with pytest.raises(HypothesisError) as refused:
+        catalog_bound(ORD, 0, run(1), False)
+    with pytest.raises(HypothesisError) as caught:
         extremal_example(0, 1, ORD, zero_in_A=False)
+    assert str(caught.value) == str(refused.value) == "need k >= 1, got 0"
+
+
+def test_restricted_cap_has_one_message():
+    # the catalog's inapplicable reason is the formula's refusal, word for word
+    for k in range(1, 9):
+        for zero_in_A in (False, True):
+            cap = k - 1 if zero_in_A else k
+            for H in (HSet((cap + 1,)), HSet((1, cap + 2))):
+                outcome = catalog_bound(RES, k, H, zero_in_A)
+                assert not outcome.applicable
+                with pytest.raises(HypothesisError) as caught:
+                    bound_union_restricted(k, H, zero_in_A)
+                assert outcome.reason == str(caught.value)
+                assert outcome.reason == (
+                    f"max multiplicity {H.max} exceeds the cap {cap} for k={k}"
+                )
 
 
 def test_evaluate_equality_case():

@@ -343,3 +343,31 @@ def test_guard_mixed_sign_restricted_middle_rung():
     with pytest.raises(IntegerOverflowError):
         _check_rungs(tricky, (0, 1, 3), ORD)
     assert _check_rungs(tricky, (0, 1), ORD) is None
+
+
+def test_kind_that_is_not_a_member_raises_type_error():
+    # a string used to run down every restricted branch: "ordinary" gave 2^A
+    from sumset_lab import bounds, structure
+    from sumset_lab.verifier import SearchSpace, verify
+
+    A, H = IntSet((1, 2, 4)), HSet((2,))
+    calls = [
+        lambda: _check_rungs(A, (), "ordinary"),
+        lambda: sumset_ladder(A, 2, "ordinary"),
+        lambda: union_sumset(A, H, "ordinary"),
+        lambda: naive_h_fold(A, 2, "ordinary"),
+        lambda: structure.witness_blocks(A, H, "ordinary"),
+        lambda: structure.check_inverse(A, H, "ordinary"),
+        lambda: bounds.catalog_bound("ordinary", 3, H, False),
+        lambda: bounds.evaluate(A, H, kinds=("ordinary",)),
+        lambda: bounds.extremal_example(3, 2, "ordinary", False),
+        lambda: SearchSpace(5, (2, 3), 2, (1, 2), kinds=("ordinary",)),
+        lambda: verify(SearchSpace(5, (2, 3), 2, (1, 2), kinds=("ordinary",))),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="kind must be a SumsetKind, got 'ordinary'"):
+            call()
+    with pytest.raises(TypeError, match="zero_mode must be a ZeroMode, got 'both'"):
+        SearchSpace(5, (2, 3), 2, (1, 2), zero_mode="both")
+    # members still pass
+    assert union_sumset(A, H, ORD) == naive_h_fold(A, 2, ORD) == IntSet((2, 3, 4, 5, 6, 8))

@@ -451,28 +451,6 @@ def test_sweep_matches_single_pair_path(monkeypatch):
         assert violation["size"] == len(union_sumset(A, H, kind))
 
 
-def test_verdict_h_half_built_once_per_row(monkeypatch):
-    space = SearchSpace(7, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
-    rows = sum(
-        bounds.catalog_bound(kind, k, H, mode is ZeroMode.WITH).applicable
-        for mode, k, *_ in space.a_blocks()
-        for r in space.r_values()
-        for H in map(HSet, combinations(range(1, space.h_max + 1), r))
-        for kind in space.kinds
-    )
-    real = structure._expectation
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(structure, "_expectation", counting)
-    chunk = _run_chunk((space, 0, space.a_task_count(), 0))
-    assert len(calls) == rows == 70
-    assert chunk.equality.count > rows  # not once per equality case
-
-
 def test_equality_verdicts_built_once_per_row_and_a_half(monkeypatch):
     # progressions and non-progressions of every k in both zero modes
     space = SearchSpace(7, (1, 5), 4, (2, 4), zero_mode=ZeroMode.BOTH)
@@ -482,17 +460,24 @@ def test_equality_verdicts_built_once_per_row_and_a_half(monkeypatch):
             zero_in = A.elements[0] == 0
             equalities += 1
             keys.add((zero_in, len(A), H, kind, structure.verdict_a_half(A, zero_in)))
-    real = verifier.build_verdict
-    calls = []
+    calls = {"build_verdict": [], "_expectation": []}
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(verifier, "build_verdict", counting)
+        def wrapper(*args):
+            calls[name].append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(verifier, "build_verdict")
+    counting(structure, "_expectation")
     chunk = _run_chunk((space, 0, space.a_task_count(), equalities))
     assert chunk.equality.count == len(chunk.equality.records) == equalities
-    assert len(calls) == len(keys) < equalities
+    # H's facts come with each verdict, never once per equality case
+    built, derived = len(calls["build_verdict"]), len(calls["_expectation"])
+    assert derived == built == len(keys) < equalities
     records = chunk.equality.records
     assert len(set(map(id, records))) == len(records)
     verdict = structure.check_inverse(IntSet((1,)), HSet((1,)), ORD)
