@@ -11,22 +11,24 @@ built once per A. An equality case's size is its row's bound, so its
 verdict and record depend on the row and A's half alone: each block builds
 them, H's facts included, once per (row, A's half) and copies the record
 with each A's text. Work is split into contiguous chunks of the
-A-enumeration by combinatorial rank; chunk boundaries are independent of
-the worker count and chunk results merge in rank order as they finish, so
-the report is byte-identical no matter how many workers ran. Each case
-list stops at the case cap, in a chunk and in the merge alike, so memory
-follows the cap rather than the number of cases.
+A-enumeration by combinatorial rank, and each chunk resumes at its rank
+with itertools.combinations; chunk boundaries are independent of the worker
+count and chunk results merge in rank order as they finish, so the report
+is byte-identical no matter how many workers ran. Chunks run in process or
+on a ProcessPoolExecutor, where a worker that dies raises BrokenProcessPool
+instead of leaving the run waiting. Each case list stops at the case cap,
+in a chunk and in the merge alike, so memory follows the cap rather than
+the number of cases.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import combinations, compress, islice
+from itertools import chain, combinations, compress, islice
 from math import comb, log10
 from operator import le
 from typing import Iterable, Iterator
@@ -43,8 +45,9 @@ DEFAULT_CASE_CAP = 10**5
 
 # A-sets per work chunk; fixed so that chunking never depends on worker count
 _CHUNK_A_TASKS = 64
-# chunks per pool message: each message costs the parent 1-2 ms of CPU, and
-# each holds up to this many unmerged chunk results in the parent
+# chunks per pool message: a message costs the parent about 0.3 ms of CPU
+# (0.1 s for the 109 messages of the N=16 deep space, 2 workers), and each
+# holds up to this many unmerged chunk results in the parent
 _CHUNKS_PER_MESSAGE = 8
 
 
@@ -150,44 +153,25 @@ def _binomials(n: int, picks: range) -> list[int]:
     return counts
 
 
-def _unrank_combination(n: int, k: int, rank: int) -> list[int]:
-    """0-based indices of the rank-th k-combination of range(n), lex order."""
-    idx = []
-    v = 0
-    for i in range(k):
-        while True:
-            c = comb(n - v - 1, k - i - 1)
-            if rank < c:
-                break
-            rank -= c
-            v += 1
-        idx.append(v)
-        v += 1
-    return idx
-
-
 def _combinations_from(
-    universe: tuple[int, ...], k: int, start_rank: int
+    universe: tuple[int, ...], k: int, rank: int
 ) -> Iterator[tuple[int, ...]]:
-    """k-subsets of universe in lex order, starting at the given rank."""
-    n = len(universe)
-    if k == 0:
-        if start_rank == 0:
-            yield ()
-        return
-    if k > n or start_rank >= comb(n, k):
-        return
-    idx = _unrank_combination(n, k, start_rank)
-    while True:
-        yield tuple(universe[i] for i in idx)
-        j = k - 1
-        while j >= 0 and idx[j] == n - k + j:
-            j -= 1
-        if j < 0:
-            return
-        idx[j] += 1
-        for m in range(j + 1, k):
-            idx[m] = idx[m - 1] + 1
+    """k-subsets of universe in lex order, starting at the given rank. Lex
+    order finishes the subsets that start with the rank-th one's first
+    element, then goes on with every k-subset of the elements after it;
+    applied to each element of the rank-th subset in turn, behind the ones
+    before it, that leaves one combinations() tail per element."""
+    if rank >= comb(len(universe), k):
+        return iter(())
+    prefix, tails = (), []
+    while rank:
+        i = 0  # skip the whole groups of subsets that start at universe[i]
+        while rank >= (group := comb(len(universe) - i - 1, k - 1)):
+            rank, i = rank - group, i + 1
+        rest = universe[i + 1 :]
+        tails.append(map(prefix.__add__, combinations(rest, k)))
+        prefix, universe, k = prefix + (universe[i],), rest, k - 1
+    return chain(map(prefix.__add__, combinations(universe, k)), *reversed(tails))
 
 
 def _a_tasks(
@@ -481,13 +465,22 @@ def verify(
     if processes == 1:
         merged = _merged(map(_run_chunk, chunk_args), case_cap)
     else:
+        # imported here: at module level they add ~25 ms (2 vCPUs) to each CLI start
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         if "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
         else:
             ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=processes) as pool:
-            parts = pool.imap(_run_chunk, chunk_args, _CHUNKS_PER_MESSAGE)
+        # a worker that dies raises BrokenProcessPool here; an error drops
+        # the chunks not yet started
+        pool = ProcessPoolExecutor(processes, mp_context=ctx)
+        try:
+            parts = pool.map(_run_chunk, chunk_args, chunksize=_CHUNKS_PER_MESSAGE)
             merged = _merged(parts, case_cap)
+        finally:
+            pool.shutdown(cancel_futures=True)
     return VerificationReport(
         space=space,
         pairs_checked=merged.pairs,

@@ -2,7 +2,9 @@
 
 import json
 import os
+import signal
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, replace
 from itertools import combinations, product
 from math import comb
@@ -93,11 +95,14 @@ def test_enumeration_order_is_deterministic():
 
 
 def test_combinations_from_any_start():
-    universe = tuple(range(1, 8))
-    for k in range(0, 4):
-        full = list(combinations(universe, k))
-        for start in range(len(full) + 1):
-            assert list(_combinations_from(universe, k, start)) == full[start:]
+    # k > n and an empty universe included: the with-zero N=1 block picks
+    # 0 elements of an empty universe
+    for n in range(8):
+        universe = tuple(range(1, n + 1))
+        for k in range(n + 2):
+            full = list(combinations(universe, k))
+            for start in range(comb(n, k) + 1):
+                assert list(_combinations_from(universe, k, start)) == full[start:]
 
 
 def test_space_cap():
@@ -262,6 +267,34 @@ def test_worker_determinism_small_space(monkeypatch):
     reports = {w: verify(space, workers=w) for w in (1, 2, 3)}
     blobs = {w: r.to_json() for w, r in reports.items()}
     assert blobs[1] == blobs[2] == blobs[3]
+
+
+def test_dead_worker_fails_the_run(monkeypatch):
+    # a worker that exits mid-chunk, as one lost to the OOM killer would:
+    # the run must raise rather than wait for its result; fork passes the
+    # patch on, and only workers call it
+    parent, real = os.getpid(), bounds.catalog_bound
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args)
+
+    def hung(signum, frame):
+        raise TimeoutError("verify still waits on a dead worker")
+
+    monkeypatch.setattr(bounds, "catalog_bound", dying)
+    _pin_cpus(monkeypatch, 2)
+    space = SearchSpace(10, (2, 3), 2, (1, 2))
+    assert space.a_task_count() > verifier._CHUNK_A_TASKS  # so 2 workers start
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            verify(space, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 _COUNTS_AND_LISTS = (
