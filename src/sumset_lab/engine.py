@@ -11,7 +11,8 @@ Two independent routes compute the same objects:
 The fast path has one kernel, the ladder of rungs 0A, 1A, ..., topA (or
 their restricted counterparts), yielded as plain bit vectors. Every fold and
 union runs one guard, ORs the rungs it wants as the ladder passes them and
-decodes the result once.
+decodes the result once. extend_ladder steps a ladder by one new largest
+element, for callers that walk many sets sharing their prefixes.
 
 Every operation is a pure function of its inputs; concurrent callers need
 no coordination.
@@ -161,13 +162,29 @@ def _prefix_ladders(A: IntSet, top: int) -> Iterator[list[int]]:
         yield rungs
 
 
+def extend_ladder(rungs: list[int], x: int, kind: SumsetKind) -> list[int]:
+    """Rungs 0..top of B ∪ {x} from the rungs of B, for x above max(B) and
+    every vector anchored at the same offset (say 0, so that bit s is the
+    sum s); a new list, unchecked: the caller guards the largest sum.
+
+    Ordinary: r_h(B∪x) = r_h(B) | r_{h-1}(B∪x) << x, since a sum may use x
+    again. Restricted: r_h(B∪x) = r_h(B) | r_{h-1}(B) << x, x at most once.
+    """
+    if kind is SumsetKind.ORDINARY:
+        new = [rungs[0]]
+        for rung in rungs[1:]:
+            new.append(rung | new[-1] << x)
+        return new
+    return [rungs[0], *[rung | below << x for rung, below in zip(rungs[1:], rungs)]]
+
+
 def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[int]:
     """Rungs 0..h_max of the ladder (0A..h_max·A, or restricted) as plain
     bit vectors, behind one guard; rung h sits at offset h*min(A).
 
     Rungs may carry dead low bits below the true minimum; entries beyond |A|
-    in restricted mode are empty. Callers that union many H over one A, such
-    as the exhaustive verifier, build this once and OR its rungs themselves.
+    in restricted mode are empty. Callers that union many H over one A build
+    this once and OR its rungs themselves.
     """
     _require_nonempty(A)
     _check_rungs(A, range(h_max + 1), kind)

@@ -37,6 +37,11 @@ class SpaceTooLargeError(SumsetError):
     """Search space enumeration count exceeds the hard cap."""
 
 
+class WorkerLostError(SumsetError):
+    """A worker process died before returning its results, so the run is
+    incomplete."""
+
+
 class InternalInconsistencyError(SumsetError):
     """A construction invariant failed; indicates a bug, must never happen."""
 

@@ -4,10 +4,14 @@ Enumerates every (A, H, kind) pair in a search space, checks each computed
 size against its catalog bound, runs the inverse check on every equality
 case, and folds everything into a machine-readable report. A bound depends
 on (kind, k, H, 0 in A) only, so each chunk looks it up once per (k,
-zero-mode) block and reads that table for every A. Each A's union sizes
-come from one table of prefix unions, one OR and one popcount per H; only
-pairs that reach their bound go further, and the A half of the verdict is
-built once per A. An equality case's size is its row's bound, so its
+zero-mode) block and reads that table for every A. A block's sets come in
+lex order and are walked as a prefix tree: each prefix extends its parent's
+rungs by one element, and a row whose union of a prefix is above the
+row's bound less h_r per missing element is closed for the whole subtree,
+since appending a new maximum adds at least h_r sums (the README's prefix
+lemma). A leaf unions only the rows still open; only pairs that reach
+their bound go further, and the A half of the verdict is built once per A
+that has one. An equality case's size is its row's bound, so its
 verdict and record depend on the row and A's half alone: each block builds
 them, H's facts included, once per (row, A's half) and copies the record
 with each A's text. Work is split into contiguous chunks of the
@@ -15,10 +19,10 @@ A-enumeration by combinatorial rank, and each chunk resumes at its rank
 with itertools.combinations; chunk boundaries are independent of the worker
 count and chunk results merge in rank order as they finish, so the report
 is byte-identical no matter how many workers ran. Chunks run in process or
-on a ProcessPoolExecutor, where a worker that dies raises BrokenProcessPool
-instead of leaving the run waiting. Each case list stops at the case cap,
-in a chunk and in the merge alike, so memory follows the cap rather than
-the number of cases.
+on a ProcessPoolExecutor, where a worker that dies fails the run with
+WorkerLostError instead of leaving it waiting. Each case list stops at the
+case cap, in a chunk and in the merge alike, so memory follows the cap
+rather than the number of cases.
 """
 
 from __future__ import annotations
@@ -26,16 +30,16 @@ from __future__ import annotations
 import json
 import os
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import chain, combinations, compress, islice
+from itertools import chain, combinations, islice
 from math import comb, log10
-from operator import le
 from typing import Iterable, Iterator
 
 from . import bounds
-from .engine import SumsetKind, require_kind, sumset_ladder
-from .errors import SpaceTooLargeError
+from .engine import SumsetKind, extend_ladder, require_kind, sumset_ladder
+from .errors import SpaceTooLargeError, WorkerLostError
 from .intset import HSet, IntSet, SetClass, format_elements, parse_elements
 from .structure import InverseVerdict, build_verdict, plain_fields, verdict_a_half
 
@@ -160,14 +164,16 @@ def _combinations_from(
     order finishes the subsets that start with the rank-th one's first
     element, then goes on with every k-subset of the elements after it;
     applied to each element of the rank-th subset in turn, behind the ones
-    before it, that leaves one combinations() tail per element."""
+    before it, that leaves one combinations() tail per element. The first
+    element is found by bisection: C(n, k) - C(n - i, k) subsets start
+    before universe[i], so a resume costs O(k log n) comb calls."""
     if rank >= comb(len(universe), k):
         return iter(())
     prefix, tails = (), []
     while rank:
-        i = 0  # skip the whole groups of subsets that start at universe[i]
-        while rank >= (group := comb(len(universe) - i - 1, k - 1)):
-            rank, i = rank - group, i + 1
+        n, total = len(universe), comb(len(universe), k)
+        i = bisect_right(range(n), rank, key=lambda i: total - comb(n - i, k)) - 1
+        rank -= total - comb(n - i, k)
         rest = universe[i + 1 :]
         tails.append(map(prefix.__add__, combinations(rest, k)))
         prefix, universe, k = prefix + (universe[i],), rest, k - 1
@@ -293,59 +299,114 @@ def case_record(a_text: str, h_text: str, zero_in: bool, verdict: InverseVerdict
     return record
 
 
+def _prefix_caps(kind: SumsetKind, k: int, h_r: int, limit: int) -> tuple:
+    """A row's cap at each prefix size m = 0..k: limit - h_r*(k - m), or None
+    where the prefix lemma (README) does not apply: an ordinary row needs a
+    nonempty prefix, a restricted one h_r <= m. The cap at m = k is the
+    row's bound."""
+    first = 1 if kind is SumsetKind.ORDINARY else h_r
+    return (None,) * first + tuple(range(limit - h_r * (k - first), limit + 1, h_r))
+
+
+def _walk(
+    a_sets: Iterable[tuple[int, ...]], k: int, kinds: tuple[SumsetKind, ...],
+    open_rows: list[list[tuple]], h_max: int,
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+    """(A, hits) for each A-set of a k-block, in the given order: hits are
+    (row index, size) for the rows whose union of A is at most their bound,
+    in row order. open_rows holds each kind's rows (index, H, caps).
+
+    The sets come in lex order, so consecutive ones share a prefix. A stack
+    holds, per prefix length, each kind's rungs of that prefix as absolute
+    vectors (bit s is the sum s; every element is >= 0) and its rows still
+    open. Appending a new maximum adds at least h_r sums to a union (the
+    README's prefix lemma), so a row whose union of a prefix exceeds its cap
+    there exceeds its bound on every set below that prefix: it closes for
+    the whole subtree, and a leaf unions only the rows still open.
+    """
+    stack = [[([1] + [0] * h_max, rows) for rows in open_rows]]
+    prev = ()
+    for a in a_sets:
+        m, depth = 0, len(stack) - 1
+        while m < depth and a[m] == prev[m]:
+            m += 1
+        del stack[m + 1 :]
+        prev, state = a, stack[m]
+        while m < k - 1 and any(rows for _, rows in state):
+            x, m = a[m], m + 1
+            pushed = []
+            for kind, (rungs, rows) in zip(kinds, state):
+                if rows:
+                    rungs = extend_ladder(rungs, x, kind)
+                    kept = []
+                    for row in rows:
+                        cap = row[2][m]
+                        if cap is not None:
+                            union = 0
+                            for h in row[1]:
+                                union |= rungs[h]
+                            if union.bit_count() > cap:
+                                continue
+                        kept.append(row)
+                    rows = kept
+                pushed.append((rungs, rows))
+            stack.append(pushed)
+            state = pushed
+        hits = []
+        if m == k - 1:
+            x = a[m]
+            for kind, (rungs, rows) in zip(kinds, state):
+                if rows:
+                    rungs = extend_ladder(rungs, x, kind)
+                    for i, hs, caps in rows:
+                        union = 0
+                        for h in hs:
+                            union |= rungs[h]
+                        size = union.bit_count()
+                        if size <= caps[k]:
+                            hits.append((i, size))
+            hits.sort()
+        yield a, hits
+
+
 def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
     space, start, end, case_cap = args
     acc = _Partial()
-    # prefix plan: (parent index, last h) for every H in [1, h_max] with
-    # 1 <= |H| <= the largest r, each after its prefix; union 0 is the empty H
-    plan, index = [], {(): 0}
-    for r in range(1, max(space.r_values(), default=0) + 1):
-        for h_combo in combinations(range(1, space.h_max + 1), r):
-            index[h_combo] = len(plan) + 1
-            plan.append((index[h_combo[:-1]], h_combo[-1]))
-    first_row = len(plan) + 1 - space.h_subset_count()
-    row_combos = list(index)[first_row:]  # the rows are the plan's tail
-    n_kinds = len(space.kinds)
+    h_combos = [
+        h_combo
+        for r in space.r_values()
+        for h_combo in combinations(range(1, space.h_max + 1), r)
+    ]
+    row_count = len(h_combos) * len(space.kinds)
     for zero_in, k, a_sets in _a_tasks(space, start, end):
+        # every sum the walk forms lies in [0, h_max*top], top the largest
+        # element of the block's universe: one guard per block
+        top = space.universe_max - zero_in
+        sumset_ladder(IntSet((top,)), space.h_max, SumsetKind.ORDINARY)
         set_class = SetClass.ZERO_REST_POSITIVE if zero_in else SetClass.ALL_POSITIVE
-        # the block's (H, kind) slots, built per call (not cached): patched
-        # formulas show; limits holds each bound, or -1 where none applies.
-        # An equality case's size is its row's bound, so its verdict depends
-        # on the row and A's half only: verdicts maps (row, a_half) to the
-        # case record of the first such case, and every case copies it
-        rows, limits, verdicts = [], [], {}
-        for h_combo in row_combos:
+        # the block's applicable (H, kind) rows, built per call (not cached):
+        # patched formulas show. An equality case's size is its row's bound,
+        # so its verdict depends on the row and A's half only: verdicts maps
+        # (row, a_half) to the case record of the first such case, and every
+        # case copies it
+        rows, open_rows, verdicts = [], [[] for _ in space.kinds], {}
+        for h_combo in h_combos:
             H = HSet(h_combo)
             h_text = format_elements(h_combo)
-            for kind in space.kinds:
+            for kind, kind_rows in zip(space.kinds, open_rows):
                 outcome = bounds.catalog_bound(kind, k, H, zero_in)
                 if outcome.applicable:
+                    caps = _prefix_caps(kind, k, h_combo[-1], outcome.value)
+                    kind_rows.append((len(rows), h_combo, caps))
                     rows.append((h_text, kind, outcome, H))
-                    limits.append(outcome.value)
-                else:
-                    rows.append(None)
-                    limits.append(-1)
-        for elements in a_sets:
-            acc.pairs += len(rows)
-            A = IntSet(elements)
-            sizes = [0] * len(rows)
-            t = A.min
-            for j, kind in enumerate(space.kinds):
-                # A >= 0, so every offset h*min(A) is too: rungs as absolute vectors
-                ladder = sumset_ladder(A, space.h_max, kind)
-                rungs = [bits << h * t for h, bits in enumerate(ladder)]
-                unions = [0]
-                for parent, h in plan:
-                    unions.append(unions[parent] | rungs[h])
-                sizes[j::n_kinds] = map(int.bit_count, unions[first_row:])
-            hits = list(compress(range(len(rows)), map(le, sizes, limits)))
+        for elements, hits in _walk(a_sets, k, space.kinds, open_rows, space.h_max):
+            acc.pairs += row_count
             if not hits:
                 continue
             a_text = format_elements(elements)
-            a_half = verdict_a_half(A, zero_in)
-            for i in hits:
+            a_half = verdict_a_half(IntSet(elements), zero_in)
+            for i, size in hits:
                 h_text, kind, outcome, H = rows[i]
-                size = sizes[i]
                 if size < outcome.value:
                     acc.violations.add(
                         {
@@ -468,17 +529,21 @@ def verify(
         # imported here: at module level they add ~25 ms (2 vCPUs) to each CLI start
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         if "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
         else:
             ctx = multiprocessing.get_context()
-        # a worker that dies raises BrokenProcessPool here; an error drops
-        # the chunks not yet started
+        # an error drops the chunks not yet started
         pool = ProcessPoolExecutor(processes, mp_context=ctx)
         try:
             parts = pool.map(_run_chunk, chunk_args, chunksize=_CHUNKS_PER_MESSAGE)
             merged = _merged(parts, case_cap)
+        except BrokenProcessPool as exc:
+            raise WorkerLostError(
+                "a worker process died before returning its chunks; the run is incomplete"
+            ) from exc
         finally:
             pool.shutdown(cancel_futures=True)
     return VerificationReport(

@@ -6,6 +6,7 @@ criterion's status. Criteria 4, 5, 9, 10 and 11 share one exhaustive sweep
 over the N=12 space computed once per session.
 """
 
+import hashlib
 import time
 from itertools import combinations, combinations_with_replacement
 
@@ -19,6 +20,9 @@ from sumset_lab.verifier import SearchSpace, ZeroMode, enumerate_pairs, verify
 
 ORD = SumsetKind.ORDINARY
 RES = SumsetKind.RESTRICTED
+
+# sha256 of the acceptance sweep's report, as to_json writes it
+SWEEP_DIGEST = "0fcdb494f7a7e2c8c6df509d55f223524852b21ae2c8fccde55515c4dec2c3f1"
 
 
 def _line(num, name, ok, detail=""):
@@ -278,7 +282,10 @@ def test_criterion_10_boundary_phenomenon_preserved(sweep_reports):
 
 def test_criterion_11_worker_determinism(sweep_reports):
     blobs = {workers: report.to_json() for workers, report in sweep_reports.items()}
-    ok = blobs[1] == blobs[2] == blobs[8]
+    digest = hashlib.sha256(blobs[1].encode()).hexdigest()
+    ok = blobs[1] == blobs[2] == blobs[8] and digest == SWEEP_DIGEST
     _line(11, "worker determinism", ok, f"{len(blobs[1])} bytes each")
     assert blobs[1] == blobs[2]
     assert blobs[2] == blobs[8]
+    # the bytes themselves, so that a change to any record shows
+    assert digest == SWEEP_DIGEST

@@ -245,3 +245,30 @@ def test_sizes_never_below_applicable_bounds():
             for rep in evaluate(A, HSet(hs)):
                 if rep.hypotheses_met:
                     assert rep.computed_size >= rep.bound_value
+
+
+def test_prefix_lemma():
+    # the induction step the verifier's walk relies on (README, "Prefix
+    # lemma"): appending a new maximum x to B, all elements >= 0, adds at
+    # least h_r sums to the union, ordinary always and restricted when
+    # h_r <= |B|; and every catalog formula grows by exactly h_r per element
+    h_sets = [HSet(hs) for r in range(1, 5) for hs in combinations(range(1, 5), r)]
+    checked = {True: 0, False: 0}
+    for m in range(1, 5):
+        for b in combinations(range(8), m):
+            B = IntSet(b)
+            for H in h_sets:
+                for kind in (ORD, RES):
+                    if kind is RES and H.max > m:
+                        continue
+                    base = len(union_sumset(B, H, kind))
+                    for x in range(b[-1] + 1, 11):
+                        grown = len(union_sumset(IntSet(b + (x,)), H, kind))
+                        assert grown >= base + H.max, (b, x, H.elements, kind)
+                        checked[b[0] == 0] += 1
+                    before = catalog_bound(kind, m, H, b[0] == 0)
+                    after = catalog_bound(kind, m + 1, H, b[0] == 0)
+                    if before.applicable:
+                        assert after.applicable
+                        assert after.value - before.value == H.max
+    assert checked == {True: 7272, False: 9296}  # 0 in B, or not

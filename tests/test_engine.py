@@ -13,6 +13,7 @@ from sumset_lab.engine import (
     _check_ordinary_range,
     _check_restricted_range,
     _check_rungs,
+    extend_ladder,
     h_fold,
     h_fold_restricted,
     naive_h_fold,
@@ -205,6 +206,12 @@ def test_ladder_agrees_with_single_shots():
             fold = h_fold if kind is ORD else h_fold_restricted
             for h in range(0, 7):
                 assert SumBitmap(h * A.min, ladder[h]).to_intset() == fold(A, h)
+            if A.min >= 0:
+                # one element at a time, as absolute vectors from the empty set
+                rungs = [1] + [0] * 6
+                for x in combo:
+                    rungs = extend_ladder(rungs, x, kind)
+                assert rungs == [rung << h * A.min for h, rung in enumerate(ladder)]
 
 
 def test_bitmap_anchoring_and_popcount():

@@ -6,16 +6,17 @@ import signal
 import weakref
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, replace
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import comb
 
 import pytest
 
 import sumset_lab.bounds as bounds
+import sumset_lab.cli as cli
 import sumset_lab.structure as structure
 import sumset_lab.verifier as verifier
 from sumset_lab.engine import SumsetKind, union_sumset
-from sumset_lab.errors import SpaceTooLargeError
+from sumset_lab.errors import SpaceTooLargeError, WorkerLostError
 from sumset_lab.intset import HSet, IntSet, format_elements, parse_elements
 from sumset_lab.verifier import (
     SearchSpace,
@@ -103,6 +104,18 @@ def test_combinations_from_any_start():
             full = list(combinations(universe, k))
             for start in range(comb(n, k) + 1):
                 assert list(_combinations_from(universe, k, start)) == full[start:]
+    # late ranks in a long universe, against the closed form of lex rank:
+    # C(n, 2) - C(n - i, 2) pairs start before universe[i]
+    n = 40_000
+    universe = tuple(range(1, n + 1))
+    for i in (0, 1, n - 100, n - 2, n - 1):
+        assert next(_combinations_from(universe, 1, i)) == (universe[i],)
+    for i, j in ((0, 1), (1, n - 1), (n - 1000, n - 999), (n - 3, n - 1), (n - 2, n - 1)):
+        rank = comb(n, 2) - comb(n - i, 2) + j - i - 1
+        resumed = _combinations_from(universe, 2, rank)
+        assert next(resumed) == (universe[i], universe[j])
+        following = islice(combinations(universe[i:], 2), j - i, j - i + 2)
+        assert list(islice(resumed, 2)) == list(following)
 
 
 def test_space_cap():
@@ -203,6 +216,20 @@ def test_deep_sweep_n16():
     assert report.clean
 
 
+@pytest.mark.deep
+def test_deep_campaign_n18():
+    # N=18, k 2..9, hmax 8, both kinds, both zero modes: 112,657,980 pairs,
+    # above the default pair cap; most rows close deep in the prefix walk
+    space = SearchSpace(18, (2, 9), 8, (1, 8), zero_mode=ZeroMode.BOTH)
+    report = verify(space, workers=2, pair_cap=2 * 10**8, case_cap=0)
+    assert report.pairs_checked == space.enumeration_count() == 112_657_980
+    assert report.equality_case_count == 1_000_097
+    assert report.allowed_nonstructured_count == 984_240
+    assert report.bound_violation_count == 0
+    assert report.inverse_inconsistency_count == 0
+    assert report.clean
+
+
 def _sum_family(n, k):
     """Texts of the k-subsets of [1, n] whose largest element is the sum of
     the others."""
@@ -269,10 +296,11 @@ def test_worker_determinism_small_space(monkeypatch):
     assert blobs[1] == blobs[2] == blobs[3]
 
 
-def test_dead_worker_fails_the_run(monkeypatch):
+def test_dead_worker_fails_the_run(monkeypatch, capsys):
     # a worker that exits mid-chunk, as one lost to the OOM killer would:
-    # the run must raise rather than wait for its result; fork passes the
-    # patch on, and only workers call it
+    # the run must raise rather than wait for its result, and the CLI must
+    # print an error line for it; fork passes the patch on, and only
+    # workers call it
     parent, real = os.getpid(), bounds.catalog_bound
 
     def dying(*args):
@@ -290,8 +318,15 @@ def test_dead_worker_fails_the_run(monkeypatch):
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(20)
     try:
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(WorkerLostError) as exc:
             verify(space, workers=2)
+        assert isinstance(exc.value.__cause__, BrokenProcessPool)
+        flags = ["--universe", "10", "--k", "2..3", "--hmax", "2", "--workers", "2"]
+        for command in ("verify", "extremal"):
+            assert cli.main([command, *flags]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {exc.value}\n"
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
