@@ -13,8 +13,11 @@ lemma). A leaf unions only the rows still open; only pairs that reach
 their bound go further, and the A half of the verdict is built once per A
 that has one. An equality case's size is its row's bound, so its
 verdict and record depend on the row and A's half alone: each block builds
-them, H's facts included, once per (row, A's half) and copies the record
-with each A's text. Work is split into contiguous chunks of the
+them, H's facts included, once per (row, A's half). Each case's record is
+a read-only dict (CaseRecord) that repeats the first such case's record
+but for "a" and points at it, so VerificationReport.to_json encodes those
+shared fields once and writes each case as its A text spliced before
+them. Work is split into contiguous chunks of the
 A-enumeration by combinatorial rank, and each chunk resumes at its rank
 with itertools.combinations; chunk boundaries are independent of the worker
 count and chunk results merge in rank order as they finish, so the report
@@ -34,6 +37,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain, combinations, islice
+from json.encoder import encode_basestring_ascii
 from math import comb, log10
 from typing import Iterable, Iterator
 
@@ -278,6 +282,41 @@ def _merged(parts: Iterable[_Partial], case_cap: int) -> _Partial:
     return merged
 
 
+class CaseRecord(dict):
+    """An equality case's record, read-only. CaseRecord(fields) is a first
+    record: a copy of fields with "a" as the first key. CaseRecord(first,
+    a_text) is a later case of the same (row, A's half): it repeats first
+    but for "a" and points at it (at a plain dict's frozen copy), so
+    to_json encodes those shared fields once. Every mutator raises
+    TypeError, so no record can disagree with the fields encoded for it;
+    dict(record) is a plain mutable copy. A pickle or copy is rebuilt from
+    the first record, so records that cross the pool still share it."""
+
+    __slots__ = ("_first",)  # None on a first record
+
+    def __init__(self, fields: dict, a_text: str | None = None):
+        if a_text is None:
+            dict.__init__(self, a=fields["a"])
+            dict.update(self, fields)
+            self._first = None
+        else:
+            if type(fields) is not CaseRecord:
+                fields = CaseRecord(fields)
+            dict.__init__(self, fields, a=a_text)  # "a" keeps its place
+            self._first = fields if fields._first is None else fields._first
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a case record is read-only; dict(record) is a mutable copy")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        if self._first is None:
+            return CaseRecord, (dict(self),)
+        return CaseRecord, (self._first, self["a"])
+
+
 def case_record(a_text: str, h_text: str, zero_in: bool, verdict: InverseVerdict) -> dict:
     """The pair, the comparison, the verdict flags, then the observed
     structure's fields in declaration order."""
@@ -387,8 +426,8 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
         # the block's applicable (H, kind) rows, built per call (not cached):
         # patched formulas show. An equality case's size is its row's bound,
         # so its verdict depends on the row and A's half only: verdicts maps
-        # (row, a_half) to the case record of the first such case, and every
-        # case copies it
+        # (row, a_half) to the record of the first such case, and every
+        # later case's record repeats it
         rows, open_rows, verdicts = [], [[] for _ in space.kinds], {}
         for h_combo in h_combos:
             H = HSet(h_combo)
@@ -421,15 +460,15 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
                         case_cap,
                     )
                 else:
-                    template = verdicts.get((i, a_half))
-                    if template is None:
+                    first = verdicts.get((i, a_half))
+                    if first is None:
                         verdict = build_verdict(
                             kind, set_class, zero_in, k, H, size, outcome, a_half
                         )
-                        template = case_record(a_text, h_text, zero_in, verdict)
-                        verdicts[i, a_half] = template
-                    # a new dict per case; "a" keeps its place as the first key
-                    record = template | {"a": a_text}
+                        record = CaseRecord(case_record(a_text, h_text, zero_in, verdict))
+                        verdicts[i, a_half] = record
+                    else:
+                        record = CaseRecord(first, a_text)
                     acc.equality.add(record, case_cap)
                     if record["nonstructured"]:
                         acc.nonstructured.add(record, case_cap)
@@ -475,8 +514,20 @@ class VerificationReport:
         return data
 
     def to_json(self) -> str:
-        # acyclic by construction: a record in two lists is shared, not a cycle
-        return json.dumps(self.to_dict(), separators=(",", ":"), check_circular=False)
+        """json.dumps(self.to_dict(), separators=(",", ":")), built as one
+        list of pieces joined once: a CaseRecord is '{"a":', its A text and
+        its first record's JSON after "a", encoded once per call, and any
+        other value is encoded whole."""
+        pieces, tails = [], {}
+        for key, value in self.to_dict().items():
+            pieces += (",", encode_basestring_ascii(key), ":")
+            if type(value) is list:
+                _encode_records(value, pieces, tails)
+            else:
+                pieces.append(_ENCODER.encode(value))
+        pieces[0] = "{"
+        pieces.append("}")
+        return "".join(pieces)
 
     @classmethod
     def from_dict(cls, data: dict) -> VerificationReport:
@@ -489,6 +540,28 @@ class VerificationReport:
     @classmethod
     def from_json(cls, text: str) -> VerificationReport:
         return cls.from_dict(json.loads(text))
+
+
+# a report's values are flat records, ints and the space: no cycle to check
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
+def _encode_records(records: list, pieces: list, tails: dict) -> None:
+    """Append a report list's JSON pieces to pieces. tails maps the id of a
+    first record (which its cases keep alive) to its JSON after "a"."""
+    sep = "["
+    for record in records:
+        if type(record) is CaseRecord:
+            first = record if record._first is None else record._first
+            tail = tails.get(id(first))
+            if tail is None:
+                head = '{"a":' + encode_basestring_ascii(first["a"])
+                tail = tails[id(first)] = _ENCODER.encode(first)[len(head) :]
+            pieces += (sep, '{"a":', encode_basestring_ascii(record["a"]), tail)
+        else:
+            pieces += (sep, _ENCODER.encode(record))
+        sep = ","
+    pieces.append("]" if records else "[]")
 
 
 def _pool_size(workers: int | None, chunks: int) -> int:

@@ -1,7 +1,10 @@
 """Exhaustive verifier: enumeration, determinism, reports."""
 
+import copy
+import hashlib
 import json
 import os
+import pickle
 import signal
 import weakref
 from concurrent.futures.process import BrokenProcessPool
@@ -19,6 +22,7 @@ from sumset_lab.engine import SumsetKind, union_sumset
 from sumset_lab.errors import SpaceTooLargeError, WorkerLostError
 from sumset_lab.intset import HSet, IntSet, format_elements, parse_elements
 from sumset_lab.verifier import (
+    CaseRecord,
     SearchSpace,
     VerificationReport,
     ZeroMode,
@@ -574,6 +578,122 @@ def test_report_json_round_trip():
         "equality_case_cap",
     ]
     assert "wall_time_seconds" not in report.to_dict()
+
+
+def _oracle_json(report):
+    return json.dumps(report.to_dict(), separators=(",", ":"), check_circular=False)
+
+
+def _same_json(blob, expected, name=""):
+    # fails with the first differing offset: pytest's own diff of two long
+    # texts takes minutes
+    if blob != expected:
+        at = next((i for i, (x, y) in enumerate(zip(blob, expected)) if x != y),
+                  min(len(blob), len(expected)))
+        pytest.fail(f"{name}: JSON differs at offset {at}:"
+                    f" {blob[at - 40 : at + 40]!r} != {expected[at - 40 : at + 40]!r}")
+
+
+def test_to_json_equals_json_dumps_on_every_report_kind(monkeypatch):
+    _pin_cpus(monkeypatch, 2)
+    space = SearchSpace(10, (1, 5), 4, (1, 3), zero_mode=ZeroMode.BOTH)
+    reports = {f"workers={w}": verify(space, workers=w) for w in (1, 2)}
+    full = reports["workers=1"]
+    assert full.equality_case_count > 100 and full.allowed_nonstructured_count > 0
+    for cap in (50, 1600):
+        reports[f"case_cap={cap}"] = verify(space, workers=2, case_cap=cap)
+        assert reports[f"case_cap={cap}"].equality_case_count > cap
+    reports["empty"] = verify(SearchSpace(5, (3, 2), 2, (1, 2)), workers=1)
+    reports["from_json"] = VerificationReport.from_json(full.to_json())
+    # k <= 2 in a wide universe: nearly every (row, A's half) occurs once
+    reports["few repeats"] = verify(SearchSpace(30, (1, 2), 3, (1, 3)), workers=1)
+    mixed = [case if i % 3 else dict(case) for i, case in enumerate(full.equality_cases)]
+    reports["mixed"] = replace(full, equality_cases=mixed)
+    real = bounds.catalog_bound
+
+    def raised(kind, *args):
+        # ordinary bounds one too high: violations, equalities and
+        # inconsistencies all at once
+        outcome = real(kind, *args)
+        if kind is ORD and outcome.applicable:
+            return replace(outcome, value=outcome.value + 1)
+        return outcome
+
+    monkeypatch.setattr(bounds, "catalog_bound", raised)
+    reports["violations"] = verify(space, workers=1)
+    assert reports["violations"].bound_violation_count > 0
+    assert reports["violations"].inverse_inconsistency_count > 0
+    for name, report in reports.items():
+        _same_json(report.to_json(), _oracle_json(report), name)
+    _same_json(reports["workers=2"].to_json(), full.to_json())
+    assert all(type(case) is CaseRecord for case in reports["workers=2"].equality_cases)
+    assert all(type(case) is dict for case in reports["from_json"].equality_cases)
+
+
+def test_case_records_are_read_only():
+    space = SearchSpace(8, (2, 4), 4, (1, 3), zero_mode=ZeroMode.BOTH)
+    report = verify(space, workers=1)
+    records = report.equality_cases
+    # both the first record of a (row, A's half) and later ones that repeat it
+    assert {record._first is None for record in records} == {True, False}
+    mutations = [
+        lambda r: r.__setitem__("size", 0),
+        lambda r: r.__delitem__("size"),
+        lambda r: r.update(size=0),
+        lambda r: r.pop("size"),
+        lambda r: r.popitem(),
+        lambda r: r.setdefault("extra", 0),
+        lambda r: r.clear(),
+    ]
+    for record in records:
+        before = dict(record)
+        for mutate in mutations:
+            with pytest.raises(TypeError):
+                mutate(record)
+        alias = record
+        with pytest.raises(TypeError):
+            alias |= {"size": 0}
+        assert record == before and type(record) is CaseRecord
+        plain = dict(record)
+        assert type(plain) is dict
+        plain["size"] = -1
+        assert record["size"] == before["size"]
+    blob = report.to_json()
+    # the pool path: records cross as pickles, then encode the same
+    restored = pickle.loads(pickle.dumps(report))
+    assert restored == report
+    assert all(type(case) is CaseRecord for case in restored.equality_cases)
+    _same_json(restored.to_json(), blob)
+    for record in records:
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+            assert type(twin) is CaseRecord and twin == record
+            assert list(twin) == list(record)
+    lists = {name: [copy.copy(r) for r in getattr(report, name)] for _, name in _COUNTS_AND_LISTS}
+    _same_json(replace(report, **lists).to_json(), blob)
+    # built directly, a record sets its own slot: "a" goes first, and a
+    # repeat of a plain dict points at a frozen copy of it
+    plain = dict(records[-1])
+    built = [CaseRecord(dict(reversed(plain.items()))), CaseRecord(plain, "{1,2}")]
+    assert [list(record)[0] for record in built] == ["a", "a"]
+    for record in built:
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+            assert type(twin) is CaseRecord and list(twin.items()) == list(record.items())
+    with_built = replace(report, equality_cases=built + records)
+    _same_json(with_built.to_json(), _oracle_json(with_built))
+
+
+def test_extremal_output_is_pinned(capsys):
+    space = SearchSpace(8, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
+    groups = find_extremal(space, workers=1)
+    plain = [group | {"cases": [dict(case) for case in group["cases"]]} for group in groups]
+    assert json.dumps(groups) == json.dumps(plain)
+    argv = ["extremal", "--universe", "8", "--k", "2..4", "--hmax", "3", "--r", "1..3",
+            "--kind", "both", "--zero-mode", "both", "--json"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f753a23662782dfa66771cfa5a33126f3aa57a2ed4a739c78bd53fa2251f7506"
+    )
 
 
 def test_find_extremal_ordinary_structure():
