@@ -17,12 +17,14 @@ them, H's facts included, once per (row, A's half). Each case's record is
 a read-only dict (CaseRecord) that repeats the first such case's record
 but for "a" and points at it, so VerificationReport.to_json encodes those
 shared fields once and writes each case as its A text spliced before
-them. Work is split into contiguous chunks of the
+them. Work is split into contiguous chunks of 512 A-sets of the
 A-enumeration by combinatorial rank, and each chunk resumes at its rank
-with itertools.combinations; chunk boundaries are independent of the worker
-count and chunk results merge in rank order as they finish, so the report
-is byte-identical no matter how many workers ran. Chunks run in process or
-on a ProcessPoolExecutor, where a worker that dies fails the run with
+with itertools.combinations. The chunk is the one unit of work: it sets up
+its blocks' rows and verdicts once and is one pool message. Chunk
+boundaries are independent of the worker count and chunk results merge in
+rank order as they finish, so the report is byte-identical no matter how
+many workers ran. Chunks run in process or on a ProcessPoolExecutor of at
+most one process per chunk, where a worker that dies fails the run with
 WorkerLostError instead of leaving it waiting. Each case list stops at the
 case cap, in a chunk and in the merge alike, so memory follows the cap
 rather than the number of cases.
@@ -52,11 +54,7 @@ DEFAULT_PAIR_CAP = 10**8
 DEFAULT_CASE_CAP = 10**5
 
 # A-sets per work chunk; fixed so that chunking never depends on worker count
-_CHUNK_A_TASKS = 64
-# chunks per pool message: a message costs the parent about 0.3 ms of CPU
-# (0.1 s for the 109 messages of the N=16 deep space, 2 workers), and each
-# holds up to this many unmerged chunk results in the parent
-_CHUNKS_PER_MESSAGE = 8
+_CHUNK_A_TASKS = 512
 
 
 class ZeroMode(Enum):
@@ -361,7 +359,8 @@ def _walk(
     open. Appending a new maximum adds at least h_r sums to a union (the
     README's prefix lemma), so a row whose union of a prefix exceeds its cap
     there exceeds its bound on every set below that prefix: it closes for
-    the whole subtree, and a leaf unions only the rows still open.
+    the whole subtree. A is the prefix of size k, where every row's cap is
+    its bound, so the rows still open there are A's hits.
     """
     stack = [[([1] + [0] * h_max, rows) for rows in open_rows]]
     prev = ()
@@ -370,8 +369,8 @@ def _walk(
         while m < depth and a[m] == prev[m]:
             m += 1
         del stack[m + 1 :]
-        prev, state = a, stack[m]
-        while m < k - 1 and any(rows for _, rows in state):
+        prev, state, hits = a, stack[m], []
+        while m < k and any(rows for _, rows in state):
             x, m = a[m], m + 1
             pushed = []
             for kind, (rungs, rows) in zip(kinds, state):
@@ -384,27 +383,17 @@ def _walk(
                             union = 0
                             for h in row[1]:
                                 union |= rungs[h]
-                            if union.bit_count() > cap:
+                            size = union.bit_count()
+                            if size > cap:
                                 continue
+                            if m == k:
+                                hits.append((row[0], size))
                         kept.append(row)
                     rows = kept
                 pushed.append((rungs, rows))
             stack.append(pushed)
             state = pushed
-        hits = []
-        if m == k - 1:
-            x = a[m]
-            for kind, (rungs, rows) in zip(kinds, state):
-                if rows:
-                    rungs = extend_ladder(rungs, x, kind)
-                    for i, hs, caps in rows:
-                        union = 0
-                        for h in hs:
-                            union |= rungs[h]
-                        size = union.bit_count()
-                        if size <= caps[k]:
-                            hits.append((i, size))
-            hits.sort()
+        hits.sort()
         yield a, hits
 
 
@@ -611,8 +600,7 @@ def verify(
         # an error drops the chunks not yet started
         pool = ProcessPoolExecutor(processes, mp_context=ctx)
         try:
-            parts = pool.map(_run_chunk, chunk_args, chunksize=_CHUNKS_PER_MESSAGE)
-            merged = _merged(parts, case_cap)
+            merged = _merged(pool.map(_run_chunk, chunk_args), case_cap)
         except BrokenProcessPool as exc:
             raise WorkerLostError(
                 "a worker process died before returning its chunks; the run is incomplete"

@@ -280,12 +280,12 @@ def test_criterion_10_boundary_phenomenon_preserved(sweep_reports):
     assert ("1,2,4", "2") in flagged
 
 
-def test_criterion_11_worker_determinism(sweep_reports):
+def test_criterion_11_worker_determinism(sweep_reports, same_json):
     blobs = {workers: report.to_json() for workers, report in sweep_reports.items()}
     digest = hashlib.sha256(blobs[1].encode()).hexdigest()
     ok = blobs[1] == blobs[2] == blobs[8] and digest == SWEEP_DIGEST
     _line(11, "worker determinism", ok, f"{len(blobs[1])} bytes each")
-    assert blobs[1] == blobs[2]
-    assert blobs[2] == blobs[8]
+    same_json(blobs[2], blobs[1], "workers=2")
+    same_json(blobs[8], blobs[1], "workers=8")
     # the bytes themselves, so that a change to any record shows
     assert digest == SWEEP_DIGEST

@@ -291,13 +291,36 @@ def _pin_cpus(monkeypatch, count):
         monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
-def test_worker_determinism_small_space(monkeypatch):
-    # more CPUs than the machine may have, so that 3 processes really start
+def _chunk_count(space):
+    return -(-space.a_task_count() // verifier._CHUNK_A_TASKS)
+
+
+def test_worker_determinism_small_space(monkeypatch, same_json):
+    # more CPUs than the machine may have, and small chunks, so that 3
+    # processes really start
     _pin_cpus(monkeypatch, 8)
+    monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 64)
     space = SearchSpace(8, (2, 4), 4, (1, 3), zero_mode=ZeroMode.BOTH)
-    reports = {w: verify(space, workers=w) for w in (1, 2, 3)}
-    blobs = {w: r.to_json() for w, r in reports.items()}
-    assert blobs[1] == blobs[2] == blobs[3]
+    assert _pool_size(3, _chunk_count(space)) == 3
+    blobs = {w: verify(space, workers=w).to_json() for w in (1, 2, 3)}
+    same_json(blobs[2], blobs[1], "workers=2")
+    same_json(blobs[3], blobs[1], "workers=3")
+
+
+def test_report_bytes_do_not_depend_on_chunk_size(monkeypatch, same_json):
+    # chunks merge in rank order and each list keeps its first case_cap
+    # records, so neither the chunk size nor the worker count shows
+    _pin_cpus(monkeypatch, 2)
+    space = SearchSpace(9, (1, 5), 4, (1, 4), zero_mode=ZeroMode.BOTH)
+    total = space.a_task_count()
+    expected = verify(space, workers=1, case_cap=50).to_json()
+    for size, workers in product((1, 7, 64, 512, total), (1, 2)):
+        monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", size)
+        report = verify(space, workers=workers, case_cap=50)
+        # more equality cases than the cap, so every run truncates that list
+        assert report.equality_case_count > 50
+        assert (_chunk_count(space) == 1) == (size == total)
+        same_json(report.to_json(), expected, f"chunk={size} workers={workers}")
 
 
 def test_dead_worker_fails_the_run(monkeypatch, capsys):
@@ -317,8 +340,9 @@ def test_dead_worker_fails_the_run(monkeypatch, capsys):
 
     monkeypatch.setattr(bounds, "catalog_bound", dying)
     _pin_cpus(monkeypatch, 2)
+    monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 64)
     space = SearchSpace(10, (2, 3), 2, (1, 2))
-    assert space.a_task_count() > verifier._CHUNK_A_TASKS  # so 2 workers start
+    assert _pool_size(2, _chunk_count(space)) == 2  # so 2 workers start
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(20)
     try:
@@ -358,9 +382,11 @@ def test_equality_case_cap_truncates_lists_not_counts(monkeypatch):
         return outcome
 
     monkeypatch.setattr(bounds, "catalog_bound", raised)
+    monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 64)
     space = SearchSpace(10, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
     chunk_size = verifier._CHUNK_A_TASKS
     assert space.a_task_count() > 4 * chunk_size
+    assert _pool_size(2, _chunk_count(space)) == 2
     first = _run_chunk((space, 0, chunk_size, 10**9))
     first_counts = [
         first.violations.count,
@@ -393,9 +419,10 @@ def test_in_process_merge_keeps_one_chunk_result_at_a_time(monkeypatch):
         return result
 
     monkeypatch.setattr(verifier, "_run_chunk", tracked)
+    monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 64)
     space = SearchSpace(10, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
     verify(space, workers=1, case_cap=10)
-    assert len(alive) == -(-space.a_task_count() // verifier._CHUNK_A_TASKS) > 4
+    assert len(alive) == _chunk_count(space) > 4
     assert max(alive) <= 1
 
 
@@ -447,16 +474,19 @@ def test_corrupted_bound_is_detected(monkeypatch):
     assert violation["size"] == violation["bound"] - 1
 
 
-def test_bound_violations_capped_per_chunk_counts_complete(monkeypatch):
+def test_bound_violations_capped_per_chunk_counts_complete(monkeypatch, same_json):
     real = bounds.bound_union
     monkeypatch.setattr(bounds, "bound_union", lambda k, H, z: real(k, H, z) + 1)
     # more than one chunk, so the cap is applied before the merge
+    _pin_cpus(monkeypatch, 2)
+    monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 64)
     space = SearchSpace(10, (3, 3), 2, (1, 2), kinds=(ORD,))
+    assert _pool_size(2, _chunk_count(space)) == 2
     reports = {w: verify(space, workers=w, case_cap=1) for w in (1, 2)}
     report = reports[1]
     assert report.bound_violation_count > 1
     assert len(report.bound_violations) == 1
-    assert reports[1].to_json() == reports[2].to_json()
+    same_json(reports[2].to_json(), reports[1].to_json())
     full = verify(space, workers=1)
     assert full.bound_violation_count == report.bound_violation_count
     assert full.bound_violations[:1] == report.bound_violations
@@ -584,17 +614,7 @@ def _oracle_json(report):
     return json.dumps(report.to_dict(), separators=(",", ":"), check_circular=False)
 
 
-def _same_json(blob, expected, name=""):
-    # fails with the first differing offset: pytest's own diff of two long
-    # texts takes minutes
-    if blob != expected:
-        at = next((i for i, (x, y) in enumerate(zip(blob, expected)) if x != y),
-                  min(len(blob), len(expected)))
-        pytest.fail(f"{name}: JSON differs at offset {at}:"
-                    f" {blob[at - 40 : at + 40]!r} != {expected[at - 40 : at + 40]!r}")
-
-
-def test_to_json_equals_json_dumps_on_every_report_kind(monkeypatch):
+def test_to_json_equals_json_dumps_on_every_report_kind(monkeypatch, same_json):
     _pin_cpus(monkeypatch, 2)
     space = SearchSpace(10, (1, 5), 4, (1, 3), zero_mode=ZeroMode.BOTH)
     reports = {f"workers={w}": verify(space, workers=w) for w in (1, 2)}
@@ -624,13 +644,13 @@ def test_to_json_equals_json_dumps_on_every_report_kind(monkeypatch):
     assert reports["violations"].bound_violation_count > 0
     assert reports["violations"].inverse_inconsistency_count > 0
     for name, report in reports.items():
-        _same_json(report.to_json(), _oracle_json(report), name)
-    _same_json(reports["workers=2"].to_json(), full.to_json())
+        same_json(report.to_json(), _oracle_json(report), name)
+    same_json(reports["workers=2"].to_json(), full.to_json())
     assert all(type(case) is CaseRecord for case in reports["workers=2"].equality_cases)
     assert all(type(case) is dict for case in reports["from_json"].equality_cases)
 
 
-def test_case_records_are_read_only():
+def test_case_records_are_read_only(same_json):
     space = SearchSpace(8, (2, 4), 4, (1, 3), zero_mode=ZeroMode.BOTH)
     report = verify(space, workers=1)
     records = report.equality_cases
@@ -663,13 +683,13 @@ def test_case_records_are_read_only():
     restored = pickle.loads(pickle.dumps(report))
     assert restored == report
     assert all(type(case) is CaseRecord for case in restored.equality_cases)
-    _same_json(restored.to_json(), blob)
+    same_json(restored.to_json(), blob)
     for record in records:
         for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
             assert type(twin) is CaseRecord and twin == record
             assert list(twin) == list(record)
     lists = {name: [copy.copy(r) for r in getattr(report, name)] for _, name in _COUNTS_AND_LISTS}
-    _same_json(replace(report, **lists).to_json(), blob)
+    same_json(replace(report, **lists).to_json(), blob)
     # built directly, a record sets its own slot: "a" goes first, and a
     # repeat of a plain dict points at a frozen copy of it
     plain = dict(records[-1])
@@ -679,7 +699,7 @@ def test_case_records_are_read_only():
         for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
             assert type(twin) is CaseRecord and list(twin.items()) == list(record.items())
     with_built = replace(report, equality_cases=built + records)
-    _same_json(with_built.to_json(), _oracle_json(with_built))
+    same_json(with_built.to_json(), _oracle_json(with_built))
 
 
 def test_extremal_output_is_pinned(capsys):
