@@ -10,9 +10,10 @@ Two independent routes compute the same objects:
 
 The fast path has one kernel, the ladder of rungs 0A, 1A, ..., topA (or
 their restricted counterparts), yielded as plain bit vectors. Every fold and
-union runs one guard, ORs the rungs it wants as the ladder passes them and
-decodes the result once. extend_ladder steps a ladder by one new largest
-element, for callers that walk many sets sharing their prefixes.
+union runs one guard and ORs the rungs it wants as the ladder passes them
+into one SumBitmap, which a caller sizes by popcount or decodes once.
+extend_ladder steps a ladder by one new largest element, for callers that
+walk many sets sharing their prefixes.
 
 Every operation is a pure function of its inputs; concurrent callers need
 no coordination.
@@ -42,20 +43,31 @@ class SumsetKind(Enum):
 
 @dataclass(frozen=True)
 class SumBitmap:
-    """A bit vector on its way to an `IntSet` at the API boundary.
+    """A guarded bit vector: a union, fold or witness block as it leaves
+    the engine.
 
     Bit i of `bits` set means the integer `offset + i` is in the set. The
-    engine's rungs and unions are plain ints; this wraps one only to decode it.
+    engine's rungs are plain ints; a result is wrapped so that a caller can
+    size it by popcount (`len`), decode its elements once (`elements`), or
+    build the validated `IntSet` at the API boundary (`to_intset`).
     """
 
     offset: int
     bits: int
 
-    def to_intset(self) -> IntSet:
+    def __len__(self) -> int:
+        return self.bits.bit_count()
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        """The set bits as integers, increasing; unchecked against int64."""
         # binary digits lowest first, as 0/1 bytes that select from the range
         digits = bin(self.bits)[:1:-1].encode().translate(_BIT_BYTES)
-        n, offset = len(digits), self.offset
-        return IntSet(tuple(compress(range(offset, offset + n), digits)))
+        offset = self.offset
+        return tuple(compress(range(offset, offset + len(digits)), digits))
+
+    def to_intset(self) -> IntSet:
+        return IntSet(self.elements)
 
 
 def require_kind(kind: SumsetKind) -> None:
@@ -204,16 +216,16 @@ def prefix_ladders(A: IntSet, h_max: int) -> Iterator[list[int]]:
     return _prefix_ladders(A, h_max)
 
 
-def _sumset(A: IntSet, hs: tuple[int, ...], kind: SumsetKind) -> IntSet:
+def _sumset(A: IntSet, hs: tuple[int, ...], kind: SumsetKind) -> SumBitmap:
     # hs is increasing. One guard, one ladder up to the largest contributing
-    # rung, OR the rungs hs as it passes them, decode once.
+    # rung, OR the rungs hs as it passes them.
     _require_nonempty(A)
     if hs[0] < 0:
         raise ArityError("multiplicity must be nonnegative")
     if kind is SumsetKind.RESTRICTED and hs[-1] > len(A):
         hs = tuple(h for h in hs if h <= len(A))
     if not hs:
-        return IntSet(())
+        return SumBitmap(0, 0)
     _check_rungs(A, hs, kind)
     # rung h sits at offset h*t, so the lowest offset is at an end of hs
     t = A.min
@@ -223,7 +235,7 @@ def _sumset(A: IntSet, hs: tuple[int, ...], kind: SumsetKind) -> IntSet:
     for h, rung in enumerate(_ladder(A, hs[-1], kind)):
         if h in wanted:
             bits |= rung << (h * t - base)
-    return SumBitmap(base, bits).to_intset()
+    return SumBitmap(base, bits)
 
 
 def h_fold(A: IntSet, h: int) -> IntSet:
@@ -231,7 +243,7 @@ def h_fold(A: IntSet, h: int) -> IntSet:
 
     h = 0 gives {0}, h = 1 gives A back. The result is rung h of the ladder.
     """
-    return _sumset(A, (h,), SumsetKind.ORDINARY)
+    return _sumset(A, (h,), SumsetKind.ORDINARY).to_intset()
 
 
 def h_fold_restricted(A: IntSet, h: int) -> IntSet:
@@ -240,18 +252,24 @@ def h_fold_restricted(A: IntSet, h: int) -> IntSet:
     h = 0 gives {0}, h = |A| the singleton total, h > |A| the empty set.
     The result is rung h of the restricted ladder.
     """
-    return _sumset(A, (h,), SumsetKind.RESTRICTED)
+    return _sumset(A, (h,), SumsetKind.RESTRICTED).to_intset()
 
 
-def union_sumset(A: IntSet, H: HSet, kind: SumsetKind) -> IntSet:
-    """Union of the h-fold sumsets of A over all multiplicities h in H.
+def union_bitmap(A: IntSet, H: HSet, kind: SumsetKind) -> SumBitmap:
+    """Union of the h-fold sumsets of A over all multiplicities h in H, as
+    the guarded bit vector: every element is in the signed 64-bit range.
 
-    Restricted entries with h > |A| contribute nothing; h = 0 contributes
-    {0} under either kind.
+    Restricted entries with h > |A| contribute nothing (all of them: the
+    empty SumBitmap(0, 0)); h = 0 contributes {0} under either kind.
     """
     if H.is_empty:
         raise ArityError("union over an empty multiplicity set is undefined")
     return _sumset(A, H.elements, kind)
+
+
+def union_sumset(A: IntSet, H: HSet, kind: SumsetKind) -> IntSet:
+    """union_bitmap decoded to an IntSet."""
+    return union_bitmap(A, H, kind).to_intset()
 
 
 def naive_h_fold(

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import sumset_lab.bounds as bounds
 from sumset_lab.bounds import (
     bound_h_fold,
     bound_h_fold_restricted,
@@ -13,9 +14,9 @@ from sumset_lab.bounds import (
     evaluate,
     extremal_example,
 )
-from sumset_lab.engine import SumsetKind, union_sumset
+from sumset_lab.engine import SumBitmap, SumsetKind, union_bitmap, union_sumset
 from sumset_lab.errors import HypothesisError, UnsupportedClassError
-from sumset_lab.intset import HSet, IntSet, make_interval
+from sumset_lab.intset import HSet, IntSet, dilate, make_interval
 
 ORD = SumsetKind.ORDINARY
 RES = SumsetKind.RESTRICTED
@@ -213,6 +214,26 @@ def test_evaluate_zero_multiplicity_without_zero_in_a():
     assert not rep.hypotheses_met
     assert rep.bound_value == 0
     assert rep.computed_size == 7  # {0} plus the six 2-fold sums
+
+
+def test_evaluate_sizes_each_union_by_popcount(monkeypatch):
+    A, H = IntSet((-9, -4, -2, -1)), HSet((1, 3))
+    # sized on the reflected set {1, 2, 4, 9}
+    expected = [len(union_sumset(dilate(A, -1), H, kind)) for kind in (ORD, RES)]
+    calls = []
+
+    def counted(A, H, kind):
+        calls.append(kind)
+        return union_bitmap(A, H, kind)
+
+    def refused(self):
+        raise AssertionError("evaluate decoded a union to an IntSet")
+
+    monkeypatch.setattr(bounds, "union_bitmap", counted)
+    monkeypatch.setattr(SumBitmap, "to_intset", refused)
+    reports = evaluate(A, H)
+    assert calls == [ORD, RES]
+    assert [r.computed_size for r in reports] == expected
 
 
 def test_catalog_bound_matches_direct_formulas():

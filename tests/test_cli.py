@@ -12,7 +12,7 @@ import random
 import sumset_lab.bounds as bounds
 import sumset_lab.cli as cli
 from sumset_lab.cli import main
-from sumset_lab.engine import SumsetKind, union_sumset
+from sumset_lab.engine import SumBitmap, SumsetKind, union_bitmap, union_sumset
 from sumset_lab.errors import UnsupportedClassError
 from sumset_lab.intset import HSet, IntSet
 
@@ -63,10 +63,14 @@ def test_compute_builds_one_union_per_kind(capsys, monkeypatch):
 
     def counted(A, H, kind):
         calls.append(kind)
-        return union_sumset(A, H, kind)
+        return union_bitmap(A, H, kind)
 
-    monkeypatch.setattr(cli, "union_sumset", counted)
-    monkeypatch.setattr(bounds, "union_sumset", counted)
+    def refused(self):
+        raise AssertionError("compute decoded a union to an IntSet")
+
+    monkeypatch.setattr(cli, "union_bitmap", counted)
+    monkeypatch.setattr(bounds, "union_bitmap", counted)
+    monkeypatch.setattr(SumBitmap, "to_intset", refused)
     code, out, _ = run_cli(capsys, "compute", "-A", "1,2,4,9", "-H", "1,3", "--kind", "both")
     assert code == 0 and "equality=" in out
     assert calls == [SumsetKind.ORDINARY, SumsetKind.RESTRICTED]
@@ -119,6 +123,62 @@ def test_compute_too_wide_to_allocate_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: sumset too wide to allocate its bit vector\n"
+
+
+# the guard, not IntSet validation, holds compute's output in int64
+_COMPUTE_PINS = [
+    (
+        ["-A", "4611686018427387903,4611686018427387904", "-H", "1", "--kind", "ordinary"],
+        0,
+        "A: 4611686018427387903,4611686018427387904\n"
+        "H: 1\n"
+        "ordinary: sumset=4611686018427387903,4611686018427387904 size=2"
+        " bound=2 formula=union-positive equality=yes\n",
+        '{"a":"4611686018427387903,4611686018427387904","h":"1","results":'
+        '[{"kind":"ordinary","sumset":"4611686018427387903,4611686018427387904",'
+        '"size":2,"bound":2,"formula":"union-positive","equality":true,'
+        '"hypotheses_met":true,"reason":null}]}\n',
+        "",
+    ),
+    (
+        ["-A", "4611686018427387903,4611686018427387904", "-H", "1,2"],
+        1,
+        "",
+        "",
+        "error: value 9223372036854775808 outside signed 64-bit range\n",
+    ),
+    (
+        ["-A", "9223372036854775807", "-H", "1", "--kind", "ordinary"],
+        0,
+        "A: 9223372036854775807\n"
+        "H: 1\n"
+        "ordinary: sumset=9223372036854775807 size=1"
+        " bound=1 formula=union-positive equality=yes\n",
+        '{"a":"9223372036854775807","h":"1","results":'
+        '[{"kind":"ordinary","sumset":"9223372036854775807","size":1,"bound":1,'
+        '"formula":"union-positive","equality":true,"hypotheses_met":true,'
+        '"reason":null}]}\n',
+        "",
+    ),
+    (
+        ["-A", "1,2", "-H", "3", "--kind", "restricted"],
+        0,
+        "A: 1,2\n"
+        "H: 3\n"
+        "restricted: sumset= size=0 bound=0 formula=None equality=no"
+        " note='max multiplicity 3 exceeds the cap 2 for k=2'\n",
+        '{"a":"1,2","h":"3","results":[{"kind":"restricted","sumset":"","size":0,'
+        '"bound":0,"formula":null,"equality":false,"hypotheses_met":false,'
+        '"reason":"max multiplicity 3 exceeds the cap 2 for k=2"}]}\n',
+        "",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, as_json, err", _COMPUTE_PINS)
+def test_compute_bytes_at_the_edges(capsys, argv, code, text, as_json, err):
+    assert run_cli(capsys, "compute", *argv) == (code, text, err)
+    assert run_cli(capsys, "compute", *argv, "--json") == (code, as_json, err)
 
 
 def test_verify_rejects_bad_workers_and_case_cap(capsys):

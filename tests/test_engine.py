@@ -18,6 +18,7 @@ from sumset_lab.engine import (
     h_fold_restricted,
     naive_h_fold,
     sumset_ladder,
+    union_bitmap,
     union_sumset,
 )
 from sumset_lab.errors import ArityError, IntegerOverflowError, OracleRefusedError
@@ -96,6 +97,8 @@ def test_union_sumset_restricted_overlarge_entries():
     A = IntSet((1, 2, 4))
     assert union_sumset(A, HSet((2, 5)), RES) == h_fold_restricted(A, 2)
     assert union_sumset(A, HSet((5, 6)), RES).is_empty
+    empty = union_bitmap(A, HSet((5, 6)), RES)
+    assert empty == SumBitmap(0, 0) and len(empty) == 0 and empty.elements == ()
     # rungs 2 and 3 would overflow but are never returned, so never checked
     assert union_sumset(HUGE3, HSet((1, 5)), RES) == HUGE3
 
@@ -105,6 +108,8 @@ def test_empty_inputs_refused():
         h_fold(IntSet(()), 2)
     with pytest.raises(ArityError):
         union_sumset(IntSet((1,)), HSet(()), ORD)
+    with pytest.raises(ArityError):
+        union_bitmap(IntSet((1,)), HSet(()), ORD)
 
 
 def test_naive_matches_independent_enumeration():
@@ -245,6 +250,39 @@ def test_bitmap_decode():
     assert SumBitmap(-(2**63), 1).to_intset() == IntSet((-(2**63),))
     with pytest.raises(IntegerOverflowError):
         SumBitmap(2**63 - 1, 0b11).to_intset()
+
+
+def _random_pair(rng):
+    """A k-set in [-30, 60] of one of four sign patterns (positive, with 0,
+    negative, mixed), and an H that may hold 0 and multiplicities above k."""
+    k = rng.randint(1, 8)
+    pattern = rng.randrange(4) if k > 1 else rng.randrange(3)
+    if pattern == 0:
+        values = rng.sample(range(1, 61), k)
+    elif pattern == 1:
+        values = [0, *rng.sample(range(1, 61), k - 1)]
+    elif pattern == 2:
+        values = rng.sample(range(-30, 0), k)
+    else:
+        values = [rng.randint(-30, -1), rng.randint(1, 60)]
+        values += rng.sample([v for v in range(-30, 61) if v not in values], k - 2)
+    H = HSet.of(rng.sample(range(0, k + 3), rng.randint(1, 3)))
+    return IntSet.of(values), H
+
+
+def test_union_bitmap_sizes_and_decodes_like_union_sumset():
+    rng = random.Random(19)
+    for _ in range(300):
+        A, H = _random_pair(rng)
+        for kind in SumsetKind:
+            bitmap = union_bitmap(A, H, kind)
+            union = union_sumset(A, H, kind)
+            naive = set()
+            for h in H:
+                naive.update(naive_h_fold(A, h, kind))
+            # the validating constructor accepts every decoded vector
+            assert IntSet(bitmap.elements) == union == IntSet.of(naive)
+            assert len(bitmap) == len(union) == len(naive)
 
 
 def test_threaded_callers_agree():
