@@ -187,9 +187,17 @@ def bound_report(A: IntSet, H: HSet, kind: SumsetKind, size: int) -> BoundReport
     catalog formula covers them.
     """
     work, _ = sign_reduce(A)
+    return _reduced_report(work, work is not A, H, kind, size)
+
+
+def _reduced_report(
+    work: IntSet, reflected: bool, H: HSet, kind: SumsetKind, size: int
+) -> BoundReport:
+    """bound_report for the sign-reduced set work; reflected says whether it
+    came from a negative set, which the reason then notes."""
     outcome = catalog_bound(kind, len(work), H, work.elements[0] == 0)
     reason = outcome.reason
-    if work is not A:
+    if reflected:
         reason = REFLECTION_NOTE if reason is None else f"{REFLECTION_NOTE}; {reason}"
     return BoundReport(
         kind=kind,
@@ -206,9 +214,13 @@ def evaluate(
     A: IntSet, H: HSet, kinds: tuple[SumsetKind, ...] | None = None
 ) -> list[BoundReport]:
     """Size-vs-bound reports for (A, H), one per requested kind (see
-    bound_report); each union is computed on the sign-reduced set and sized
-    by popcount."""
+    bound_report); A is sign-reduced once, and each union is computed on the
+    reduced set and sized by popcount."""
     work, _ = sign_reduce(A)
+    reflected = work is not A
     if kinds is None:
         kinds = (SumsetKind.ORDINARY, SumsetKind.RESTRICTED)
-    return [bound_report(A, H, kind, len(union_bitmap(work, H, kind))) for kind in kinds]
+    return [
+        _reduced_report(work, reflected, H, kind, len(union_bitmap(work, H, kind)))
+        for kind in kinds
+    ]

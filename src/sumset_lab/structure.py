@@ -37,7 +37,11 @@ class APDescriptor(NamedTuple):
 def ap_descriptor(A: IntSet) -> APDescriptor:
     if A.is_empty:
         raise HypothesisError("empty set has no progression structure")
-    elements = A.elements
+    return _progression(A.elements)
+
+
+def _progression(elements: tuple[int, ...]) -> APDescriptor:
+    """ap_descriptor of a nonempty increasing tuple."""
     if len(elements) == 1:
         return APDescriptor(True, elements[0], None)
     d = elements[1] - elements[0]
@@ -270,48 +274,64 @@ def _expectation(
     return rule, predicted, reasons
 
 
-def verdict_a_half(A: IntSet, zero_in: bool) -> tuple[APDescriptor, bool]:
-    """The verdict inputs that look at A alone, a sign-reduced set: its
-    progression, whether it is a dilated interval."""
-    ad = ap_descriptor(A)
+def verdict_a_half(elements: tuple[int, ...], zero_in: bool) -> tuple[APDescriptor, bool]:
+    """The verdict inputs that look at A alone, given as the increasing
+    elements of a sign-reduced set: its progression, whether it is a
+    dilated interval."""
+    ad = _progression(elements)
     return ad, _dilation(ad, zero_in) is not None
 
 
-def build_verdict(
-    kind: SumsetKind,
-    set_class: SetClass,
-    zero_in: bool,
-    k: int,
-    H: HSet,
-    size: int,
-    outcome: bounds.BoundOutcome,
-    a_half: tuple[APDescriptor, bool],
-    extra_reasons: tuple[str, ...] = (),
-) -> InverseVerdict:
-    """Assemble the verdict of a sign-reduced A of k elements from its
-    union's size, its bound outcome and A's half (verdict_a_half). H's facts
-    (rule, predicted facts, unmet hypotheses, progression, run) are derived
-    here, so the exhaustive verifier, which calls this once per (row, A's
-    half), derives them only for the rows that reach an equality case.
-    """
+# rule, predicted fact names, unmet hypotheses, H's progression, H is a run
+HHalf = tuple[str, tuple[str, ...], tuple[str, ...], APDescriptor, bool]
+
+
+def verdict_h_half(
+    kind: SumsetKind, zero_in: bool, k: int, H: HSet, outcome: bounds.BoundOutcome
+) -> HHalf:
+    """The verdict inputs that look at the row alone (kind, 0 in A, k, H and
+    its bound outcome): the rule, its predicted fact names, the unmet
+    hypotheses, H's progression, whether H is a run."""
     rule, predicted, reasons = _expectation(kind, zero_in, k, H)
     if not outcome.applicable and outcome.reason:
         reasons.append(f"no applicable bound: {outcome.reason}")
     hd = ap_descriptor(H) if H.elements else APDescriptor(True, 0, None)
+    return rule, predicted, tuple(reasons), hd, h_shifted_interval(H) is not None
+
+
+def observed_a_facts(
+    a_half: tuple[APDescriptor, bool], h_half: HHalf
+) -> tuple[bool, int | None, bool, bool | None]:
+    """The observed facts that depend on A: a_is_ap, a_difference,
+    a_dilated_interval and difference_relation. With the row, they fix an
+    equality case's verdict, since its size is the row's bound."""
     ad, a_dilated = a_half
+    hd = h_half[3]
     # a difference is None unless the set is a progression of 2+ elements
     if hd.difference is not None and ad.difference is not None:
         relation = ad.difference == hd.difference * ad.first
     else:
         relation = None
+    return ad.is_ap, ad.difference, a_dilated, relation
+
+
+def build_verdict(
+    kind: SumsetKind,
+    set_class: SetClass,
+    size: int,
+    outcome: bounds.BoundOutcome,
+    h_half: HHalf,
+    a_half: tuple[APDescriptor, bool],
+    extra_reasons: tuple[str, ...] = (),
+) -> InverseVerdict:
+    """Assemble the verdict of a sign-reduced A from its union's size, its
+    bound outcome, the row's half (verdict_h_half) and A's half
+    (verdict_a_half). The exhaustive verifier derives a row's half once, at
+    its first equality case, and calls this once per (row, observed A facts).
+    """
+    rule, predicted, reasons, hd, h_run = h_half
     observed = StructureFacts(
-        h_is_ap=hd.is_ap,
-        h_difference=hd.difference,
-        h_shifted_interval=h_shifted_interval(H) is not None,
-        a_is_ap=ad.is_ap,
-        a_difference=ad.difference,
-        a_dilated_interval=a_dilated,
-        difference_relation=relation,
+        hd.is_ap, hd.difference, h_run, *observed_a_facts(a_half, h_half)
     )
     matches = all(bool(getattr(observed, name)) for name in predicted)
     hypotheses = not reasons
@@ -325,7 +345,7 @@ def build_verdict(
         bound_applicable=outcome.applicable,
         equality_holds=equality,
         hypotheses_hold=hypotheses,
-        reasons=extra_reasons + tuple(reasons),
+        reasons=extra_reasons + reasons,
         rule=rule,
         structure_predicted=predicted,
         structure_observed=observed,
@@ -344,5 +364,6 @@ def check_inverse(A: IntSet, H: HSet, kind: SumsetKind) -> InverseVerdict:
     k = len(work)
     size = len(union_sumset(work, H, kind))
     outcome = bounds.catalog_bound(kind, k, H, zero_in)
-    a_half = verdict_a_half(work, zero_in)
-    return build_verdict(kind, set_class, zero_in, k, H, size, outcome, a_half, extra)
+    h_half = verdict_h_half(kind, zero_in, k, H, outcome)
+    a_half = verdict_a_half(work.elements, zero_in)
+    return build_verdict(kind, set_class, size, outcome, h_half, a_half, extra)

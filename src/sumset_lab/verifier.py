@@ -10,17 +10,22 @@ rungs by one element, and a row whose union of a prefix is above the
 row's bound less h_r per missing element is closed for the whole subtree,
 since appending a new maximum adds at least h_r sums (the README's prefix
 lemma). A leaf unions only the rows still open; only pairs that reach
-their bound go further, and the A half of the verdict is built once per A
-that has one. An equality case's size is its row's bound, so its
-verdict and record depend on the row and A's half alone: each block builds
-them, H's facts included, once per (row, A's half). Each case's record is
-a read-only dict (CaseRecord) that repeats the first such case's record
-but for "a" and points at it, so VerificationReport.to_json encodes those
-shared fields once and writes each case as its A text spliced before
-them. Work is split into contiguous chunks of 512 A-sets of the
-A-enumeration by combinatorial rank, and each chunk resumes at its rank
-with itertools.combinations. The chunk is the one unit of work: it sets up
-its blocks' rows and verdicts once and is one pool message. Chunk
+their bound go further, and the A half of the verdict (A's progression and
+dilation) is built once per A that has one. An equality case's size is its
+row's bound, so its verdict and record depend on the row and the observed
+facts about A alone (structure.observed_a_facts, which A's first element
+is not among): each block builds them once per (row, facts) that occurs,
+and derives a row's H half (rule, hypotheses, H's progression and run) at
+the row's first equality case. Each case's record is a read-only dict
+(CaseRecord) that repeats the first such case's record but for "a" and
+points at it, so VerificationReport.to_json encodes those shared fields
+once and writes each case as its A text spliced before them. A case that
+no list keeps, all of them being at the case cap, is only counted: it
+builds no record, and A's text is formatted only for a template, a kept
+case or a violation. Work is split into contiguous chunks of 512 A-sets
+of the A-enumeration by combinatorial rank, and each chunk resumes at its
+rank with itertools.combinations. The chunk is the one unit of work: it
+sets up its blocks' rows and templates once and is one pool message. Chunk
 boundaries are independent of the worker count and chunk results merge in
 rank order as they finish, so the report is byte-identical no matter how
 many workers ran. Chunks run in process or on a ProcessPoolExecutor of at
@@ -47,7 +52,14 @@ from . import bounds
 from .engine import SumsetKind, extend_ladder, require_kind, sumset_ladder
 from .errors import SpaceTooLargeError, WorkerLostError
 from .intset import HSet, IntSet, SetClass, format_elements, parse_elements
-from .structure import InverseVerdict, build_verdict, plain_fields, verdict_a_half
+from .structure import (
+    InverseVerdict,
+    build_verdict,
+    observed_a_facts,
+    plain_fields,
+    verdict_a_half,
+    verdict_h_half,
+)
 
 REPORT_VERSION = "sumset-lab-report/1"
 DEFAULT_PAIR_CAP = 10**8
@@ -283,7 +295,7 @@ def _merged(parts: Iterable[_Partial], case_cap: int) -> _Partial:
 class CaseRecord(dict):
     """An equality case's record, read-only. CaseRecord(fields) is a first
     record: a copy of fields with "a" as the first key. CaseRecord(first,
-    a_text) is a later case of the same (row, A's half): it repeats first
+    a_text) is a later case of the same (row, A's facts): it repeats first
     but for "a" and points at it (at a plain dict's frozen copy), so
     to_json encodes those shared fields once. Every mutator raises
     TypeError, so no record can disagree with the fields encoded for it;
@@ -413,11 +425,12 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
         sumset_ladder(IntSet((top,)), space.h_max, SumsetKind.ORDINARY)
         set_class = SetClass.ZERO_REST_POSITIVE if zero_in else SetClass.ALL_POSITIVE
         # the block's applicable (H, kind) rows, built per call (not cached):
-        # patched formulas show. An equality case's size is its row's bound,
-        # so its verdict depends on the row and A's half only: verdicts maps
-        # (row, a_half) to the record of the first such case, and every
-        # later case's record repeats it
-        rows, open_rows, verdicts = [], [[] for _ in space.kinds], {}
+        # patched formulas show. h_halves holds each row's H half from its
+        # first equality case on. An equality case's size is its row's
+        # bound, so its record depends on the row and A's observed facts
+        # only: templates maps (row, facts) to the first such case's record
+        # and the lists its cases go to
+        rows, open_rows, h_halves, templates = [], [[] for _ in space.kinds], {}, {}
         for h_combo in h_combos:
             H = HSet(h_combo)
             h_text = format_elements(h_combo)
@@ -431,11 +444,13 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
             acc.pairs += row_count
             if not hits:
                 continue
-            a_text = format_elements(elements)
-            a_half = verdict_a_half(IntSet(elements), zero_in)
+            # A's text only for a template, a kept case or a violation
+            a_text = None
+            a_half = verdict_a_half(elements, zero_in)
             for i, size in hits:
                 h_text, kind, outcome, H = rows[i]
                 if size < outcome.value:
+                    a_text = a_text or format_elements(elements)
                     acc.violations.add(
                         {
                             "a": a_text,
@@ -448,21 +463,30 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
                         },
                         case_cap,
                     )
-                else:
-                    first = verdicts.get((i, a_half))
-                    if first is None:
-                        verdict = build_verdict(
-                            kind, set_class, zero_in, k, H, size, outcome, a_half
-                        )
-                        record = CaseRecord(case_record(a_text, h_text, zero_in, verdict))
-                        verdicts[i, a_half] = record
-                    else:
-                        record = CaseRecord(first, a_text)
-                    acc.equality.add(record, case_cap)
+                    continue
+                h_half = h_halves.get(i)
+                if h_half is None:
+                    h_half = h_halves[i] = verdict_h_half(kind, zero_in, k, H, outcome)
+                key = (i, observed_a_facts(a_half, h_half))
+                template, record = templates.get(key), None
+                if template is None:
+                    a_text = a_text or format_elements(elements)
+                    verdict = build_verdict(kind, set_class, size, outcome, h_half, a_half)
+                    record = CaseRecord(case_record(a_text, h_text, zero_in, verdict))
+                    lists = (acc.equality,)
                     if record["nonstructured"]:
-                        acc.nonstructured.add(record, case_cap)
+                        lists += (acc.nonstructured,)
                     if not record["consistent"]:
-                        acc.inconsistencies.add(record, case_cap)
+                        lists += (acc.inconsistencies,)
+                    template = templates[key] = (record, lists)
+                first, lists = template
+                for cases in lists:
+                    cases.count += 1
+                    if len(cases.records) < case_cap:
+                        if record is None:
+                            a_text = a_text or format_elements(elements)
+                            record = CaseRecord(first, a_text)
+                        cases.records.append(record)
     return acc
 
 

@@ -16,7 +16,7 @@ from sumset_lab.bounds import (
 )
 from sumset_lab.engine import SumBitmap, SumsetKind, union_bitmap, union_sumset
 from sumset_lab.errors import HypothesisError, UnsupportedClassError
-from sumset_lab.intset import HSet, IntSet, dilate, make_interval
+from sumset_lab.intset import REFLECTION_NOTE, HSet, IntSet, dilate, make_interval
 
 ORD = SumsetKind.ORDINARY
 RES = SumsetKind.RESTRICTED
@@ -234,6 +234,31 @@ def test_evaluate_sizes_each_union_by_popcount(monkeypatch):
     reports = evaluate(A, H)
     assert calls == [ORD, RES]
     assert [r.computed_size for r in reports] == expected
+
+
+@pytest.mark.parametrize(
+    "elements", [(1, 2, 4, 9), (0, 2, 3), (-9, -4, -2, -1), (-5, -3, 0)]
+)
+def test_evaluate_sign_reduces_once(monkeypatch, elements):
+    # one reduction serves every kind, so a negative A is reflected once
+    real, calls = bounds.sign_reduce, []
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(bounds, "sign_reduce", counted)
+    A, H = IntSet(elements), HSet((1, 2))
+    reports = evaluate(A, H)
+    assert len(calls) == 1 and len(reports) == 2
+    calls.clear()
+    evaluate(A, H, kinds=(RES,))
+    assert len(calls) == 1
+    calls.clear()
+    bounds.bound_report(A, H, ORD, reports[0].computed_size)
+    assert len(calls) == 1
+    if elements[0] < 0:
+        assert all(r.reason.startswith(REFLECTION_NOTE) for r in reports)
 
 
 def test_catalog_bound_matches_direct_formulas():

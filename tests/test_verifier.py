@@ -553,38 +553,104 @@ def test_sweep_matches_single_pair_path(monkeypatch):
         assert violation["size"] == len(union_sumset(A, H, kind))
 
 
-def test_equality_verdicts_built_once_per_row_and_a_half(monkeypatch):
+def _count_calls(monkeypatch, owner, name, calls):
+    """Wrap owner.name so that each call appends its arguments to calls."""
+    real = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_equality_templates_built_once_per_row_and_a_facts(monkeypatch):
     # progressions and non-progressions of every k in both zero modes
     space = SearchSpace(7, (1, 5), 4, (2, 4), zero_mode=ZeroMode.BOTH)
-    keys, equalities = set(), 0
+    keys, half_keys, rows, equalities = set(), set(), set(), 0
     for A, H, kind in enumerate_pairs(space):
-        if structure.check_inverse(A, H, kind).equality_holds:
-            zero_in = A.elements[0] == 0
+        verdict = structure.check_inverse(A, H, kind)
+        if verdict.equality_holds:
+            obs, zero_in = verdict.structure_observed, A.elements[0] == 0
+            row = (zero_in, len(A), H, kind)
+            facts = (
+                obs.a_is_ap, obs.a_difference, obs.a_dilated_interval, obs.difference_relation
+            )
             equalities += 1
-            keys.add((zero_in, len(A), H, kind, structure.verdict_a_half(A, zero_in)))
-    calls = {"build_verdict": [], "_expectation": []}
-
-    def counting(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name].append(args)
-            return real(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(verifier, "build_verdict")
-    counting(structure, "_expectation")
+            rows.add(row)
+            keys.add((row, facts))
+            half_keys.add((row, structure.verdict_a_half(A.elements, zero_in)))
+    built, derived = [], []
+    _count_calls(monkeypatch, verifier, "build_verdict", built)
+    _count_calls(monkeypatch, structure, "_expectation", derived)
     chunk = _run_chunk((space, 0, space.a_task_count(), equalities))
     assert chunk.equality.count == len(chunk.equality.records) == equalities
-    # H's facts come with each verdict, never once per equality case
-    built, derived = len(calls["build_verdict"]), len(calls["_expectation"])
-    assert derived == built == len(keys) < equalities
+    # one verdict per (row, A's observed facts), A's first element aside, and
+    # H's facts once per row that reaches an equality case
+    assert len(built) == len(keys) < len(half_keys) < equalities
+    assert len(derived) == len(rows) < len(keys)
     records = chunk.equality.records
     assert len(set(map(id, records))) == len(records)
     verdict = structure.check_inverse(IntSet((1,)), HSet((1,)), ORD)
     order = list(case_record("", "", False, verdict))
     assert all(list(record) == order for record in records)
+
+
+@pytest.mark.parametrize("raised", [False, True])
+def test_full_case_lists_only_count(monkeypatch, raised):
+    if raised:
+        # an ordinary bound one too high fills all four lists (see
+        # test_equality_case_cap_truncates_lists_not_counts)
+        real = bounds.catalog_bound
+
+        def raise_ordinary(kind, *args):
+            outcome = real(kind, *args)
+            if kind is ORD and outcome.applicable:
+                return replace(outcome, value=outcome.value + 1)
+            return outcome
+
+        monkeypatch.setattr(bounds, "catalog_bound", raise_ordinary)
+    space = SearchSpace(8, (2, 5), 4, (1, 4), zero_mode=ZeroMode.BOTH)
+    whole = (space, 0, space.a_task_count())
+    h_texts = len(space.a_blocks()) * space.h_subset_count()
+    built, records_made, texts = [], [], []
+    _count_calls(monkeypatch, verifier, "build_verdict", built)
+    _count_calls(monkeypatch, CaseRecord, "__init__", records_made)
+    _count_calls(monkeypatch, verifier, "format_elements", texts)
+
+    def run(cap):
+        for calls in (built, records_made, texts):
+            calls.clear()
+        return _run_chunk(whole + (cap,))
+
+    full = run(10**9)
+    lists = ("violations", "equality", "nonstructured", "inconsistencies")
+    counts = [getattr(full, name).count for name in lists]
+    # violations and inconsistencies only under the raised bound
+    assert all(counts) if raised else counts[0] == counts[3] == 0 < counts[2]
+    # uncapped: one record per equality case and one text per A that has a case
+    assert len(records_made) == counts[1] > len(built)
+    a_texts = {r["a"] for name in lists for r in getattr(full, name).records}
+    assert len(texts) == h_texts + len(a_texts)
+    templates = len(built)
+    uncapped = verify(space, workers=1, case_cap=10**9)
+    middle = counts[1] // 3  # below the equality and nonstructured counts
+    assert 1 < middle < min(counts[1:3])
+    for cap in (0, 1, middle):
+        chunk = run(cap)
+        assert len(built) == templates
+        if cap == 0:
+            # a case that no list keeps builds no record, and A's text is
+            # written only for a template or a violation
+            assert len(records_made) == templates
+            assert len(texts) <= h_texts + templates + counts[0]
+        report = verify(space, workers=1, case_cap=cap)
+        for name, count, (count_field, list_field) in zip(lists, counts, _COUNTS_AND_LISTS):
+            cases = getattr(chunk, name)
+            assert cases.count == count == getattr(report, count_field)
+            assert getattr(uncapped, count_field) == count
+            assert cases.records == getattr(full, name).records[:cap]
+            assert getattr(report, list_field) == getattr(uncapped, list_field)[:cap]
 
 
 def test_report_json_round_trip():
