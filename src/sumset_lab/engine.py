@@ -8,12 +8,15 @@ Two independent routes compute the same objects:
 * a naive path that enumerates tuples or subsets directly, kept slow and
   obvious so it can serve as an oracle for the fast path.
 
-The fast path has one kernel, the ladder of rungs 0A, 1A, ..., topA (or
-their restricted counterparts), yielded as plain bit vectors. Every fold and
-union runs one guard and ORs the rungs it wants as the ladder passes them
-into one SumBitmap, which a caller sizes by popcount or decodes once.
-extend_ladder steps a ladder by one new largest element, for callers that
-walk many sets sharing their prefixes.
+The fast path has one kernel, extend_ladder, which steps the ladder of
+rungs 0B, 1B, ..., topB (or their restricted counterparts, as plain bit
+vectors) in place to that of B ∪ {x}. Both kinds are the same recurrence
+and differ only in which rung carries up the pass: the new one (ordinary, x
+may repeat) or the old one (restricted). Every ladder is that step folded
+over A's elements; every fold and union runs one guard and ORs the rungs it
+wants into one SumBitmap, which a caller sizes by popcount or decodes once.
+Callers that walk many sets sharing their prefixes step the ladder
+themselves.
 
 Every operation is a pure function of its inputs; concurrent callers need
 no coordination.
@@ -126,68 +129,47 @@ def _check_rungs(A: IntSet, hs: Sequence[int], kind: SumsetKind) -> None:
         check(A, h)
 
 
-def _ladder(A: IntSet, top: int, kind: SumsetKind) -> Iterator[int]:
-    """Rungs 0..top as bit vectors, in order, unchecked; the engine's only
-    sumset kernel.
+def extend_ladder(rungs: list[int], x: int, kind: SumsetKind) -> None:
+    """Step rungs 0..top of B to those of B ∪ {x}, in place; the engine's
+    only sumset kernel. Every vector is anchored at the same offset (say 0,
+    so that bit s is the sum s), and x >= 0 is any element not in B, not
+    only a new maximum. Unchecked: the caller guards the largest sum.
 
-    Works on A translated to start at 0, so rung h sits at offset h*min(A).
-    Ordinary rungs grow by folding one element layer per step, holding only
-    the current rung. Restricted rungs are the last state of the subset-sum
-    DP (_prefix_ladders); they may carry dead low bits below the true
-    minimum, and those above |A| are empty.
+    One ascending pass, where `below` holds rung h-1. Ordinary:
+    r_h(B∪x) = r_h(B) | r_{h-1}(B∪x) << x, since a sum may use x again, so
+    the new rung carries. Restricted: r_h(B∪x) = r_h(B) | r_{h-1}(B) << x,
+    x at most once, so the old rung carries. Restricted rungs above |B ∪ {x}|
+    stay empty.
     """
+    below = rungs[0]
     if kind is SumsetKind.ORDINARY:
-        t = A.min
-        shifted = [a - t for a in A.elements]
-        cur = 1
-        yield cur
-        for _ in range(top):
-            nxt = 0
-            for e in shifted:
-                nxt |= cur << e
-            cur = nxt
-            yield cur
+        for h in range(1, len(rungs)):
+            below = rungs[h] = rungs[h] | below << x
     else:
-        for rungs in _prefix_ladders(A, top):
-            pass
-        yield from rungs
+        for h in range(1, len(rungs)):
+            rungs[h], below = rungs[h] | below << x, rungs[h]
 
 
-def _prefix_ladders(A: IntSet, top: int) -> Iterator[list[int]]:
-    """Restricted rungs 0..top of the m smallest elements of A, for
-    m = 0..|A| in turn, unchecked; the engine's only restricted DP.
-
-    One cardinality-indexed subset-sum DP: scanning elements in increasing
-    order and updating rungs in descending order prevents reuse, so its state
-    after m elements is the restricted ladder of the m smallest. Rung h sits
-    at offset h*min(A). The one state list is updated in place and yielded
-    before the first element and after each one: read it before advancing.
+def _prefix_ladders(A: IntSet, top: int, kind: SumsetKind) -> Iterator[list[int]]:
+    """Rungs 0..top of the m smallest elements of A, for m = 0..|A| in turn,
+    unchecked: extend_ladder folded over A translated to start at 0, so rung
+    h sits at offset h*min(A) and may carry dead low bits below the true
+    minimum. The one state list is updated in place and yielded before the
+    first element and after each one: read it before advancing.
     """
     t = A.min
     rungs = [1] + [0] * top
     yield rungs
-    for idx, a in enumerate(A.elements):
-        e = a - t
-        for j in range(min(top, idx + 1), 0, -1):
-            if rungs[j - 1]:
-                rungs[j] |= rungs[j - 1] << e
+    for a in A.elements:
+        extend_ladder(rungs, a - t, kind)
         yield rungs
 
 
-def extend_ladder(rungs: list[int], x: int, kind: SumsetKind) -> list[int]:
-    """Rungs 0..top of B ∪ {x} from the rungs of B, for x above max(B) and
-    every vector anchored at the same offset (say 0, so that bit s is the
-    sum s); a new list, unchecked: the caller guards the largest sum.
-
-    Ordinary: r_h(B∪x) = r_h(B) | r_{h-1}(B∪x) << x, since a sum may use x
-    again. Restricted: r_h(B∪x) = r_h(B) | r_{h-1}(B) << x, x at most once.
-    """
-    if kind is SumsetKind.ORDINARY:
-        new = [rungs[0]]
-        for rung in rungs[1:]:
-            new.append(rung | new[-1] << x)
-        return new
-    return [rungs[0], *[rung | below << x for rung, below in zip(rungs[1:], rungs)]]
+def _ladder(A: IntSet, top: int, kind: SumsetKind) -> list[int]:
+    """Rungs 0..top of A, unchecked: the last state of _prefix_ladders."""
+    for rungs in _prefix_ladders(A, top, kind):
+        pass
+    return rungs
 
 
 def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[int]:
@@ -200,25 +182,25 @@ def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[int]:
     """
     _require_nonempty(A)
     _check_rungs(A, range(h_max + 1), kind)
-    return list(_ladder(A, h_max, kind))
+    return _ladder(A, h_max, kind)
 
 
 def prefix_ladders(A: IntSet, h_max: int) -> Iterator[list[int]]:
     """Restricted rungs 0..h_max of the m smallest elements of A, for
-    m = 0..|A| in turn, from one DP; rung h sits at offset h*min(A).
+    m = 0..|A| in turn, from one fold; rung h sits at offset h*min(A).
 
     The guard of sumset_ladder(A, h_max, RESTRICTED) runs before anything is
-    returned. Each yielded list is the DP's state, updated in place: read it
-    before advancing. The last state is the restricted ladder of A.
+    returned. Each yielded list is the fold's state, updated in place: read
+    it before advancing. The last state is the restricted ladder of A.
     """
     _require_nonempty(A)
     _check_rungs(A, range(h_max + 1), SumsetKind.RESTRICTED)
-    return _prefix_ladders(A, h_max)
+    return _prefix_ladders(A, h_max, SumsetKind.RESTRICTED)
 
 
 def _sumset(A: IntSet, hs: tuple[int, ...], kind: SumsetKind) -> SumBitmap:
     # hs is increasing. One guard, one ladder up to the largest contributing
-    # rung, OR the rungs hs as it passes them.
+    # rung, OR the rungs hs.
     _require_nonempty(A)
     if hs[0] < 0:
         raise ArityError("multiplicity must be nonnegative")
@@ -230,11 +212,10 @@ def _sumset(A: IntSet, hs: tuple[int, ...], kind: SumsetKind) -> SumBitmap:
     # rung h sits at offset h*t, so the lowest offset is at an end of hs
     t = A.min
     base = min(hs[0] * t, hs[-1] * t)
-    wanted = set(hs)
+    rungs = _ladder(A, hs[-1], kind)
     bits = 0
-    for h, rung in enumerate(_ladder(A, hs[-1], kind)):
-        if h in wanted:
-            bits |= rung << (h * t - base)
+    for h in hs:
+        bits |= rungs[h] << (h * t - base)
     return SumBitmap(base, bits)
 
 

@@ -105,8 +105,9 @@ def witness_blocks(A: IntSet, H: HSet, kind: SumsetKind) -> BlockDecomposition:
     previous fold's maximum: ordinary blocks take rung delta of that ladder
     shifted by prev*max(A); restricted blocks take rung delta of the ladder
     of the k-prev smallest elements shifted by the sum of the prev largest
-    (so the summands stay pairwise distinct). One restricted DP serves every
-    block: it passes the ladder of each prefix on its way to the ladder of A.
+    (so the summands stay pairwise distinct). One restricted ladder build
+    serves every block: it passes the ladder of each prefix on its way to the
+    ladder of A.
     Both invariants -- strictly increasing disjointness and containment of
     block i in the h_i-fold -- are checked on the bit vectors; a failure
     would falsify the construction and raises an internal error. Each block
@@ -130,7 +131,7 @@ def witness_blocks(A: IntSet, H: HSet, kind: SumsetKind) -> BlockDecomposition:
         for m, rungs in enumerate(prefix_ladders(A, H.max)):
             if m in reads:
                 picked[m] = rungs[reads[m]]
-        # rungs is now the DP's last state, the ladder of A
+        # rungs is now the fold's last state, the ladder of A
         largest = list(accumulate(reversed(A.elements), initial=0))
         bitmaps = [
             SumBitmap((h - prev) * t + largest[prev], picked[k - prev]) for h, prev in steps

@@ -46,7 +46,7 @@ from enum import Enum
 from itertools import chain, combinations, islice
 from json.encoder import encode_basestring_ascii
 from math import comb, log10
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import bounds
 from .engine import SumsetKind, extend_ladder, require_kind, sumset_ladder
@@ -124,14 +124,14 @@ class SearchSpace:
     def r_values(self) -> range:
         return range(self.r_range[0], self.r_range[1] + 1)
 
-    def a_blocks(self) -> list[tuple[ZeroMode, int, tuple[int, ...], int, int]]:
+    def a_blocks(self) -> list[tuple[ZeroMode, int, range, int, int]]:
         """(mode, k, positive universe, pick count, block size) per k-block."""
         blocks = []
         for mode in self.zero_mode.modes():
             if mode is ZeroMode.WITHOUT:
-                universe = tuple(range(1, self.universe_max + 1))
+                universe = range(1, self.universe_max + 1)
             else:
-                universe = tuple(range(1, self.universe_max))
+                universe = range(1, self.universe_max)
             ks = self.k_values()
             picks = ks if mode is ZeroMode.WITHOUT else range(ks.start - 1, ks.stop - 1)
             for k, pick, count in zip(ks, picks, _binomials(len(universe), picks)):
@@ -172,7 +172,7 @@ def _binomials(n: int, picks: range) -> list[int]:
 
 
 def _combinations_from(
-    universe: tuple[int, ...], k: int, rank: int
+    universe: Sequence[int], k: int, rank: int
 ) -> Iterator[tuple[int, ...]]:
     """k-subsets of universe in lex order, starting at the given rank. Lex
     order finishes the subsets that start with the rank-th one's first
@@ -368,7 +368,8 @@ def _walk(
     The sets come in lex order, so consecutive ones share a prefix. A stack
     holds, per prefix length, each kind's rungs of that prefix as absolute
     vectors (bit s is the sum s; every element is >= 0) and its rows still
-    open. Appending a new maximum adds at least h_r sums to a union (the
+    open; a step extends a copy of its parent's rungs in place, so the stack
+    keeps them. Appending a new maximum adds at least h_r sums to a union (the
     README's prefix lemma), so a row whose union of a prefix exceeds its cap
     there exceeds its bound on every set below that prefix: it closes for
     the whole subtree. A is the prefix of size k, where every row's cap is
@@ -387,7 +388,8 @@ def _walk(
             pushed = []
             for kind, (rungs, rows) in zip(kinds, state):
                 if rows:
-                    rungs = extend_ladder(rungs, x, kind)
+                    rungs = rungs.copy()
+                    extend_ladder(rungs, x, kind)
                     kept = []
                     for row in rows:
                         cap = row[2][m]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumset_lab import engine
 from sumset_lab.engine import (
     SumBitmap,
     SumsetKind,
@@ -17,6 +18,7 @@ from sumset_lab.engine import (
     h_fold,
     h_fold_restricted,
     naive_h_fold,
+    prefix_ladders,
     sumset_ladder,
     union_bitmap,
     union_sumset,
@@ -211,12 +213,52 @@ def test_ladder_agrees_with_single_shots():
             fold = h_fold if kind is ORD else h_fold_restricted
             for h in range(0, 7):
                 assert SumBitmap(h * A.min, ladder[h]).to_intset() == fold(A, h)
-            if A.min >= 0:
-                # one element at a time, as absolute vectors from the empty set
-                rungs = [1] + [0] * 6
-                for x in combo:
-                    rungs = extend_ladder(rungs, x, kind)
-                assert rungs == [rung << h * A.min for h, rung in enumerate(ladder)]
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=7, unique=True),
+    st.sampled_from([ORD, RES]),
+)
+def test_extend_ladder_fold_matches_oracle_in_any_order(order, kind):
+    # the kernel's recurrence holds for any new element, not only a new
+    # maximum: insert A's elements in the drawn order, as absolute vectors
+    # from the empty set's ladder
+    top = 8
+    rungs = [1] + [0] * top
+    for x in order:
+        assert extend_ladder(rungs, x, kind) is None
+    A = IntSet.of(order)
+    for h, rung in enumerate(rungs):
+        assert SumBitmap(0, rung).to_intset() == naive_h_fold(A, h, kind)
+        if kind is RES and h > len(A):
+            assert rung == 0
+
+
+def test_every_ladder_is_one_kernel_call_per_element(monkeypatch):
+    calls = []
+    kernel = engine.extend_ladder
+
+    def counted(rungs, x, kind):
+        calls.append(kind)
+        return kernel(rungs, x, kind)
+
+    monkeypatch.setattr(engine, "extend_ladder", counted)
+    for A in (IntSet((3,)), IntSet((-4, 0, 5, 9)), IntSet((1, 2, 4, 8, 13, 21))):
+        k = len(A)
+        H = HSet(tuple(range(1, min(k, 3) + 1)))
+        for kind, run in [
+            (ORD, lambda: sumset_ladder(A, 5, ORD)),
+            (RES, lambda: sumset_ladder(A, 5, RES)),
+            (ORD, lambda: union_bitmap(A, H, ORD)),
+            (RES, lambda: union_bitmap(A, H, RES)),
+            (ORD, lambda: h_fold(A, 3)),
+            (RES, lambda: h_fold_restricted(A, k)),
+            (RES, lambda: list(prefix_ladders(A, 4))),
+        ]:
+            calls.clear()
+            run()
+            assert calls == [kind] * k
 
 
 def test_bitmap_anchoring_and_popcount():

@@ -234,6 +234,20 @@ def test_deep_campaign_n18():
     assert report.clean
 
 
+@pytest.mark.deep
+def test_deep_campaign_n20():
+    # N=20, k 2..10, hmax 9, both kinds, both zero modes: 898,121,336 pairs,
+    # the walk's ladder steps at scale (about a minute at 2 workers)
+    space = SearchSpace(20, (2, 10), 9, (1, 9), zero_mode=ZeroMode.BOTH)
+    report = verify(space, workers=2, pair_cap=10**9, case_cap=0)
+    assert report.pairs_checked == space.enumeration_count() == 898_121_336
+    assert report.equality_case_count == 3_966_811
+    assert report.allowed_nonstructured_count == 3_934_158
+    assert report.bound_violation_count == 0
+    assert report.inverse_inconsistency_count == 0
+    assert report.clean
+
+
 def _sum_family(n, k):
     """Texts of the k-subsets of [1, n] whose largest element is the sum of
     the others."""
