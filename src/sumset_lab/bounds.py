@@ -72,14 +72,18 @@ def bound_h_fold_restricted(k: int, h: int) -> int:
     return h * (k - h) + 1
 
 
+def _require_k(k: int) -> None:
+    if k < 1:
+        raise HypothesisError(f"need k >= 1, got {k}")
+
+
 def _require_formula_inputs(k: int, H: HSet) -> None:
     """The union formulas' preconditions: a nonempty positive H, then k >= 1."""
     if H.is_empty:
         raise HypothesisError("empty multiplicity set")
     if not H.all_positive:
         raise HypothesisError("multiplicity set must be positive for catalog bounds")
-    if k < 1:
-        raise HypothesisError(f"need k >= 1, got {k}")
+    _require_k(k)
 
 
 def _cap_breach(k: int, hs: tuple[int, ...], zero_in_A: bool) -> str | None:
@@ -134,8 +138,7 @@ def catalog_bound(kind: SumsetKind, k: int, H: HSet, zero_in_A: bool) -> BoundOu
     covers the enlarged union and the outcome is inapplicable.
     """
     require_kind(kind)
-    if k < 1:
-        raise HypothesisError(f"need k >= 1, got {k}")
+    _require_k(k)
     hs = H.elements
     note = None
     if not hs:

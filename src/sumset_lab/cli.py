@@ -22,7 +22,7 @@ from .engine import SumsetKind, union_bitmap
 # not called here: bench/spans.HOOKS wraps this name on this module
 from .engine import union_sumset  # noqa: F401
 from .errors import SumsetError
-from .intset import format_elements, format_set, parse_hset, parse_intset, sign_reduce
+from .intset import format_set, parse_hset, parse_intset, sign_reduce
 from .structure import check_inverse
 from .verifier import (
     DEFAULT_CASE_CAP,
@@ -125,8 +125,8 @@ def _cmd_compute(args) -> int:
     kinds = _kinds_from(args.kind)
     results = []
     for kind in kinds:
-        # sized by popcount and printed from its decoded elements: the guard
-        # already holds them in int64, so no IntSet re-validates them
+        # sized by popcount and printed from its bits: the guard already
+        # holds every sum in int64, and no sum is decoded one by one
         sumset = union_bitmap(A, H, kind)
         size = len(sumset)
         try:
@@ -136,7 +136,7 @@ def _cmd_compute(args) -> int:
             note = str(exc)
         entry = {
             "kind": kind.value,
-            "sumset": format_elements(sumset.elements),
+            "sumset": sumset.text,
             "size": size,
         }
         if report is not None:

@@ -14,9 +14,9 @@ vectors) in place to that of B ∪ {x}. Both kinds are the same recurrence
 and differ only in which rung carries up the pass: the new one (ordinary, x
 may repeat) or the old one (restricted). Every ladder is that step folded
 over A's elements; every fold and union runs one guard and ORs the rungs it
-wants into one SumBitmap, which a caller sizes by popcount or decodes once.
-Callers that walk many sets sharing their prefixes step the ladder
-themselves.
+wants into one SumBitmap, which a caller sizes by popcount, prints from its
+bits, or decodes once. Callers that walk many sets sharing their prefixes
+step the ladder themselves.
 
 Every operation is a pure function of its inputs; concurrent callers need
 no coordination.
@@ -24,6 +24,7 @@ no coordination.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, combinations, combinations_with_replacement, compress
@@ -51,8 +52,8 @@ class SumBitmap:
 
     Bit i of `bits` set means the integer `offset + i` is in the set. The
     engine's rungs are plain ints; a result is wrapped so that a caller can
-    size it by popcount (`len`), decode its elements once (`elements`), or
-    build the validated `IntSet` at the API boundary (`to_intset`).
+    size it by popcount (`len`), print it from its bits (`text`), or decode
+    it once to the validated `IntSet` at the API boundary (`to_intset`).
     """
 
     offset: int
@@ -62,15 +63,41 @@ class SumBitmap:
         return self.bits.bit_count()
 
     @property
-    def elements(self) -> tuple[int, ...]:
-        """The set bits as integers, increasing; unchecked against int64."""
+    def text(self) -> str:
+        """The canonical set text (format_elements' bytes), read off the bits.
+
+        Only the part heads (lone sums and run starts) and the run ends are
+        decoded, so the cost follows the parts, not the sums. Unchecked
+        against int64.
+        """
+        b = self.bits
+        w = b & b >> 1 & b >> 2       # bit i opens three set bits
+        run = w | w << 1 | w << 2     # the sums in a run of 3 or more
+        heads = _positions(b & ~run | run & ~(run << 1), self.offset)
+        parts = list(map(str, heads))
+        for end in _positions(run & ~(run >> 1), self.offset):
+            i = bisect(heads, end) - 1  # the run's head: the last one below
+            parts[i] = f"{parts[i]}..{end}"
+        return ",".join(parts)
+
+    def to_intset(self) -> IntSet:
+        """The one full decode: every set bit as an integer, increasing."""
         # binary digits lowest first, as 0/1 bytes that select from the range
         digits = bin(self.bits)[:1:-1].encode().translate(_BIT_BYTES)
         offset = self.offset
-        return tuple(compress(range(offset, offset + len(digits)), digits))
+        return IntSet(tuple(compress(range(offset, offset + len(digits)), digits)))
 
-    def to_intset(self) -> IntSet:
-        return IntSet(self.elements)
+
+def _positions(bits: int, offset: int) -> list[int]:
+    """offset + i for each set bit i of bits, increasing, by C-level passes:
+    each set bit closes a piece "0...01" of the binary digits, lowest first,
+    and its position is offset - 1 plus the pieces' lengths so far."""
+    if not bits:
+        return []
+    pieces = bin(bits)[:1:-1].replace("1", "1 ").split()
+    positions = list(accumulate(map(len, pieces), initial=offset - 1))
+    del positions[0]
+    return positions
 
 
 def require_kind(kind: SumsetKind) -> None:

@@ -7,9 +7,10 @@ on (kind, k, H, 0 in A) only, so each chunk looks it up once per (k,
 zero-mode) block and reads that table for every A. A block's sets come in
 lex order and are walked as a prefix tree: each prefix extends its parent's
 rungs by one element, and a row whose union of a prefix is above the
-row's bound less h_r per missing element is closed for the whole subtree,
-since appending a new maximum adds at least h_r sums (the README's prefix
-lemma). A leaf unions only the rows still open; only pairs that reach
+row's bound less g(j) per missing element j is closed for the whole
+subtree, since appending a new maximum to j elements adds at least g(j)
+sums: h_r, or for a restricted row max(H ∩ [1, j]) (the README's prefix
+lemmas). A leaf unions only the rows still open; only pairs that reach
 their bound go further, and the A half of the verdict (A's progression and
 dilation) is built once per A that has one. An equality case's size is its
 row's bound, so its verdict and record depend on the row and the observed
@@ -348,13 +349,19 @@ def case_record(a_text: str, h_text: str, zero_in: bool, verdict: InverseVerdict
     return record
 
 
-def _prefix_caps(kind: SumsetKind, k: int, h_r: int, limit: int) -> tuple:
-    """A row's cap at each prefix size m = 0..k: limit - h_r*(k - m), or None
-    where the prefix lemma (README) does not apply: an ordinary row needs a
-    nonempty prefix, a restricted one h_r <= m. The cap at m = k is the
-    row's bound."""
-    first = 1 if kind is SumsetKind.ORDINARY else h_r
-    return (None,) * first + tuple(range(limit - h_r * (k - first), limit + 1, h_r))
+def _prefix_caps(kind: SumsetKind, k: int, hs: tuple[int, ...], limit: int) -> tuple:
+    """A row's cap at each prefix size m = 0..k, or None where the prefix
+    lemmas (README) are not used: an ordinary row needs a nonempty prefix, a
+    restricted one m >= h_1. Appending a new maximum to a prefix of size j
+    adds at least g(j) sums, h_r for an ordinary row and max(H ∩ [1, j]) for
+    a restricted one, so the cap at m is limit - Σ_{j=m}^{k-1} g(j); the cap
+    at m = k is the row's bound."""
+    ordinary = kind is SumsetKind.ORDINARY
+    caps = [None] * k + [limit]
+    for m in range(k - 1, 0 if ordinary else hs[0] - 1, -1):
+        g = hs[-1] if ordinary else hs[bisect_right(hs, m) - 1]
+        caps[m] = caps[m + 1] - g
+    return tuple(caps)
 
 
 def _walk(
@@ -369,11 +376,12 @@ def _walk(
     holds, per prefix length, each kind's rungs of that prefix as absolute
     vectors (bit s is the sum s; every element is >= 0) and its rows still
     open; a step extends a copy of its parent's rungs in place, so the stack
-    keeps them. Appending a new maximum adds at least h_r sums to a union (the
-    README's prefix lemma), so a row whose union of a prefix exceeds its cap
-    there exceeds its bound on every set below that prefix: it closes for
-    the whole subtree. A is the prefix of size k, where every row's cap is
-    its bound, so the rows still open there are A's hits.
+    keeps them. Appending a new maximum adds at least g(j) sums to a union
+    (the README's prefix lemmas; see _prefix_caps), so a row whose union of a
+    prefix exceeds its cap there exceeds its bound on every set below that
+    prefix: it closes for the whole subtree. A is the prefix of size k,
+    where every row's cap is its bound, so the rows still open there are
+    A's hits.
     """
     stack = [[([1] + [0] * h_max, rows) for rows in open_rows]]
     prev = ()
@@ -439,7 +447,7 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
             for kind, kind_rows in zip(space.kinds, open_rows):
                 outcome = bounds.catalog_bound(kind, k, H, zero_in)
                 if outcome.applicable:
-                    caps = _prefix_caps(kind, k, h_combo[-1], outcome.value)
+                    caps = _prefix_caps(kind, k, h_combo, outcome.value)
                     kind_rows.append((len(rows), h_combo, caps))
                     rows.append((h_text, kind, outcome, H))
         for elements, hits in _walk(a_sets, k, space.kinds, open_rows, space.h_max):

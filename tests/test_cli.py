@@ -172,6 +172,73 @@ _COMPUTE_PINS = [
         '"reason":"max multiplicity 3 exceeds the cap 2 for k=2"}]}\n',
         "",
     ),
+    # runs of exactly 1, 2 and 3 sums, negative runs, and a run ending at
+    # int64 max: the edges of a set's text
+    (
+        ["-A", "1,2,4", "-H", "1"],
+        0,
+        "A: 1,2,4\nH: 1\nordinary: sumset=1,2,4 size=3 bound=3 "
+        "formula=union-positive equality=yes\nrestricted: sumset=1,2,4 "
+        "size=3 bound=3 formula=union-restricted-positive equality=yes\n",
+        '{"a":"1,2,4","h":"1","results":[{"kind":"ordinary",'
+        '"sumset":"1,2,4","size":3,"bound":3,"formula":"union-positive",'
+        '"equality":true,"hypotheses_met":true,'
+        '"reason":null},{"kind":"restricted","sumset":"1,2,4","size":3,'
+        '"bound":3,"formula":"union-restricted-positive","equality":true,'
+        '"hypotheses_met":true,"reason":null}]}\n',
+        "",
+    ),
+    (
+        ["-A", "1,2,3,5", "-H", "1"],
+        0,
+        "A: 1..3,5\nH: 1\nordinary: sumset=1..3,5 size=4 bound=4 "
+        "formula=union-positive equality=yes\nrestricted: sumset=1..3,5 "
+        "size=4 bound=4 formula=union-restricted-positive equality=yes\n",
+        '{"a":"1..3,5","h":"1","results":[{"kind":"ordinary",'
+        '"sumset":"1..3,5","size":4,"bound":4,"formula":"union-positive",'
+        '"equality":true,"hypotheses_met":true,'
+        '"reason":null},{"kind":"restricted","sumset":"1..3,5","size":4,'
+        '"bound":4,"formula":"union-restricted-positive","equality":true,'
+        '"hypotheses_met":true,"reason":null}]}\n',
+        "",
+    ),
+    (
+        ["--set-a=-3,-2,-1,5", "-H", "1,2"],
+        0,
+        "A: -3..-1,5\nH: 1,2\n"
+        "ordinary: sumset=-6..-1,2..5,10 size=11 bound=None formula=None"
+        " equality=n/a note='mixed-sign sets have well-defined sumsets but no"
+        " catalog bound'\n"
+        "restricted: sumset=-5..-1,2..5 size=9 bound=None formula=None"
+        " equality=n/a note='mixed-sign sets have well-defined sumsets but no"
+        " catalog bound'\n",
+        '{"a":"-3..-1,5","h":"1,2","results":[{"kind":"ordinary",'
+        '"sumset":"-6..-1,2..5,10","size":11,"bound":null,"formula":null,'
+        '"equality":null,"hypotheses_met":false,"reason":"mixed-sign sets have'
+        ' well-defined sumsets but no catalog bound"},{"kind":"restricted",'
+        '"sumset":"-5..-1,2..5","size":9,"bound":null,"formula":null,'
+        '"equality":null,"hypotheses_met":false,"reason":"mixed-sign sets have'
+        ' well-defined sumsets but no catalog bound"}]}\n',
+        "",
+    ),
+    (
+        ["-A", "9223372036854775805,9223372036854775806,9223372036854775807", "-H", "1"],
+        0,
+        "A: 9223372036854775805..9223372036854775807\nH: 1\nordinary: "
+        "sumset=9223372036854775805..9223372036854775807 size=3 bound=3 "
+        "formula=union-positive equality=yes\nrestricted: "
+        "sumset=9223372036854775805..9223372036854775807 size=3 bound=3 "
+        "formula=union-restricted-positive equality=yes\n",
+        '{"a":"9223372036854775805..9223372036854775807","h":"1",'
+        '"results":[{"kind":"ordinary",'
+        '"sumset":"9223372036854775805..9223372036854775807","size":3,'
+        '"bound":3,"formula":"union-positive","equality":true,'
+        '"hypotheses_met":true,"reason":null},{"kind":"restricted",'
+        '"sumset":"9223372036854775805..9223372036854775807","size":3,'
+        '"bound":3,"formula":"union-restricted-positive","equality":true,'
+        '"hypotheses_met":true,"reason":null}]}\n',
+        "",
+    ),
 ]
 
 

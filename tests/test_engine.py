@@ -24,7 +24,15 @@ from sumset_lab.engine import (
     union_sumset,
 )
 from sumset_lab.errors import ArityError, IntegerOverflowError, OracleRefusedError
-from sumset_lab.intset import INT64_MAX, HSet, IntSet, dilate, make_interval
+from sumset_lab.intset import (
+    INT64_MAX,
+    INT64_MIN,
+    HSet,
+    IntSet,
+    dilate,
+    format_elements,
+    make_interval,
+)
 
 ORD = SumsetKind.ORDINARY
 RES = SumsetKind.RESTRICTED
@@ -100,7 +108,7 @@ def test_union_sumset_restricted_overlarge_entries():
     assert union_sumset(A, HSet((2, 5)), RES) == h_fold_restricted(A, 2)
     assert union_sumset(A, HSet((5, 6)), RES).is_empty
     empty = union_bitmap(A, HSet((5, 6)), RES)
-    assert empty == SumBitmap(0, 0) and len(empty) == 0 and empty.elements == ()
+    assert empty == SumBitmap(0, 0) and len(empty) == 0 and empty.to_intset().is_empty
     # rungs 2 and 3 would overflow but are never returned, so never checked
     assert union_sumset(HUGE3, HSet((1, 5)), RES) == HUGE3
 
@@ -294,6 +302,35 @@ def test_bitmap_decode():
         SumBitmap(2**63 - 1, 0b11).to_intset()
 
 
+def _planted_runs(rng, width):
+    """A vector at most width bits wide: runs of 1 to 20 set bits, each
+    followed by a gap of 1 to 5 clear bits."""
+    bits, i = 0, rng.randint(0, 5)
+    while i < width:
+        run = min(rng.randint(1, 20), width - i)
+        bits |= ((1 << run) - 1) << i
+        i += run + rng.randint(1, 5)
+    return bits
+
+
+def test_bitmap_text_matches_the_tuple_writer():
+    # the text read off the bits is format_elements' text of the decoded set,
+    # byte for byte: runs of 1, 2, 3 and more, at negative, zero and
+    # near-int64-edge offsets
+    rng = random.Random(22)
+    assert SumBitmap(0, 0).text == ""
+    for _ in range(2000):
+        bits = _planted_runs(rng, rng.randint(0, 200))
+        for offset in (
+            -rng.randint(1, 500),
+            0,
+            INT64_MIN + rng.randint(0, 2**12),
+            INT64_MAX - bits.bit_length() - rng.randint(0, 2**12) + 1,
+        ):
+            bitmap = SumBitmap(offset, bits)
+            assert bitmap.text == format_elements(bitmap.to_intset().elements)
+
+
 def _random_pair(rng):
     """A k-set in [-30, 60] of one of four sign patterns (positive, with 0,
     negative, mixed), and an H that may hold 0 and multiplicities above k."""
@@ -323,7 +360,7 @@ def test_union_bitmap_sizes_and_decodes_like_union_sumset():
             for h in H:
                 naive.update(naive_h_fold(A, h, kind))
             # the validating constructor accepts every decoded vector
-            assert IntSet(bitmap.elements) == union == IntSet.of(naive)
+            assert bitmap.to_intset() == union == IntSet.of(naive)
             assert len(bitmap) == len(union) == len(naive)
 
 

@@ -28,6 +28,7 @@ from sumset_lab.verifier import (
     ZeroMode,
     _combinations_from,
     _pool_size,
+    _prefix_caps,
     _run_chunk,
     case_record,
     enumerate_pairs,
@@ -565,6 +566,18 @@ def test_sweep_matches_single_pair_path(monkeypatch):
         H = HSet(parse_elements(violation["h"]))
         kind = SumsetKind(violation["kind"])
         assert violation["size"] == len(union_sumset(A, H, kind))
+
+
+def test_prefix_caps_chain_g():
+    # k = 6, H = {2, 5}: a prefix of size j grows by at least g(j) sums, 5
+    # (h_r) for the ordinary row and max(H ∩ [1, j]) for the restricted one,
+    # so a restricted row is tested from m = h_1 = 2, below h_r
+    assert bounds.catalog_bound(ORD, 6, HSet((2, 5)), False).value == 27
+    assert bounds.catalog_bound(RES, 6, HSet((2, 5)), False).value == 13
+    assert _prefix_caps(ORD, 6, (2, 5), 27) == (None, 2, 7, 12, 17, 22, 27)
+    assert _prefix_caps(RES, 6, (2, 5), 13) == (None, None, 2, 4, 6, 8, 13)
+    # with h_1 = h_r = k the only cap is the bound
+    assert _prefix_caps(RES, 3, (3,), 1) == (None, None, None, 1)
 
 
 def _count_calls(monkeypatch, owner, name, calls):
