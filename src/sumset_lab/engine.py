@@ -24,7 +24,7 @@ no coordination.
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, combinations, combinations_with_replacement, compress
@@ -130,30 +130,33 @@ def _check_rungs(A: IntSet, hs: Sequence[int], kind: SumsetKind) -> None:
     never checked.
 
     One pass per call. |h*x| grows with h, so the largest ordinary rung bounds
-    every smaller one; the restricted extremes of every requested rung come
-    off one ascending and one descending prefix sum of A. Only on failure are the
-    rungs walked in order, so the error names the same sum as a per-rung check.
+    every smaller one, and the rungs that fail are a tail of hs: on failure
+    bisection finds its first. The restricted extremes of every requested
+    rung come off one ascending and one descending prefix sum of A; only on
+    failure are those rungs walked in order. Either way the error names the
+    same sum as a per-rung check.
     """
     require_kind(kind)
     if not hs:
         return
     e = A.elements
     if kind is SumsetKind.ORDINARY:
-        top = hs[-1]
-        if INT64_MIN <= top * e[0] and top * e[-1] <= INT64_MAX:
-            return
-        check = _check_ordinary_range
-    else:
-        k = len(e)
-        top = min(hs[-1], k)
-        low = list(accumulate(e[:top], initial=0))
-        high = list(accumulate(reversed(e[k - top :]), initial=0))
-        # the h smallest sum to at most the h largest
-        if all(INT64_MIN <= low[h] and high[h] <= INT64_MAX for h in hs if h <= top):
-            return
-        check = _check_restricted_range
+
+        def fails(h: int) -> bool:
+            return h * e[0] < INT64_MIN or h * e[-1] > INT64_MAX
+
+        if fails(hs[-1]):
+            _check_ordinary_range(A, hs[bisect_left(hs, True, key=fails)])
+        return
+    k = len(e)
+    top = min(hs[-1], k)
+    low = list(accumulate(e[:top], initial=0))
+    high = list(accumulate(reversed(e[k - top :]), initial=0))
+    # the h smallest sum to at most the h largest
+    if all(INT64_MIN <= low[h] and high[h] <= INT64_MAX for h in hs if h <= top):
+        return
     for h in hs:
-        check(A, h)
+        _check_restricted_range(A, h)
 
 
 def extend_ladder(rungs: list[int], x: int, kind: SumsetKind) -> None:

@@ -240,7 +240,7 @@ def _expectation(
         else:
             rule = "h-fold-inverse"
             predicted = ("a_is_ap",)
-            if r == 1 and H.elements[0] < 2:
+            if H.elements == (1,):
                 reasons.append("multiplicity 1 alone returns the set itself")
     elif kind is SumsetKind.ORDINARY:
         # 0 in A: the largest fold absorbs the union, so only the single-fold

@@ -3,37 +3,38 @@
 Enumerates every (A, H, kind) pair in a search space, checks each computed
 size against its catalog bound, runs the inverse check on every equality
 case, and folds everything into a machine-readable report. A bound depends
-on (kind, k, H, 0 in A) only, so each chunk looks it up once per (k,
-zero-mode) block and reads that table for every A. A block's sets come in
-lex order and are walked as a prefix tree: each prefix extends its parent's
-rungs by one element, and a row whose union of a prefix is above the
-row's bound less g(j) per missing element j is closed for the whole
-subtree, since appending a new maximum to j elements adds at least g(j)
-sums: h_r, or for a restricted row max(H ∩ [1, j]) (the README's prefix
-lemmas). A leaf unions only the rows still open; only pairs that reach
-their bound go further, and the A half of the verdict (A's progression and
-dilation) is built once per A that has one. An equality case's size is its
-row's bound, so its verdict and record depend on the row and the observed
-facts about A alone (structure.observed_a_facts, which A's first element
-is not among): each block builds them once per (row, facts) that occurs,
-and derives a row's H half (rule, hypotheses, H's progression and run) at
-the row's first equality case. Each case's record is a read-only dict
-(CaseRecord) that repeats the first such case's record but for "a" and
-points at it, so VerificationReport.to_json encodes those shared fields
-once and writes each case as its A text spliced before them. A case that
-no list keeps, all of them being at the case cap, is only counted: it
-builds no record, and A's text is formatted only for a template, a kept
-case or a violation. Work is split into contiguous chunks of 512 A-sets
-of the A-enumeration by combinatorial rank, and each chunk resumes at its
-rank with itertools.combinations. The chunk is the one unit of work: it
-sets up its blocks' rows and templates once and is one pool message. Chunk
+on (kind, k, H, 0 in A) only, and a chunk's A-sets all lie in one (k,
+zero-mode) block, so each chunk looks it up once and reads that table for
+every A. A block's sets come in lex order and are walked as a prefix tree:
+each prefix extends its parent's rungs by one element, and a row whose
+union of a prefix is above the row's bound less g(j) per missing element j
+is closed for the whole subtree, since appending a new maximum to j
+elements adds at least g(j) sums: h_r, or for a restricted row max(H ∩
+[1, j]) (the README's prefix lemmas). A leaf unions only the rows still
+open; only pairs that reach their bound go further, and the A half of the
+verdict (A's progression and dilation) is built once per A that has one.
+An equality case's size is its row's bound, so its verdict and record
+depend on the row and the observed facts about A alone
+(structure.observed_a_facts, which A's first element is not among): each
+chunk builds them once per (row, facts) that occurs, and derives a row's H
+half (rule, hypotheses, H's progression and run) at the row's first
+equality case. Each case's record is a read-only dict (CaseRecord) that
+repeats the first such case's record but for "a" and points at it, so
+VerificationReport.to_json encodes those shared fields once and writes
+each case as its A text spliced before them. A case that no list keeps,
+all of them being at the case cap, is only counted: it builds no record,
+and A's text is formatted only for a template, a kept case or a violation.
+Each block is cut into contiguous chunks of at most 512 of its A-sets by
+combinatorial rank within the block, and each chunk resumes at its rank
+with itertools.combinations. The chunk is the one unit of work: it sets up
+its block's rows and templates once and is one pool message. Chunk
 boundaries are independent of the worker count and chunk results merge in
 rank order as they finish, so the report is byte-identical no matter how
 many workers ran. Chunks run in process or on a ProcessPoolExecutor of at
-most one process per chunk, where a worker that dies fails the run with
-WorkerLostError instead of leaving it waiting. Each case list stops at the
-case cap, in a chunk and in the merge alike, so memory follows the cap
-rather than the number of cases.
+most one process per 512 A-sets of the space, where a worker that dies
+fails the run with WorkerLostError instead of leaving it waiting. Each
+case list stops at the case cap, in a chunk and in the merge alike, so
+memory follows the cap rather than the number of cases.
 """
 
 from __future__ import annotations
@@ -195,23 +196,6 @@ def _combinations_from(
     return chain(map(prefix.__add__, combinations(universe, k)), *reversed(tails))
 
 
-def _a_tasks(
-    space: SearchSpace, start: int, end: int
-) -> Iterator[tuple[bool, int, Iterator[tuple[int, ...]]]]:
-    """(0 in A, k, A-sets in enumeration order) per k-block in [start, end)."""
-    base = 0
-    for mode, k, universe, pick, count in space.a_blocks():
-        if base + count > start and base < end:
-            local_start = max(0, start - base)
-            combos = islice(
-                _combinations_from(universe, pick, local_start),
-                min(count, end - base) - local_start,
-            )
-            zero_in = mode is ZeroMode.WITH
-            yield zero_in, k, (map((0,).__add__, combos) if zero_in else combos)
-        base += count
-
-
 def _capped_count(space: SearchSpace, pair_cap: int) -> int:
     """The space's pair count; raises when it is above the cap."""
     count = space.enumeration_count()
@@ -245,9 +229,10 @@ def enumerate_pairs(
         for r in space.r_values()
         for h_combo in combinations(range(1, space.h_max + 1), r)
     ]
-    for _zero_in, _k, a_sets in _a_tasks(space, 0, space.a_task_count()):
-        for elements in a_sets:
-            A = IntSet(elements)
+    for mode, _k, universe, pick, _count in space.a_blocks():
+        zero = (0,) if mode is ZeroMode.WITH else ()
+        for elements in _combinations_from(universe, pick, 0):
+            A = IntSet(zero + elements)
             for H in h_sets:
                 for kind in space.kinds:
                     yield A, H, kind
@@ -419,29 +404,25 @@ def _walk(
         yield a, hits
 
 
-def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
-    space, start, end, case_cap = args
+def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
+    """The A-sets of rank start..end-1, in lex order, of one a_blocks() block."""
+    space, (mode, k, universe, pick, _count), start, end, case_cap = args
+    zero_in = mode is ZeroMode.WITH
     acc = _Partial()
-    h_combos = [
-        h_combo
-        for r in space.r_values()
-        for h_combo in combinations(range(1, space.h_max + 1), r)
-    ]
-    row_count = len(h_combos) * len(space.kinds)
-    for zero_in, k, a_sets in _a_tasks(space, start, end):
-        # every sum the walk forms lies in [0, h_max*top], top the largest
-        # element of the block's universe: one guard per block
-        top = space.universe_max - zero_in
-        sumset_ladder(IntSet((top,)), space.h_max, SumsetKind.ORDINARY)
-        set_class = SetClass.ZERO_REST_POSITIVE if zero_in else SetClass.ALL_POSITIVE
-        # the block's applicable (H, kind) rows, built per call (not cached):
-        # patched formulas show. h_halves holds each row's H half from its
-        # first equality case on. An equality case's size is its row's
-        # bound, so its record depends on the row and A's observed facts
-        # only: templates maps (row, facts) to the first such case's record
-        # and the lists its cases go to
-        rows, open_rows, h_halves, templates = [], [[] for _ in space.kinds], {}, {}
-        for h_combo in h_combos:
+    # every sum the walk forms lies in [0, h_max*top], top the largest
+    # element of the block's universe: one guard per chunk
+    top = space.universe_max - zero_in
+    sumset_ladder(IntSet((top,)), space.h_max, SumsetKind.ORDINARY)
+    set_class = SetClass.ZERO_REST_POSITIVE if zero_in else SetClass.ALL_POSITIVE
+    # the block's applicable (H, kind) rows, built per call (not cached):
+    # patched formulas show. h_halves holds each row's H half from its
+    # first equality case on. An equality case's size is its row's bound,
+    # so its record depends on the row and A's observed facts only:
+    # templates maps (row, facts) to the first such case's record and the
+    # lists its cases go to
+    rows, open_rows, h_halves, templates = [], [[] for _ in space.kinds], {}, {}
+    for r in space.r_values():
+        for h_combo in combinations(range(1, space.h_max + 1), r):
             H = HSet(h_combo)
             h_text = format_elements(h_combo)
             for kind, kind_rows in zip(space.kinds, open_rows):
@@ -450,53 +431,57 @@ def _run_chunk(args: tuple[SearchSpace, int, int, int]) -> _Partial:
                     caps = _prefix_caps(kind, k, h_combo, outcome.value)
                     kind_rows.append((len(rows), h_combo, caps))
                     rows.append((h_text, kind, outcome, H))
-        for elements, hits in _walk(a_sets, k, space.kinds, open_rows, space.h_max):
-            acc.pairs += row_count
-            if not hits:
+    row_count = space.h_subset_count() * len(space.kinds)
+    a_sets = islice(_combinations_from(universe, pick, start), end - start)
+    if zero_in:
+        a_sets = map((0,).__add__, a_sets)
+    for elements, hits in _walk(a_sets, k, space.kinds, open_rows, space.h_max):
+        acc.pairs += row_count
+        if not hits:
+            continue
+        # A's text only for a template, a kept case or a violation
+        a_text = None
+        a_half = verdict_a_half(elements, zero_in)
+        for i, size in hits:
+            h_text, kind, outcome, H = rows[i]
+            if size < outcome.value:
+                a_text = a_text or format_elements(elements)
+                acc.violations.add(
+                    {
+                        "a": a_text,
+                        "h": h_text,
+                        "kind": kind.value,
+                        "zero_in_a": zero_in,
+                        "size": size,
+                        "bound": outcome.value,
+                        "formula": outcome.formula.identifier,
+                    },
+                    case_cap,
+                )
                 continue
-            # A's text only for a template, a kept case or a violation
-            a_text = None
-            a_half = verdict_a_half(elements, zero_in)
-            for i, size in hits:
-                h_text, kind, outcome, H = rows[i]
-                if size < outcome.value:
-                    a_text = a_text or format_elements(elements)
-                    acc.violations.add(
-                        {
-                            "a": a_text,
-                            "h": h_text,
-                            "kind": kind.value,
-                            "zero_in_a": zero_in,
-                            "size": size,
-                            "bound": outcome.value,
-                            "formula": outcome.formula.identifier,
-                        },
-                        case_cap,
-                    )
-                    continue
-                h_half = h_halves.get(i)
-                if h_half is None:
-                    h_half = h_halves[i] = verdict_h_half(kind, zero_in, k, H, outcome)
-                key = (i, observed_a_facts(a_half, h_half))
-                template, record = templates.get(key), None
-                if template is None:
-                    a_text = a_text or format_elements(elements)
-                    verdict = build_verdict(kind, set_class, size, outcome, h_half, a_half)
-                    record = CaseRecord(case_record(a_text, h_text, zero_in, verdict))
-                    lists = (acc.equality,)
-                    if record["nonstructured"]:
-                        lists += (acc.nonstructured,)
-                    if not record["consistent"]:
-                        lists += (acc.inconsistencies,)
-                    template = templates[key] = (record, lists)
-                first, lists = template
-                for cases in lists:
-                    cases.count += 1
-                    if len(cases.records) < case_cap:
-                        if record is None:
-                            a_text = a_text or format_elements(elements)
-                            record = CaseRecord(first, a_text)
-                        cases.records.append(record)
+            h_half = h_halves.get(i)
+            if h_half is None:
+                h_half = h_halves[i] = verdict_h_half(kind, zero_in, k, H, outcome)
+            key = (i, observed_a_facts(a_half, h_half))
+            template, record = templates.get(key), None
+            if template is None:
+                a_text = a_text or format_elements(elements)
+                verdict = build_verdict(kind, set_class, size, outcome, h_half, a_half)
+                record = CaseRecord(case_record(a_text, h_text, zero_in, verdict))
+                lists = (acc.equality,)
+                if record["nonstructured"]:
+                    lists += (acc.nonstructured,)
+                if not record["consistent"]:
+                    lists += (acc.inconsistencies,)
+                template = templates[key] = (record, lists)
+            first, lists = template
+            for cases in lists:
+                cases.count += 1
+                if len(cases.records) < case_cap:
+                    if record is None:
+                        a_text = a_text or format_elements(elements)
+                        record = CaseRecord(first, a_text)
+                    cases.records.append(record)
     return acc
 
 
@@ -587,17 +572,17 @@ def _encode_records(records: list, pieces: list, tails: dict) -> None:
     pieces.append("]" if records else "[]")
 
 
-def _pool_size(workers: int | None, chunks: int) -> int:
+def _pool_size(workers: int | None, most: int) -> int:
     """Worker processes to start: the request (default: the CPUs this
-    process may run on), never more than those CPUs, never more than one
-    per chunk and never fewer than one."""
+    process may run on), never more than those CPUs or than most, and never
+    fewer than one."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     if workers is None:
         workers = cpus
-    return max(1, min(workers, cpus, chunks))
+    return max(1, min(workers, cpus, most))
 
 
 def verify(
@@ -613,12 +598,14 @@ def verify(
         raise ValueError(f"worker count must be at least 1, got {workers}")
     started = time.perf_counter()
     expected = _capped_count(space, pair_cap)
-    total_a = space.a_task_count()
     chunk_args = [
-        (space, start, min(start + _CHUNK_A_TASKS, total_a), case_cap)
-        for start in range(0, total_a, _CHUNK_A_TASKS)
+        (space, block, start, min(start + _CHUNK_A_TASKS, block[4]), case_cap)
+        for block in space.a_blocks()
+        for start in range(0, block[4], _CHUNK_A_TASKS)
     ]
-    processes = _pool_size(workers, len(chunk_args))
+    # one process per _CHUNK_A_TASKS A-sets, not per chunk: a small space cut
+    # into many small blocks still runs in process
+    processes = _pool_size(workers, -(-space.a_task_count() // _CHUNK_A_TASKS))
     if processes == 1:
         merged = _merged(map(_run_chunk, chunk_args), case_cap)
     else:

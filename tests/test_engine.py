@@ -455,6 +455,33 @@ def test_guard_matches_per_rung_rule():
     assert checked == 4800 and 0 < raised < checked
 
 
+def test_guard_bisects_to_the_first_failing_ordinary_rung(monkeypatch):
+    # |h*x| grows with h, so the failing ordinary rungs are a tail of hs and
+    # one per-rung check, at its first, names the sum. Checking rung after
+    # rung from 0 would take 2^61 calls here, so the count stops a walk early
+    real, calls = _check_ordinary_range, []
+
+    def counted(A, h):
+        calls.append(h)
+        assert len(calls) < 100, "the guard checks the rungs one by one"
+        real(A, h)
+
+    monkeypatch.setattr(engine, "_check_ordinary_range", counted)
+    from sumset_lab.structure import witness_blocks
+
+    cases = (
+        (lambda: witness_blocks(IntSet((4, 5)), HSet((1, 2**62)), ORD), INT64_MAX // 5 + 1, 5),
+        (lambda: sumset_ladder(IntSet((4,)), 2**62, ORD), 2**61, 4),
+    )
+    for call, first, largest in cases:
+        calls.clear()
+        with pytest.raises(IntegerOverflowError) as caught:
+            call()
+        assert calls == [first]
+        assert str(caught.value) == f"value {first * largest} outside signed 64-bit range"
+    assert 4 * 2**61 == 2**63 and 5 * (INT64_MAX // 5 + 1) == 9223372036854775810
+
+
 def test_guard_mixed_sign_restricted_middle_rung():
     # rung 2's smallest sum (the two most-negative elements) leaves int64;
     # rungs 0, 1 and 3 stay inside

@@ -236,6 +236,18 @@ def test_check_inverse_trivial_single_multiplicity():
     assert not v.consistent is False  # vacuously consistent
 
 
+def test_single_multiplicity_reasons_for_zero_and_one():
+    # only H = {1} returns A itself; H = {0} is refused for not being positive
+    A = IntSet((1, 2, 3))
+    assert check_inverse(A, HSet((0,)), ORD).reasons == (
+        "multiplicity set must be positive",
+        "no applicable bound: H = {0} has no applicable bound",
+    )
+    assert check_inverse(A, HSet((1,)), ORD).reasons == (
+        "multiplicity 1 alone returns the set itself",
+    )
+
+
 def test_check_inverse_single_fold_progression_rule():
     # r = 1 with multiplicity 2: equality forces a progression
     v = check_inverse(IntSet((3, 5, 7)), HSet((2,)), ORD)

@@ -307,7 +307,21 @@ def _pin_cpus(monkeypatch, count):
 
 
 def _chunk_count(space):
+    """The chunks verify runs: each block cut into runs of _CHUNK_A_TASKS."""
+    return sum(-(-block[4] // verifier._CHUNK_A_TASKS) for block in space.a_blocks())
+
+
+def _pool_cap(space):
+    """verify's clamp on the pool: one process per _CHUNK_A_TASKS A-sets."""
     return -(-space.a_task_count() // verifier._CHUNK_A_TASKS)
+
+
+def _run_blocks(space, case_cap):
+    """Each block of the space run as one chunk, merged in rank order."""
+    return verifier._merged(
+        (_run_chunk((space, block, 0, block[4], case_cap)) for block in space.a_blocks()),
+        case_cap,
+    )
 
 
 def test_worker_determinism_small_space(monkeypatch, same_json):
@@ -316,7 +330,7 @@ def test_worker_determinism_small_space(monkeypatch, same_json):
     _pin_cpus(monkeypatch, 8)
     monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 64)
     space = SearchSpace(8, (2, 4), 4, (1, 3), zero_mode=ZeroMode.BOTH)
-    assert _pool_size(3, _chunk_count(space)) == 3
+    assert _pool_size(3, _pool_cap(space)) == 3
     blobs = {w: verify(space, workers=w).to_json() for w in (1, 2, 3)}
     same_json(blobs[2], blobs[1], "workers=2")
     same_json(blobs[3], blobs[1], "workers=3")
@@ -328,13 +342,16 @@ def test_report_bytes_do_not_depend_on_chunk_size(monkeypatch, same_json):
     _pin_cpus(monkeypatch, 2)
     space = SearchSpace(9, (1, 5), 4, (1, 4), zero_mode=ZeroMode.BOTH)
     total = space.a_task_count()
+    blocks, largest = len(space.a_blocks()), max(block[4] for block in space.a_blocks())
     expected = verify(space, workers=1, case_cap=50).to_json()
     for size, workers in product((1, 7, 64, 512, total), (1, 2)):
         monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", size)
         report = verify(space, workers=workers, case_cap=50)
         # more equality cases than the cap, so every run truncates that list
         assert report.equality_case_count > 50
-        assert (_chunk_count(space) == 1) == (size == total)
+        # a chunk never crosses a block: one chunk per block once no block is cut
+        assert (_chunk_count(space) == blocks) == (size >= largest)
+        assert (_pool_cap(space) == 1) == (size == total)
         same_json(report.to_json(), expected, f"chunk={size} workers={workers}")
 
 
@@ -357,7 +374,7 @@ def test_dead_worker_fails_the_run(monkeypatch, capsys):
     _pin_cpus(monkeypatch, 2)
     monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 64)
     space = SearchSpace(10, (2, 3), 2, (1, 2))
-    assert _pool_size(2, _chunk_count(space)) == 2  # so 2 workers start
+    assert _pool_size(2, _pool_cap(space)) == 2  # so 2 workers start
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(20)
     try:
@@ -401,8 +418,10 @@ def test_equality_case_cap_truncates_lists_not_counts(monkeypatch):
     space = SearchSpace(10, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
     chunk_size = verifier._CHUNK_A_TASKS
     assert space.a_task_count() > 4 * chunk_size
-    assert _pool_size(2, _chunk_count(space)) == 2
-    first = _run_chunk((space, 0, chunk_size, 10**9))
+    assert _pool_size(2, _pool_cap(space)) == 2
+    # the first chunk in rank order: the head of the first block
+    block = space.a_blocks()[0]
+    first = _run_chunk((space, block, 0, min(chunk_size, block[4]), 10**9))
     first_counts = [
         first.violations.count,
         first.equality.count,
@@ -496,7 +515,7 @@ def test_bound_violations_capped_per_chunk_counts_complete(monkeypatch, same_jso
     _pin_cpus(monkeypatch, 2)
     monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 64)
     space = SearchSpace(10, (3, 3), 2, (1, 2), kinds=(ORD,))
-    assert _pool_size(2, _chunk_count(space)) == 2
+    assert _pool_size(2, _pool_cap(space)) == 2
     reports = {w: verify(space, workers=w, case_cap=1) for w in (1, 2)}
     report = reports[1]
     assert report.bound_violation_count > 1
@@ -505,7 +524,8 @@ def test_bound_violations_capped_per_chunk_counts_complete(monkeypatch, same_jso
     full = verify(space, workers=1)
     assert full.bound_violation_count == report.bound_violation_count
     assert full.bound_violations[:1] == report.bound_violations
-    chunk = _run_chunk((space, 0, space.a_task_count(), 1))
+    (block,) = space.a_blocks()
+    chunk = _run_chunk((space, block, 0, block[4], 1))
     assert chunk.violations.count == report.bound_violation_count
     assert len(chunk.violations.records) == 1  # capped before the merge
 
@@ -521,9 +541,39 @@ def test_bounds_looked_up_once_per_block(monkeypatch):
     monkeypatch.setattr(bounds, "catalog_bound", counting)
     space = SearchSpace(7, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
     blocks = len(space.a_blocks())  # k = 2..4 in both zero modes
-    chunk = _run_chunk((space, 0, space.a_task_count(), 0))
+    chunk = _run_blocks(space, 0)
     assert len(calls) == blocks * space.h_subset_count() * len(space.kinds)
     assert chunk.pairs == space.enumeration_count()
+
+
+def test_bounds_looked_up_once_per_chunk_through_verify(monkeypatch):
+    # a chunk is a slice of one block, so it sets up exactly that block's rows
+    calls = []
+    _count_calls(monkeypatch, bounds, "catalog_bound", calls)
+    monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 16)
+    space = SearchSpace(7, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
+    # blocks of 21, 35 and 35 A-sets without 0 and 6, 15 and 20 with it
+    assert _chunk_count(space) == 2 + 3 + 3 + 1 + 1 + 2
+    report = verify(space, workers=1)
+    assert report.pairs_checked == space.enumeration_count()
+    assert len(calls) == _chunk_count(space) * space.h_subset_count() * len(space.kinds)
+
+
+def test_small_space_of_many_blocks_runs_in_process(monkeypatch):
+    # the pool is clamped by A-sets, not by chunks: a space of at most
+    # _CHUNK_A_TASKS A-sets starts no process however many blocks cut it
+    import concurrent.futures
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a ProcessPoolExecutor was constructed")
+
+    _pin_cpus(monkeypatch, 8)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
+    space = SearchSpace(8, (1, 5), 3, (1, 3), zero_mode=ZeroMode.BOTH)
+    assert _chunk_count(space) == len(space.a_blocks()) == 10
+    assert space.a_task_count() == 317 <= verifier._CHUNK_A_TASKS
+    report = verify(space, workers=8)
+    assert report.pairs_checked == space.enumeration_count()
 
 
 def test_sweep_matches_single_pair_path(monkeypatch):
@@ -610,7 +660,7 @@ def test_equality_templates_built_once_per_row_and_a_facts(monkeypatch):
     built, derived = [], []
     _count_calls(monkeypatch, verifier, "build_verdict", built)
     _count_calls(monkeypatch, structure, "_expectation", derived)
-    chunk = _run_chunk((space, 0, space.a_task_count(), equalities))
+    chunk = _run_blocks(space, equalities)
     assert chunk.equality.count == len(chunk.equality.records) == equalities
     # one verdict per (row, A's observed facts), A's first element aside, and
     # H's facts once per row that reaches an equality case
@@ -638,7 +688,6 @@ def test_full_case_lists_only_count(monkeypatch, raised):
 
         monkeypatch.setattr(bounds, "catalog_bound", raise_ordinary)
     space = SearchSpace(8, (2, 5), 4, (1, 4), zero_mode=ZeroMode.BOTH)
-    whole = (space, 0, space.a_task_count())
     h_texts = len(space.a_blocks()) * space.h_subset_count()
     built, records_made, texts = [], [], []
     _count_calls(monkeypatch, verifier, "build_verdict", built)
@@ -648,7 +697,7 @@ def test_full_case_lists_only_count(monkeypatch, raised):
     def run(cap):
         for calls in (built, records_made, texts):
             calls.clear()
-        return _run_chunk(whole + (cap,))
+        return _run_blocks(space, cap)
 
     full = run(10**9)
     lists = ("violations", "equality", "nonstructured", "inconsistencies")
