@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, combinations, combinations_with_replacement, compress
+from itertools import accumulate, combinations, combinations_with_replacement, compress, islice
 from math import comb
 from typing import Iterator, Sequence
 
@@ -131,10 +131,11 @@ def _check_rungs(A: IntSet, hs: Sequence[int], kind: SumsetKind) -> None:
 
     One pass per call. |h*x| grows with h, so the largest ordinary rung bounds
     every smaller one, and the rungs that fail are a tail of hs: on failure
-    bisection finds its first. The restricted extremes of every requested
-    rung come off one ascending and one descending prefix sum of A; only on
-    failure are those rungs walked in order. Either way the error names the
-    same sum as a per-rung check.
+    bisection finds its first. Restricted rungs above |A| are empty, so
+    only the prefix of hs up to |A|, found by bisection, is checked: their
+    extremes come off one ascending and one descending prefix sum of A, and
+    only on failure are those rungs walked in order. Either way the error
+    names the same sum as a per-rung check.
     """
     require_kind(kind)
     if not hs:
@@ -149,13 +150,16 @@ def _check_rungs(A: IntSet, hs: Sequence[int], kind: SumsetKind) -> None:
             _check_ordinary_range(A, hs[bisect_left(hs, True, key=fails)])
         return
     k = len(e)
-    top = min(hs[-1], k)
+    n = bisect(hs, k)
+    if not n:
+        return
+    top = hs[n - 1]
     low = list(accumulate(e[:top], initial=0))
     high = list(accumulate(reversed(e[k - top :]), initial=0))
     # the h smallest sum to at most the h largest
-    if all(INT64_MIN <= low[h] and high[h] <= INT64_MAX for h in hs if h <= top):
+    if all(INT64_MIN <= low[h] and high[h] <= INT64_MAX for h in islice(hs, n)):
         return
-    for h in hs:
+    for h in islice(hs, n):
         _check_restricted_range(A, h)
 
 

@@ -10,16 +10,19 @@ each prefix extends its parent's rungs by one element, and a row whose
 union of a prefix is above the row's bound less g(j) per missing element j
 is closed for the whole subtree, since appending a new maximum to j
 elements adds at least g(j) sums: h_r, or for a restricted row max(H ∩
-[1, j]) (the README's prefix lemmas). A leaf unions only the rows still
-open; only pairs that reach their bound go further, and the A half of the
-verdict (A's progression and dilation) is built once per A that has one.
+[1, j]) (the README's prefix lemmas). A leaf is never pushed: the rows
+still open at its parent are tested once against their bounds. Only pairs
+that reach their bound go further, and the A half of the verdict (A's
+progression and dilation) is built once per A that has an equality case.
 An equality case's size is its row's bound, so its verdict and record
 depend on the row and the observed facts about A alone
 (structure.observed_a_facts, which A's first element is not among): each
 chunk builds them once per (row, facts) that occurs, and derives a row's H
 half (rule, hypotheses, H's progression and run) at the row's first
-equality case. Each case's record is a read-only dict (CaseRecord) that
-repeats the first such case's record but for "a" and points at it, so
+equality case. A case finds its template in its row's table, keyed by A's
+facts computed once per A. The first case's record is a read-only dict
+(CaseRecord); each later one is a repeat that stores only its "a" and one
+pointer, and reads every other key through the first, so
 VerificationReport.to_json encodes those shared fields once and writes
 each case as its A text spliced before them. A case that no list keeps,
 all of them being at the case cap, is only counted: it builds no record,
@@ -281,12 +284,15 @@ def _merged(parts: Iterable[_Partial], case_cap: int) -> _Partial:
 class CaseRecord(dict):
     """An equality case's record, read-only. CaseRecord(fields) is a first
     record: a copy of fields with "a" as the first key. CaseRecord(first,
-    a_text) is a later case of the same (row, A's facts): it repeats first
-    but for "a" and points at it (at a plain dict's frozen copy), so
-    to_json encodes those shared fields once. Every mutator raises
-    TypeError, so no record can disagree with the fields encoded for it;
-    dict(record) is a plain mutable copy. A pickle or copy is rebuilt from
-    the first record, so records that cross the pool still share it."""
+    a_text) is a later case of the same (row, A's facts), a repeat: it
+    stores only its "a" and reads every other key through first (a plain
+    dict's frozen copy), so it costs its A text and one pointer, and to_json
+    encodes the shared fields once. Read, iterated, compared, copied or
+    encoded, a repeat is first's keys in first's order ("a" first) with its
+    own "a"; dict(record) is that, a plain mutable copy. Every mutator
+    raises TypeError, so no record can disagree with the fields encoded for
+    it. A pickle or copy is rebuilt from the first record, so records that
+    cross the pool still share it."""
 
     __slots__ = ("_first",)  # None on a first record
 
@@ -298,7 +304,7 @@ class CaseRecord(dict):
         else:
             if type(fields) is not CaseRecord:
                 fields = CaseRecord(fields)
-            dict.__init__(self, fields, a=a_text)  # "a" keeps its place
+            dict.__init__(self, a=a_text)
             self._first = fields if fields._first is None else fields._first
 
     def _read_only(self, *args, **kwargs):
@@ -307,16 +313,79 @@ class CaseRecord(dict):
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
 
+    def _keyed(self) -> dict:
+        """The record whose own storage holds every key: self or first."""
+        return self if self._first is None else self._first
+
+    def _full(self) -> dict:
+        """Every key and value in a plain dict, in the record's order."""
+        full = dict(dict.items(self._keyed()))
+        if self._first is not None:
+            full["a"] = dict.__getitem__(self, "a")
+        return full
+
+    def __missing__(self, key):
+        if self._first is None:
+            raise KeyError(key)
+        return dict.__getitem__(self._first, key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def __contains__(self, key) -> bool:
+        return dict.__contains__(self._keyed(), key)
+
+    def __iter__(self):
+        return dict.__iter__(self._keyed())
+
+    def __reversed__(self):
+        return dict.__reversed__(self._keyed())
+
+    def __len__(self) -> int:
+        return dict.__len__(self._keyed())
+
+    def keys(self):
+        return dict.keys(self._keyed())
+
+    def values(self):
+        return dict.values(self if self._first is None else self._full())
+
+    def items(self):
+        return dict.items(self if self._first is None else self._full())
+
+    def copy(self) -> dict:
+        return self._full()
+
+    def __or__(self, other):
+        if not isinstance(other, dict):
+            return NotImplemented
+        merged = self._full()
+        merged.update(other)
+        return merged
+
+    def __eq__(self, other):
+        if type(other) is CaseRecord and other._first is not None:
+            other = other._full()
+        if self._first is None:
+            return dict.__eq__(self, other)
+        return self._full() == other
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __repr__(self) -> str:
+        return repr(self._full())
+
     def __reduce__(self):
         if self._first is None:
-            return CaseRecord, (dict(self),)
-        return CaseRecord, (self._first, self["a"])
+            return CaseRecord, (self._full(),)
+        return CaseRecord, (self._first, dict.__getitem__(self, "a"))
 
 
 def case_record(a_text: str, h_text: str, zero_in: bool, verdict: InverseVerdict) -> dict:
     """The pair, the comparison, the verdict flags, then the observed
     structure's fields in declaration order."""
-    obs = verdict.structure_observed
     record = {
         "a": a_text,
         "h": h_text,
@@ -330,7 +399,7 @@ def case_record(a_text: str, h_text: str, zero_in: bool, verdict: InverseVerdict
         "nonstructured": verdict.is_nonstructured_equality,
         "rule": verdict.rule,
     }
-    record.update((f.name, getattr(obs, f.name)) for f in fields(obs))
+    record.update(vars(verdict.structure_observed))
     return record
 
 
@@ -358,14 +427,15 @@ def _walk(
     in row order. open_rows holds each kind's rows (index, H, caps).
 
     The sets come in lex order, so consecutive ones share a prefix. A stack
-    holds, per prefix length, each kind's rungs of that prefix as absolute
-    vectors (bit s is the sum s; every element is >= 0) and its rows still
-    open; a step extends a copy of its parent's rungs in place, so the stack
-    keeps them. Appending a new maximum adds at least g(j) sums to a union
-    (the README's prefix lemmas; see _prefix_caps), so a row whose union of a
-    prefix exceeds its cap there exceeds its bound on every set below that
-    prefix: it closes for the whole subtree. A is the prefix of size k,
-    where every row's cap is its bound, so the rows still open there are
+    holds, per prefix length below k, each kind's rungs of that prefix as
+    absolute vectors (bit s is the sum s; every element is >= 0) and its
+    rows still open; a step extends a copy of its parent's rungs in place,
+    so the stack keeps them. Appending a new maximum adds at least g(j) sums
+    to a union (the README's prefix lemmas; see _prefix_caps), so a row
+    whose union of a prefix exceeds its cap there exceeds its bound on every
+    set below that prefix: it closes for the whole subtree. A itself, the
+    prefix of size k, is never pushed: the rows still open at its parent
+    are tested against their bounds (caps[k]) once, and those within are
     A's hits.
     """
     stack = [[([1] + [0] * h_max, rows) for rows in open_rows]]
@@ -376,7 +446,7 @@ def _walk(
             m += 1
         del stack[m + 1 :]
         prev, state, hits = a, stack[m], []
-        while m < k and any(rows for _, rows in state):
+        while m < k - 1 and any(rows for _, rows in state):
             x, m = a[m], m + 1
             pushed = []
             for kind, (rungs, rows) in zip(kinds, state):
@@ -390,17 +460,27 @@ def _walk(
                             union = 0
                             for h in row[1]:
                                 union |= rungs[h]
-                            size = union.bit_count()
-                            if size > cap:
+                            if union.bit_count() > cap:
                                 continue
-                            if m == k:
-                                hits.append((row[0], size))
                         kept.append(row)
                     rows = kept
                 pushed.append((rungs, rows))
             stack.append(pushed)
             state = pushed
-        hits.sort()
+        if m == k - 1:
+            x = a[m]
+            for kind, (rungs, rows) in zip(kinds, state):
+                if rows:
+                    rungs = rungs.copy()
+                    extend_ladder(rungs, x, kind)
+                    for index, hs, caps in rows:
+                        union = 0
+                        for h in hs:
+                            union |= rungs[h]
+                        size = union.bit_count()
+                        if size <= caps[k]:
+                            hits.append((index, size))
+            hits.sort()
         yield a, hits
 
 
@@ -415,12 +495,8 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
     sumset_ladder(IntSet((top,)), space.h_max, SumsetKind.ORDINARY)
     set_class = SetClass.ZERO_REST_POSITIVE if zero_in else SetClass.ALL_POSITIVE
     # the block's applicable (H, kind) rows, built per call (not cached):
-    # patched formulas show. h_halves holds each row's H half from its
-    # first equality case on. An equality case's size is its row's bound,
-    # so its record depends on the row and A's observed facts only:
-    # templates maps (row, facts) to the first such case's record and the
-    # lists its cases go to
-    rows, open_rows, h_halves, templates = [], [[] for _ in space.kinds], {}, {}
+    # patched formulas show
+    rows, open_rows = [], [[] for _ in space.kinds]
     for r in space.r_values():
         for h_combo in combinations(range(1, space.h_max + 1), r):
             H = HSet(h_combo)
@@ -431,6 +507,12 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
                     caps = _prefix_caps(kind, k, h_combo, outcome.value)
                     kind_rows.append((len(rows), h_combo, caps))
                     rows.append((h_text, kind, outcome, H))
+    # An equality case's size is its row's bound, so its record depends on
+    # the row and A's observed facts only. tables[i] is row i's H half and
+    # templates, from its first equality case on: by_a maps A's facts to a
+    # template, the first case's record and the lists its cases go to, and
+    # by_facts holds each template once per observed facts
+    tables = [None] * len(rows)
     row_count = space.h_subset_count() * len(space.kinds)
     a_sets = islice(_combinations_from(universe, pick, start), end - start)
     if zero_in:
@@ -440,8 +522,7 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
         if not hits:
             continue
         # A's text only for a template, a kept case or a violation
-        a_text = None
-        a_half = verdict_a_half(elements, zero_in)
+        a_text = a_key = None
         for i, size in hits:
             h_text, kind, outcome, H = rows[i]
             if size < outcome.value:
@@ -459,21 +540,30 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
                     case_cap,
                 )
                 continue
-            h_half = h_halves.get(i)
-            if h_half is None:
-                h_half = h_halves[i] = verdict_h_half(kind, zero_in, k, H, outcome)
-            key = (i, observed_a_facts(a_half, h_half))
-            template, record = templates.get(key), None
+            if a_key is None:
+                a_half = verdict_a_half(elements, zero_in)
+                ad, dilated = a_half
+                # observed_a_facts reads A's first element only beside a difference
+                a_key = (ad.is_ap, ad.difference, ad.first if ad.difference else None, dilated)
+            table = tables[i]
+            if table is None:
+                table = tables[i] = (verdict_h_half(kind, zero_in, k, H, outcome), {}, {})
+            h_half, by_a, by_facts = table
+            template, record = by_a.get(a_key), None
             if template is None:
-                a_text = a_text or format_elements(elements)
-                verdict = build_verdict(kind, set_class, size, outcome, h_half, a_half)
-                record = CaseRecord(case_record(a_text, h_text, zero_in, verdict))
-                lists = (acc.equality,)
-                if record["nonstructured"]:
-                    lists += (acc.nonstructured,)
-                if not record["consistent"]:
-                    lists += (acc.inconsistencies,)
-                template = templates[key] = (record, lists)
+                facts = observed_a_facts(a_half, h_half)
+                template = by_facts.get(facts)
+                if template is None:
+                    a_text = a_text or format_elements(elements)
+                    verdict = build_verdict(kind, set_class, size, outcome, h_half, a_half)
+                    record = CaseRecord(case_record(a_text, h_text, zero_in, verdict))
+                    lists = (acc.equality,)
+                    if record["nonstructured"]:
+                        lists += (acc.nonstructured,)
+                    if not record["consistent"]:
+                        lists += (acc.inconsistencies,)
+                    template = by_facts[facts] = (record, lists)
+                by_a[a_key] = template
             first, lists = template
             for cases in lists:
                 cases.count += 1

@@ -1,6 +1,7 @@
 """Sumset engine: fast path vs the enumeration oracle, and its invariants."""
 
 import random
+from collections.abc import Sequence
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -480,6 +481,32 @@ def test_guard_bisects_to_the_first_failing_ordinary_rung(monkeypatch):
         assert calls == [first]
         assert str(caught.value) == f"value {first * largest} outside signed 64-bit range"
     assert 4 * 2**61 == 2**63 and 5 * (INT64_MAX // 5 + 1) == 9223372036854775810
+
+
+def test_restricted_guard_reads_only_the_rungs_up_to_the_set_size():
+    # restricted rungs above |A| are empty, so the guard checks the prefix of
+    # hs up to |A| and never reads on: walking this range would never end
+    class Counted(Sequence):
+        def __init__(self, hs):
+            self.hs, self.reads = hs, 0
+
+        def __len__(self):
+            return len(self.hs)
+
+        def __getitem__(self, i):
+            self.reads += 1
+            assert self.reads < 1000, "the guard reads rungs above |A|"
+            return self.hs[i]
+
+    hs = Counted(range(2**62 + 1))
+    assert _check_rungs(IntSet((4,)), hs, RES) is None
+    assert hs.reads < 100
+    near = IntSet((INT64_MAX // 2 + 1, INT64_MAX // 2 + 2))
+    hs = Counted(range(2**62 + 1))
+    with pytest.raises(IntegerOverflowError) as caught:
+        _check_rungs(near, hs, RES)
+    assert str(caught.value) == f"value {sum(near.elements)} outside signed 64-bit range"
+    assert hs.reads < 100
 
 
 def test_guard_mixed_sign_restricted_middle_rung():

@@ -844,6 +844,77 @@ def test_case_records_are_read_only(same_json):
     same_json(with_built.to_json(), _oracle_json(with_built))
 
 
+# the acceptance space: N=12, k in 2..6, H any nonempty subset of 1..6, both
+# kinds and both zero modes (test_acceptance.py's sweep)
+_ACCEPTANCE = SearchSpace(12, (2, 6), 6, (1, 6), zero_mode=ZeroMode.BOTH)
+
+
+def test_acceptance_space_builds_one_template_per_row_and_facts(monkeypatch):
+    # a template per (row, A's observed facts) and one record per case: a
+    # per-row table that rebuilt templates would raise the first count
+    built, records_made = [], []
+    _count_calls(monkeypatch, verifier, "build_verdict", built)
+    _count_calls(monkeypatch, CaseRecord, "__init__", records_made)
+    report = verify(_ACCEPTANCE, workers=1)
+    assert report.equality_case_count == len(report.equality_cases) == 21027
+    assert len(built) == 2536
+    assert len(records_made) == 21027
+
+
+def test_every_read_path_of_a_case_record_matches_its_dict():
+    # the groups are every equality case, byte for byte as before repeats
+    # forwarded their reads, so their text is the plain records to match
+    groups = find_extremal(_ACCEPTANCE, workers=1)
+    blob = json.dumps(groups)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "4e5ddfaa25dce7034819ad6bc910f1f142e8dfeb715651709aff0b4d5c3d925c"
+    )
+    records = [case for group in groups for case in group["cases"]]
+    parsed = [case for group in json.loads(blob) for case in group["cases"]]
+    assert len(records) == 21027
+    repeats = [record for record in records if record._first is not None]
+    assert 0 < len(repeats) < len(records)
+    # a repeat stores its "a" alone and reads the rest through its first
+    assert all(dict.__len__(record) == 1 for record in repeats)
+    # the paths that copy or encode a record whole, on every record
+    plains = list(map(dict, records))
+    assert plains == parsed and records == parsed and parsed == records
+    assert [list(plain) for plain in plains] == [list(plain) for plain in parsed]
+    assert [list(record.items()) for record in records] == [list(p.items()) for p in parsed]
+    for options in ({}, {"sort_keys": True}):
+        assert json.dumps(records, **options) == json.dumps(parsed, **options)
+    # every read path of every first record and of one repeat of each: a
+    # repeat's paths read its own "a" and its first's storage alone
+    one_each = {id(record._first): record for record in repeats}
+    firsts = [record for record in records if record._first is None]
+    missing = object()
+    for record in firsts + list(one_each.values()):
+        plain = dict(record)
+        assert [record[key] for key in plain] == list(plain.values())
+        assert [record.get(key) for key in plain] == list(plain.values())
+        assert record.get("extra", missing) is missing and record.get("extra") is None
+        assert all(key in record for key in plain) and "extra" not in record
+        with pytest.raises(KeyError):
+            record["extra"]
+        assert list(record) == list(record.keys()) == list(plain)
+        assert len(record) == len(plain)
+        assert list(record.values()) == list(plain.values())
+        assert list(reversed(record)) == list(reversed(plain))
+        assert record == plain and plain == record and not record != plain
+        assert record != {**plain, "size": -1} and {**plain, "size": -1} != record
+        copied = record.copy()
+        assert type(copied) is dict and list(copied.items()) == list(plain.items())
+        assert list((record | {"extra": 0}).items()) == list((plain | {"extra": 0}).items())
+        assert list(({"extra": 0} | record).items()) == list(({"extra": 0} | plain).items())
+        assert list({**record}.items()) == list(plain.items())
+        assert repr(record) == repr(plain)
+        # indent picks the pure-Python encoder, which reads len and items()
+        assert json.dumps(record, indent=1) == json.dumps(plain, indent=1)
+    # a repeat equals its first only when their "a" agree
+    first = repeats[0]._first
+    assert CaseRecord(first, first["a"]) == first != repeats[0]
+
+
 def test_extremal_output_is_pinned(capsys):
     space = SearchSpace(8, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
     groups = find_extremal(space, workers=1)
