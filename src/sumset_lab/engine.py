@@ -15,8 +15,10 @@ and differ only in which rung carries up the pass: the new one (ordinary, x
 may repeat) or the old one (restricted). Every ladder is that step folded
 over A's elements; every fold and union runs one guard and ORs the rungs it
 wants into one SumBitmap, which a caller sizes by popcount, prints from its
-bits, or decodes once. Callers that walk many sets sharing their prefixes
-step the ladder themselves.
+bits, or decodes once. Two callers step the ladder themselves, each behind
+one guard: the witness blocks, read off the ladders of A's prefixes as one
+fold passes them, and the sweep, which walks many sets sharing their
+prefixes.
 
 Every operation is a pure function of its inputs; concurrent callers need
 no coordination.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, combinations, combinations_with_replacement, compress, islice
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ArityError, OracleRefusedError
 from .intset import INT64_MAX, INT64_MIN, HSet, IntSet, checked_int64
@@ -124,7 +126,7 @@ def _check_restricted_range(A: IntSet, h: int) -> None:
     checked_int64(sum(A.elements[len(A) - h :]))
 
 
-def _check_rungs(A: IntSet, hs: Sequence[int], kind: SumsetKind) -> None:
+def check_rungs(A: IntSet, hs: Sequence[int], kind: SumsetKind) -> None:
     """The one guard rule: range-check the extreme sums of exactly the rungs
     hs (increasing) that a call returns. Rungs built only on the way are
     never checked.
@@ -184,25 +186,14 @@ def extend_ladder(rungs: list[int], x: int, kind: SumsetKind) -> None:
             rungs[h], below = rungs[h] | below << x, rungs[h]
 
 
-def _prefix_ladders(A: IntSet, top: int, kind: SumsetKind) -> Iterator[list[int]]:
-    """Rungs 0..top of the m smallest elements of A, for m = 0..|A| in turn,
-    unchecked: extend_ladder folded over A translated to start at 0, so rung
-    h sits at offset h*min(A) and may carry dead low bits below the true
-    minimum. The one state list is updated in place and yielded before the
-    first element and after each one: read it before advancing.
-    """
+def _ladder(A: IntSet, top: int, kind: SumsetKind) -> list[int]:
+    """Rungs 0..top of A, unchecked: extend_ladder folded over A translated
+    to start at 0, so rung h sits at offset h*min(A) and may carry dead low
+    bits below the true minimum."""
     t = A.min
     rungs = [1] + [0] * top
-    yield rungs
     for a in A.elements:
         extend_ladder(rungs, a - t, kind)
-        yield rungs
-
-
-def _ladder(A: IntSet, top: int, kind: SumsetKind) -> list[int]:
-    """Rungs 0..top of A, unchecked: the last state of _prefix_ladders."""
-    for rungs in _prefix_ladders(A, top, kind):
-        pass
     return rungs
 
 
@@ -211,25 +202,13 @@ def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[int]:
     bit vectors, behind one guard; rung h sits at offset h*min(A).
 
     Rungs may carry dead low bits below the true minimum; entries beyond |A|
-    in restricted mode are empty. Callers that union many H over one A build
-    this once and OR its rungs themselves.
+    in restricted mode are empty. Its one caller in the package is the
+    sweep's per-chunk int64 guard, which builds the ladder of {top} only to
+    run this guard.
     """
     _require_nonempty(A)
-    _check_rungs(A, range(h_max + 1), kind)
+    check_rungs(A, range(h_max + 1), kind)
     return _ladder(A, h_max, kind)
-
-
-def prefix_ladders(A: IntSet, h_max: int) -> Iterator[list[int]]:
-    """Restricted rungs 0..h_max of the m smallest elements of A, for
-    m = 0..|A| in turn, from one fold; rung h sits at offset h*min(A).
-
-    The guard of sumset_ladder(A, h_max, RESTRICTED) runs before anything is
-    returned. Each yielded list is the fold's state, updated in place: read
-    it before advancing. The last state is the restricted ladder of A.
-    """
-    _require_nonempty(A)
-    _check_rungs(A, range(h_max + 1), SumsetKind.RESTRICTED)
-    return _prefix_ladders(A, h_max, SumsetKind.RESTRICTED)
 
 
 def _sumset(A: IntSet, hs: tuple[int, ...], kind: SumsetKind) -> SumBitmap:
@@ -242,7 +221,7 @@ def _sumset(A: IntSet, hs: tuple[int, ...], kind: SumsetKind) -> SumBitmap:
         hs = tuple(h for h in hs if h <= len(A))
     if not hs:
         return SumBitmap(0, 0)
-    _check_rungs(A, hs, kind)
+    check_rungs(A, hs, kind)
     # rung h sits at offset h*t, so the lowest offset is at an end of hs
     t = A.min
     base = min(hs[0] * t, hs[-1] * t)

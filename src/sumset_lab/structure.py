@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from enum import Enum
-from itertools import accumulate
 from typing import NamedTuple
 
 from . import bounds
-from .engine import SumBitmap, SumsetKind, prefix_ladders, sumset_ladder, union_sumset
+from .engine import SumBitmap, SumsetKind, check_rungs, extend_ladder, union_sumset
 # not called here: bench/spans.HOOKS wraps these names on this module
 from .engine import h_fold, h_fold_restricted  # noqa: F401
 from .errors import HypothesisError, InternalInconsistencyError, UnsupportedClassError
@@ -100,14 +99,14 @@ class BlockDecomposition:
 def witness_blocks(A: IntSet, H: HSet, kind: SumsetKind) -> BlockDecomposition:
     """Build the stacked blocks whose disjoint union realizes the bound.
 
-    Every block comes off one ladder of A up to max(H), behind one guard.
     Block 1 is the smallest fold itself. Each later block advances from the
-    previous fold's maximum: ordinary blocks take rung delta of that ladder
-    shifted by prev*max(A); restricted blocks take rung delta of the ladder
-    of the k-prev smallest elements shifted by the sum of the prev largest
-    (so the summands stay pairwise distinct). One restricted ladder build
-    serves every block: it passes the ladder of each prefix on its way to the
-    ladder of A.
+    previous fold's maximum: the block of h after prev is rung h - prev of
+    the ladder of the m smallest elements of A, shifted by prev*max(A) with
+    m = k (ordinary), or by the sum of the prev largest with m = k - prev
+    (restricted, so the summands stay pairwise distinct). One fold of
+    extend_ladder over A's elements passes the ladder of every m smallest on
+    its way to the ladder of A, behind one guard over rungs 0..max(H), and
+    each block is read off as the fold passes its m.
     Both invariants -- strictly increasing disjointness and containment of
     block i in the h_i-fold -- are checked on the bit vectors; a failure
     would falsify the construction and raises an internal error. Each block
@@ -118,29 +117,26 @@ def witness_blocks(A: IntSet, H: HSet, kind: SumsetKind) -> BlockDecomposition:
     if not H.all_positive:
         raise HypothesisError("block construction requires positive multiplicities")
     k = len(A)
-    if kind is SumsetKind.RESTRICTED and H.max > k:
+    restricted = kind is SumsetKind.RESTRICTED
+    if restricted and H.max > k:
         raise HypothesisError(
             f"restricted blocks need max multiplicity <= {k}, got {H.max}"
         )
+    # A > 0, so the guard on A's rungs bounds every prefix rung as well
+    check_rungs(A, range(H.max + 1), kind)
     t = A.min
-    steps = list(zip(H.elements, (0,) + H.elements[:-1]))  # (h, prev) per block
-    if kind is SumsetKind.RESTRICTED:
-        # A > 0, so the guard on A's rungs bounds every prefix rung as well
-        reads = {k - prev: h - prev for h, prev in steps}
-        picked = {}
-        for m, rungs in enumerate(prefix_ladders(A, H.max)):
-            if m in reads:
-                picked[m] = rungs[reads[m]]
-        # rungs is now the fold's last state, the ladder of A
-        largest = list(accumulate(reversed(A.elements), initial=0))
-        bitmaps = [
-            SumBitmap((h - prev) * t + largest[prev], picked[k - prev]) for h, prev in steps
-        ]
-    else:
-        rungs = sumset_ladder(A, H.max, kind)
-        bitmaps = [
-            SumBitmap((h - prev) * t + prev * A.max, rungs[h - prev]) for h, prev in steps
-        ]
+    reads = {}  # m: the blocks (h, rung, shift) read off the ladder of the m smallest
+    for h, prev in zip(H.elements, (0,) + H.elements[:-1]):
+        shift = (h - prev) * t + (sum(A.elements[k - prev :]) if restricted else prev * A.max)
+        reads.setdefault(k - prev if restricted else k, []).append((h, h - prev, shift))
+    rungs = [1] + [0] * H.max
+    picked = {}
+    for m, a in enumerate(A.elements, 1):
+        extend_ladder(rungs, a - t, kind)
+        for h, rung, shift in reads.get(m, ()):
+            picked[h] = SumBitmap(shift, rungs[rung])
+    # rungs is now the ladder of A
+    bitmaps = [picked[h] for h in H.elements]
     blocks = tuple(block.to_intset() for block in bitmaps)
     for i in range(len(blocks) - 1):
         if blocks[i].max >= blocks[i + 1].min:

@@ -14,12 +14,11 @@ from sumset_lab.engine import (
     SumsetKind,
     _check_ordinary_range,
     _check_restricted_range,
-    _check_rungs,
+    check_rungs,
     extend_ladder,
     h_fold,
     h_fold_restricted,
     naive_h_fold,
-    prefix_ladders,
     sumset_ladder,
     union_bitmap,
     union_sumset,
@@ -263,7 +262,6 @@ def test_every_ladder_is_one_kernel_call_per_element(monkeypatch):
             (RES, lambda: union_bitmap(A, H, RES)),
             (ORD, lambda: h_fold(A, 3)),
             (RES, lambda: h_fold_restricted(A, k)),
-            (RES, lambda: list(prefix_ladders(A, 4))),
         ]:
             calls.clear()
             run()
@@ -450,7 +448,7 @@ def test_guard_matches_per_rung_rule():
                         rung_check(A, h)
 
                 expected = _guard_outcome(per_rung)
-                assert _guard_outcome(lambda: _check_rungs(A, hs, kind)) == expected
+                assert _guard_outcome(lambda: check_rungs(A, hs, kind)) == expected
                 checked += 1
                 raised += expected is not None
     assert checked == 4800 and 0 < raised < checked
@@ -499,12 +497,12 @@ def test_restricted_guard_reads_only_the_rungs_up_to_the_set_size():
             return self.hs[i]
 
     hs = Counted(range(2**62 + 1))
-    assert _check_rungs(IntSet((4,)), hs, RES) is None
+    assert check_rungs(IntSet((4,)), hs, RES) is None
     assert hs.reads < 100
     near = IntSet((INT64_MAX // 2 + 1, INT64_MAX // 2 + 2))
     hs = Counted(range(2**62 + 1))
     with pytest.raises(IntegerOverflowError) as caught:
-        _check_rungs(near, hs, RES)
+        check_rungs(near, hs, RES)
     assert str(caught.value) == f"value {sum(near.elements)} outside signed 64-bit range"
     assert hs.reads < 100
 
@@ -513,14 +511,14 @@ def test_guard_mixed_sign_restricted_middle_rung():
     # rung 2's smallest sum (the two most-negative elements) leaves int64;
     # rungs 0, 1 and 3 stay inside
     tricky = IntSet((-(2**62) - 1, -(2**62), 2**62))
-    assert _check_rungs(tricky, (0, 1, 3, 4), RES) is None
+    assert check_rungs(tricky, (0, 1, 3, 4), RES) is None
     with pytest.raises(IntegerOverflowError) as caught:
-        _check_rungs(tricky, (1, 2, 3), RES)
+        check_rungs(tricky, (1, 2, 3), RES)
     assert str(caught.value) == f"value {-(2**63) - 1} outside signed 64-bit range"
     # ordinary rung 3 leaves int64, rung 1 does not
     with pytest.raises(IntegerOverflowError):
-        _check_rungs(tricky, (0, 1, 3), ORD)
-    assert _check_rungs(tricky, (0, 1), ORD) is None
+        check_rungs(tricky, (0, 1, 3), ORD)
+    assert check_rungs(tricky, (0, 1), ORD) is None
 
 
 def test_kind_that_is_not_a_member_raises_type_error():
@@ -530,7 +528,7 @@ def test_kind_that_is_not_a_member_raises_type_error():
 
     A, H = IntSet((1, 2, 4)), HSet((2,))
     calls = [
-        lambda: _check_rungs(A, (), "ordinary"),
+        lambda: check_rungs(A, (), "ordinary"),
         lambda: sumset_ladder(A, 2, "ordinary"),
         lambda: union_sumset(A, H, "ordinary"),
         lambda: naive_h_fold(A, 2, "ordinary"),

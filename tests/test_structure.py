@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-import sumset_lab.engine as engine
+import sumset_lab.structure as structure
 from sumset_lab.bounds import catalog_bound
 from sumset_lab.engine import SumsetKind, naive_h_fold, union_sumset
 from sumset_lab.errors import HypothesisError, IntegerOverflowError, UnsupportedClassError
@@ -150,57 +150,33 @@ def test_witness_blocks_sweep_never_inconsistent():
                         assert out.value <= deco.total_size <= size
 
 
-def test_restricted_witness_runs_one_dp_and_one_guard(monkeypatch):
-    runs = {"dp": 0, "guard": 0}
-    dp, guard = engine._prefix_ladders, engine._check_rungs
-
-    def counted_dp(*args):
-        runs["dp"] += 1
-        return dp(*args)
-
-    def counted_guard(*args):
-        runs["guard"] += 1
-        return guard(*args)
-
-    monkeypatch.setattr(engine, "_prefix_ladders", counted_dp)
-    monkeypatch.setattr(engine, "_check_rungs", counted_guard)
-    for A, H in [
-        (IntSet((1, 2, 4, 7, 8)), HSet((1, 2, 3))),
-        (IntSet((2, 3, 5, 9, 10, 14)), HSet((1, 3, 4, 6))),
-        (make_interval(1, 7), HSet((2, 3, 5, 6, 7))),
-    ]:
-        runs.update(dp=0, guard=0)
-        deco = witness_blocks(A, H, RES)
-        assert runs == {"dp": 1, "guard": 1}
-        assert deco.blocks == _oracle_blocks(A, H, RES)
-
-
-def test_ordinary_witness_runs_one_guard_and_no_rung_bitmaps(monkeypatch):
-    runs = {"guard": 0, "rung_bitmaps": 0}
-    guard, bitmap = engine._check_rungs, engine.SumBitmap
+@pytest.mark.parametrize("kind", [ORD, RES], ids=lambda kind: kind.value)
+def test_witness_runs_one_guard_and_one_kernel_call_per_element(monkeypatch, kind):
+    # one fold of the kernel over A serves every block of either kind,
+    # counted on the names witness_blocks calls
+    runs = {"guard": 0, "kernel": 0}
+    guard, kernel = structure.check_rungs, structure.extend_ladder
 
     def counted_guard(*args):
         runs["guard"] += 1
         return guard(*args)
 
-    def counted_bitmap(*args):
-        runs["rung_bitmaps"] += 1
-        return bitmap(*args)
+    def counted_kernel(*args):
+        runs["kernel"] += 1
+        return kernel(*args)
 
-    monkeypatch.setattr(engine, "_check_rungs", counted_guard)
-    # engine builds a SumBitmap only to decode a fold or union (_sumset), never
-    # per rung; structure's own per-block bitmaps go through its own name and
-    # are not counted
-    monkeypatch.setattr(engine, "SumBitmap", counted_bitmap)
+    monkeypatch.setattr(structure, "check_rungs", counted_guard)
+    monkeypatch.setattr(structure, "extend_ladder", counted_kernel)
     for A, H in [
         (IntSet((1, 2, 4, 7, 8)), HSet((1, 2, 3))),
         (IntSet((2, 3, 5, 9, 10, 14)), HSet((1, 3, 4, 6))),
-        (make_interval(1, 7), HSet((2, 3, 5, 6, 9))),
+        # ordinary blocks may reach past |A|
+        (make_interval(1, 7), HSet((2, 3, 5, 6, 7 if kind is RES else 9))),
     ]:
-        runs.update(guard=0, rung_bitmaps=0)
-        deco = witness_blocks(A, H, ORD)
-        assert runs == {"guard": 1, "rung_bitmaps": 0}
-        assert deco.blocks == _oracle_blocks(A, H, ORD)
+        runs.update(guard=0, kernel=0)
+        deco = witness_blocks(A, H, kind)
+        assert runs == {"guard": 1, "kernel": len(A)}
+        assert deco.blocks == _oracle_blocks(A, H, kind)
 
 
 def test_check_inverse_equality_with_structure():
