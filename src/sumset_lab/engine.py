@@ -20,6 +20,22 @@ one guard: the witness blocks, read off the ladders of A's prefixes as one
 fold passes them, and the sweep, which walks many sets sharing their
 prefixes.
 
+An ordinary union need not build every rung up to max H. Let D = A - min A,
+span = max D, g the gcd of D and b = span/g. For h >= h0 = max(1, b-k+2), hD
+has a fixed shape: a prefix of the semigroup D generates, an interval, and a
+reflected prefix (Nathanson, "Sums of finite sets of integers", 1972; the
+threshold is Granville and Walker's, "A tight structure theorem for
+sumsets", 2021). So the ladder stops at s = h0 + 1 and checks one
+certificate, S_s = S_{s-1} + {0, span}. If it holds, every higher rung is
+the one below ORed with itself shifted by span: S_{s+1} = S_s + D =
+S_{s-1} + D + {0, span} = S_s + {0, span}, by induction. Exactness rests on
+the certificate, not on the theorem, which only chooses s; where the
+certificate fails the full ladder is built. It held at h0 for every
+normalized set with b <= 18 (261,566 sets), and in 446 of them it fails at
+h0 - 1. The rungs past s are walked in H's order holding one rung, a gap of
+m rungs by doubling in about log2(m) shift-ORs. A tiny union (few kernel
+steps skipped) stays on the plain ladder, which is faster there.
+
 Every operation is a pure function of its inputs; concurrent callers need
 no coordination.
 """
@@ -30,7 +46,7 @@ from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, combinations, combinations_with_replacement, compress, islice
-from math import comb
+from math import comb, gcd
 from typing import Sequence
 
 from .errors import ArityError, OracleRefusedError
@@ -211,9 +227,65 @@ def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[int]:
     return _ladder(A, h_max, kind)
 
 
+# The stable path pays only when the kernel steps it skips, (max H - s)*k,
+# outweigh its own cost: the threshold's gcd, the certificate, and a doubling
+# walk per requested rung past s. Measured on intervals, dilated progressions
+# and sets with one gap (k 2..8, dense, gapped and single H), it broke even
+# at about 40 skipped steps; every union with k <= 7 and max H <= 7 skips at
+# most 35, and stays on the plain ladder.
+_STABLE_MIN_STEPS = 64
+
+
+def _stable_threshold(A: IntSet) -> int:
+    """h0 = max(1, b - k + 2), where b = (max A - min A)/g and g is the gcd of
+    A's differences: from rung h0 on, hA has its stable shape (module
+    docstring). It only picks the rung where _sumset checks the certificate."""
+    e = A.elements
+    k = len(e)
+    if k == 1:
+        return 1
+    t, span = e[0], e[-1] - e[0]
+    g = gcd(span, e[1] - t)  # most sets stop here at g = 1
+    if g > 1:
+        g = gcd(g, *(a - t for a in e[2:-1]))
+    return max(1, span // g - k + 2)
+
+
+def _stable_union(A: IntSet, hs: tuple[int, ...], base: int) -> int | None:
+    """The ordinary union's bits (as _sumset ORs them) from a ladder that
+    stops at s = h0 + 1, or None where that does not pay or the certificate
+    rung s = rung s-1 | rung s-1 << span fails. Past s every rung follows the
+    same recurrence (module docstring); they are walked in hs' order."""
+    e, top = A.elements, hs[-1]
+    k, t, span = len(e), e[0], e[-1] - e[0]
+    s = _stable_threshold(A) + 1
+    if (top - s) * k < _STABLE_MIN_STEPS:
+        return None
+    rungs = _ladder(A, s, SumsetKind.ORDINARY)
+    rung = rungs[s]
+    if rung != rungs[s - 1] | rungs[s - 1] << span:
+        return None
+    bits = 0
+    n = bisect(hs, s)
+    for h in hs[:n]:
+        bits |= rungs[h] << (h * t - base)
+    at = s
+    for h in hs[n:]:
+        # rung + span*[0, h - at], doubling the run of shifts ORed in so far
+        step = 1
+        while at < h:
+            if step > h - at:
+                step = h - at
+            rung |= rung << step * span
+            at += step
+            step += step
+        bits |= rung << (h * t - base)
+    return bits
+
+
 def _sumset(A: IntSet, hs: tuple[int, ...], kind: SumsetKind) -> SumBitmap:
     # hs is increasing. One guard, one ladder up to the largest contributing
-    # rung, OR the rungs hs.
+    # rung (or, for an ordinary union, up to the stable rung), OR the rungs hs.
     _require_nonempty(A)
     if hs[0] < 0:
         raise ArityError("multiplicity must be nonnegative")
@@ -225,6 +297,12 @@ def _sumset(A: IntSet, hs: tuple[int, ...], kind: SumsetKind) -> SumBitmap:
     # rung h sits at offset h*t, so the lowest offset is at an end of hs
     t = A.min
     base = min(hs[0] * t, hs[-1] * t)
+    # the stable rung s is at least 2: too few skippable steps end the gate
+    # before the threshold's gcd
+    if kind is SumsetKind.ORDINARY and (hs[-1] - 2) * len(A) >= _STABLE_MIN_STEPS:
+        bits = _stable_union(A, hs, base)
+        if bits is not None:
+            return SumBitmap(base, bits)
     rungs = _ladder(A, hs[-1], kind)
     bits = 0
     for h in hs:

@@ -218,6 +218,8 @@ def sign_reduce(A: IntSet) -> tuple[IntSet, SetClass]:
 # ---------------------------------------------------------------------------
 
 _TERM_RE = re.compile(r"^(?:(-?\d+)\*)?(-?\d+)(?:\.\.(-?\d+))?$")
+# a list of plain integers: every term an INT, so int() reads each one
+_PLAIN_RE = re.compile(r"(?:-?\d+,)*-?\d+")
 
 
 def parse_elements(text: str) -> tuple[int, ...]:
@@ -225,6 +227,12 @@ def parse_elements(text: str) -> tuple[int, ...]:
     compact = "".join(text.split())
     if compact == "":
         return ()
+    if _PLAIN_RE.fullmatch(compact):
+        plain = sorted(set(map(int, compact.split(","))))
+        # both ends in range hold every element; otherwise the term loop
+        # below raises with the message of the first bad term
+        if INT64_MIN <= plain[0] and plain[-1] <= INT64_MAX:
+            return tuple(plain)
     values: set[int] = set()
     for term in compact.split(","):
         m = _TERM_RE.match(term)

@@ -50,6 +50,14 @@ def test_compute_json_output(capsys):
     assert ordinary["size"] == 10 and ordinary["bound"] == 8
 
 
+def test_compute_at_a_million_fold(capsys):
+    # past the stable threshold the ordinary union is walked rung by rung by
+    # doubling: the plain ladder would build 10^6 rungs of 2 steps each
+    code, out, _ = run_cli(capsys, "compute", "-A", "1,2", "-H", "1000000", "--json")
+    assert code == 0
+    assert '"sumset":"1000000..2000000","size":1000001' in out
+
+
 def test_compute_mixed_sign_still_prints_sumset(capsys):
     # leading-dash values need the --flag=value spelling
     code, out, _ = run_cli(capsys, "compute", "--set-a=-1,2", "-H", "2", "--kind", "ordinary")

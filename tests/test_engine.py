@@ -1,8 +1,11 @@
 """Sumset engine: fast path vs the enumeration oracle, and its invariants."""
 
 import random
+import time
+import tracemalloc
 from collections.abc import Sequence
 from itertools import combinations, combinations_with_replacement
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -547,3 +550,188 @@ def test_kind_that_is_not_a_member_raises_type_error():
         SearchSpace(5, (2, 3), 2, (1, 2), zero_mode="both")
     # members still pass
     assert union_sumset(A, H, ORD) == naive_h_fold(A, 2, ORD) == IntSet((2, 3, 4, 5, 6, 8))
+
+
+# ---------------------------------------------------------------------------
+# Ordinary unions past the stable threshold
+# ---------------------------------------------------------------------------
+
+
+def _ladder_union(A, hs):
+    """The plain ladder's union: rungs 0..max H, rung h ORed at offset h*min A."""
+    t = A.min
+    base = min(hs[0] * t, hs[-1] * t)
+    rungs = engine._ladder(A, hs[-1], ORD)
+    bits = 0
+    for h in hs:
+        bits |= rungs[h] << (h * t - base)
+    return SumBitmap(base, bits)
+
+
+def _min_zero_sets(bmax):
+    """Every set of integers with minimum 0 and maximum at most bmax."""
+    yield (0,)
+    for b in range(1, bmax + 1):
+        for mask in range(1 << (b - 1)):
+            yield (0, *(i for i in range(1, b) if mask >> (i - 1) & 1), b)
+
+
+def _threshold(elements):
+    """h0 = max(1, b - k + 2) of a set with minimum 0, b = max / gcd."""
+    g = gcd(*elements)
+    return max(1, (elements[-1] // g if g else 0) - len(elements) + 2)
+
+
+def _h_shapes(elements):
+    """H = [1, 3b+2], {3b+2} alone, and a sparse H with gaps of 1, 2, 3 and
+    more above the threshold, for the span b of a set with minimum 0."""
+    b, s = elements[-1], _threshold(elements) + 1
+    return (
+        tuple(range(1, 3 * b + 3)),
+        (3 * b + 2,),
+        tuple(sorted({1, s, s + 1, s + 3, s + 6, 3 * b + 2, 4 * b + 13})),
+    )
+
+
+def test_stable_unions_match_the_ladder(monkeypatch):
+    # every set with minimum 0 and span at most 12, and in turn a translated,
+    # a dilated (g = 2 or 3) or a reflected copy of it. A zero floor sends
+    # every union whose top rung lies past s down the stable path
+    monkeypatch.setattr(engine, "_STABLE_MIN_STEPS", 0)
+    copies = (
+        lambda e: tuple(a - 7 for a in e),
+        lambda e: tuple(2 * a + 5 for a in e),
+        lambda e: tuple(3 * a for a in e),
+        lambda e: tuple(-a for a in reversed(e)),
+    )
+    checked = 0
+    for i, elements in enumerate(_min_zero_sets(12)):
+        for e in (elements, copies[i % 4](elements)):
+            A = IntSet(e)
+            for hs in _h_shapes(elements):
+                assert union_bitmap(A, HSet(hs), ORD) == _ladder_union(A, hs), (e, hs)
+                checked += 1
+        h = 3 * elements[-1] + 2
+        rung = engine._ladder(A, h, ORD)[h]
+        assert h_fold(A, h) == SumBitmap(h * A.min, rung).to_intset(), e
+    assert checked == 4096 * 6
+
+
+@settings(max_examples=200)
+@given(
+    st.sets(st.integers(min_value=0, max_value=12), min_size=1, max_size=8),
+    st.integers(min_value=-30, max_value=30),
+    st.sampled_from([1, 2, 3, -1, -2, -3]),
+    st.sets(st.integers(min_value=0, max_value=45), min_size=1, max_size=8),
+)
+def test_stable_unions_match_the_ladder_property(values, shift, dilation, hs):
+    A = IntSet.of(dilation * v + shift for v in values)
+    H = HSet.of(hs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_STABLE_MIN_STEPS", 0)
+        assert union_bitmap(A, H, ORD) == _ladder_union(A, H.elements)
+
+
+def _certificate(rungs, h, span):
+    return rungs[h + 1] == rungs[h] | rungs[h] << span
+
+
+def _certificate_evidence(bmax, unions=False):
+    """(normalized sets with b <= bmax, those where the recurrence holds
+    from h0, those where it fails at h0 - 1). With unions, each set's union
+    over H = {1, 2b+2}, above its threshold, is checked against its ladder."""
+    sets = holds = earlier = 0
+    for elements in _min_zero_sets(bmax):
+        b = elements[-1]
+        if b == 0 or gcd(*elements) != 1:
+            continue
+        A = IntSet(elements)
+        h0 = _threshold(elements)
+        assert h0 == engine._stable_threshold(A)
+        top = 2 * b + 2 if unions else h0 + 1
+        rungs = engine._ladder(A, top, ORD)
+        sets += 1
+        holds += _certificate(rungs, h0, b)
+        earlier += h0 > 1 and not _certificate(rungs, h0 - 1, b)
+        if unions:
+            union = union_bitmap(A, HSet((1, top)), ORD)
+            assert union == SumBitmap(0, rungs[1] | rungs[top]), elements
+    return sets, holds, earlier
+
+
+def test_certificate_holds_at_the_threshold():
+    # evidence for h0, not a premise: the certificate alone makes a stable
+    # union exact. Here it holds at h0 for every normalized set with b <= 14,
+    # and in 250 of them it fails one rung earlier
+    assert _certificate_evidence(14) == (16238, 16238, 250)
+
+
+@pytest.mark.deep
+def test_certificate_and_stable_unions_deep():
+    assert _certificate_evidence(18, unions=True) == (261566, 261566, 446)
+
+
+def test_a_failing_certificate_falls_back_to_the_ladder(monkeypatch):
+    # {0, 3, 5} has h0 = 4: checked at rung 2, the certificate fails, and
+    # the union is the plain ladder's to max H, byte for byte
+    A, H = IntSet((0, 3, 5)), HSet((1, 2, 7, 20))
+    rungs = engine._ladder(A, 2, ORD)
+    assert not _certificate(rungs, 1, 5)
+    calls = []
+    kernel = engine.extend_ladder
+
+    def counted(rungs, x, kind):
+        calls.append(len(rungs))
+        return kernel(rungs, x, kind)
+
+    monkeypatch.setattr(engine, "extend_ladder", counted)
+    monkeypatch.setattr(engine, "_stable_threshold", lambda A: 1)
+    monkeypatch.setattr(engine, "_STABLE_MIN_STEPS", 0)
+    assert union_bitmap(A, H, ORD) == _ladder_union(A, H.elements)
+    # three steps of the ladder to rung 2, then three of the one to rung 20
+    assert calls == [3] * 3 + [21] * 6
+
+
+def test_tiny_unions_stay_on_the_plain_ladder(monkeypatch):
+    # below the floor the gate never reads the gcd; above it, a union
+    # whose top lies past s takes the stable path
+    reads = []
+    threshold = engine._stable_threshold
+
+    def counted(A):
+        reads.append(A)
+        return threshold(A)
+
+    monkeypatch.setattr(engine, "_stable_threshold", counted)
+    for k in range(2, 8):
+        union_bitmap(make_interval(1, k), HSet(tuple(range(1, 8))), ORD)
+    assert reads == []
+    union_bitmap(make_interval(1, 40), HSet((1, 40)), ORD)
+    assert reads == [make_interval(1, 40)]
+
+
+def test_huge_multiplicity_still_fails_the_guard_at_once():
+    # the guard runs first, exactly as on the plain ladder
+    times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        with pytest.raises(IntegerOverflowError) as caught:
+            union_bitmap(IntSet((1, 2)), HSet((1, 2**62)), ORD)
+        times.append(time.perf_counter() - started)
+    assert str(caught.value) == f"value {2**63} outside signed 64-bit range"
+    assert min(times) < 1e-3
+
+
+def test_large_multiplicity_holds_one_rung_at_a_time():
+    # h = 10^6 by doubling: the peak allocation stays within four times the
+    # union's width (2*10^6 bits), where a stored ladder would hold 10^6 rungs
+    A = IntSet((1, 2))
+    tracemalloc.start()
+    try:
+        bitmap = union_bitmap(A, HSet((3, 10**6)), ORD)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bitmap.text == "3..6,1000000..2000000"
+    assert len(bitmap) == 4 + 10**6 + 1
+    assert peak < 4 * (2 * 10**6 // 8)

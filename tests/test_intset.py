@@ -213,6 +213,29 @@ def test_parse_errors():
         parse_hset("-2,1")
 
 
+def test_plain_integer_lists_keep_the_grammar():
+    # a plain list takes one split and int() per term; anything the term
+    # grammar refuses is still refused with the same error
+    assert parse_elements("5,-3,5,0,-0,12") == (-3, 0, 5, 12)
+    assert parse_elements(" 7 ,\t1,\n4 ") == (1, 4, 7)
+    assert parse_elements(",".join(map(str, range(500, -1, -1)))) == tuple(range(501))
+    for text in ("+1", "1_0", "1,,2", "1,", ",1", "1,+2", "1,2_0", "-", "1,-"):
+        with pytest.raises(ParseError, match="bad term"):
+            parse_elements(text)
+    # an element out of range first or last in order, or in the text: the
+    # message names the first bad term, as the term loop reads them
+    for text, bad in (
+        (f"{2**63},1,2", 2**63),
+        (f"1,2,{-(2**63) - 1}", -(2**63) - 1),
+        (f"{2**64},{-(2**64)}", 2**64),
+        (f"0,{-(2**64)},{2**64}", -(2**64)),
+    ):
+        with pytest.raises(IntegerOverflowError) as caught:
+            parse_elements(text)
+        assert str(caught.value) == f"value {bad} outside signed 64-bit range"
+    assert parse_elements(f"{INT64_MAX},{INT64_MIN}") == (INT64_MIN, INT64_MAX)
+
+
 def test_format_runs():
     assert format_elements((1, 2, 3, 4, 5, 6)) == "1..6"
     assert format_elements((1, 2)) == "1,2"
