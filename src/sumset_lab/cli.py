@@ -30,6 +30,7 @@ from .verifier import (
     REPORT_VERSION,
     SearchSpace,
     ZeroMode,
+    encode_json,
     find_extremal,
     verify,
 )
@@ -43,11 +44,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_span(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    """LO..HI or a single N (LO = HI = N); argparse names the flag on error."""
+    lo, dots, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
 
 
 def _kinds_from(flag: str) -> tuple[SumsetKind, ...]:
@@ -75,11 +77,11 @@ def _add_pair_flags(parser: argparse.ArgumentParser) -> None:
 def _add_space_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--universe", type=int, required=True, metavar="N",
                         help="universe bound: A within [1,N], or {0}+[1,N-1] with zero")
-    parser.add_argument("--k", required=True, metavar="LO..HI",
+    parser.add_argument("--k", type=_parse_span, required=True, metavar="LO..HI",
                         help="cardinality range for A")
     parser.add_argument("--hmax", type=int, required=True, metavar="M",
                         help="multiplicities drawn from [1,M]")
-    parser.add_argument("--r", default=None, metavar="LO..HI",
+    parser.add_argument("--r", type=_parse_span, default=None, metavar="LO..HI",
                         help="cardinality range for H (default 1..hmax)")
     parser.add_argument("--kind", choices=["ordinary", "restricted", "both"],
                         default="both")
@@ -102,12 +104,11 @@ _ZERO_MODES = {
 
 
 def _space_from(args) -> SearchSpace:
-    r_span = _parse_span(args.r) if args.r is not None else (1, args.hmax)
     space = SearchSpace(
         universe_max=args.universe,
-        k_range=_parse_span(args.k),
+        k_range=args.k,
         h_max=args.hmax,
-        r_range=r_span,
+        r_range=args.r if args.r is not None else (1, args.hmax),
         kinds=_kinds_from(args.kind),
         zero_mode=_ZERO_MODES[args.zero_mode],
     )
@@ -252,8 +253,9 @@ def _cmd_extremal(args) -> int:
     groups = find_extremal(space, workers=args.workers, pair_cap=args.cap,
                            case_cap=args.case_cap)
     if _wants_json(args):
+        # each group's cases are spliced from their pairs, as to_json does
         payload = {"version": REPORT_VERSION, "space": space.to_dict(), "groups": groups}
-        print(json.dumps(payload, separators=(",", ":")))
+        print(encode_json(payload))
     else:
         for group in groups:
             print(f"k={group['k']} r={group['r']} kind={group['kind']}:"

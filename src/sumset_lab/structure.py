@@ -9,7 +9,7 @@ hypotheses hold, the predicted structure must be present.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -312,6 +312,28 @@ def observed_a_facts(
     return ad.is_ap, ad.difference, a_dilated, relation
 
 
+FACT_NAMES = tuple(f.name for f in fields(StructureFacts))
+_FACT_INDEX = {name: i for i, name in enumerate(FACT_NAMES)}
+FLAG_NAMES = ("hypotheses_hold", "structure_matches", "consistent", "nonstructured")
+
+
+def judge(
+    size: int, outcome: bounds.BoundOutcome, h_half: HHalf, a_facts: tuple
+) -> tuple[bool, tuple[bool, bool, bool, bool], tuple]:
+    """The inverse rule, from a union's size, its bound outcome, the row's
+    half (verdict_h_half) and A's observed facts (observed_a_facts):
+    (equality, the FLAG_NAMES values, the FACT_NAMES values). build_verdict
+    wraps them in dataclasses; the exhaustive verifier builds none."""
+    rule, predicted, reasons, hd, h_run = h_half
+    observed = (hd.is_ap, hd.difference, h_run, *a_facts)
+    matches = all([observed[_FACT_INDEX[name]] for name in predicted])
+    hypotheses = not reasons
+    equality = outcome.applicable and size == outcome.value
+    consistent = not (equality and hypotheses) or matches
+    nonstructured = equality and not hypotheses and not matches
+    return equality, (hypotheses, matches, consistent, nonstructured), observed
+
+
 def build_verdict(
     kind: SumsetKind,
     set_class: SetClass,
@@ -323,17 +345,10 @@ def build_verdict(
 ) -> InverseVerdict:
     """Assemble the verdict of a sign-reduced A from its union's size, its
     bound outcome, the row's half (verdict_h_half) and A's half
-    (verdict_a_half). The exhaustive verifier derives a row's half once, at
-    its first equality case, and calls this once per (row, observed A facts).
-    """
-    rule, predicted, reasons, hd, h_run = h_half
-    observed = StructureFacts(
-        hd.is_ap, hd.difference, h_run, *observed_a_facts(a_half, h_half)
+    (verdict_a_half), as judge decides it."""
+    equality, (hypotheses, matches, consistent, _), observed = judge(
+        size, outcome, h_half, observed_a_facts(a_half, h_half)
     )
-    matches = all(bool(getattr(observed, name)) for name in predicted)
-    hypotheses = not reasons
-    equality = outcome.applicable and size == outcome.value
-    consistent = not (equality and hypotheses) or matches
     return InverseVerdict(
         kind=kind,
         set_class=set_class,
@@ -342,10 +357,10 @@ def build_verdict(
         bound_applicable=outcome.applicable,
         equality_holds=equality,
         hypotheses_hold=hypotheses,
-        reasons=extra_reasons + reasons,
-        rule=rule,
-        structure_predicted=predicted,
-        structure_observed=observed,
+        reasons=extra_reasons + h_half[2],
+        rule=h_half[0],
+        structure_predicted=h_half[1],
+        structure_observed=StructureFacts(*observed),
         structure_matches=matches,
         consistent=consistent,
     )

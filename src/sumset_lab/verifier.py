@@ -14,22 +14,24 @@ elements adds at least g(j) sums: h_r, or for a restricted row max(H ∩
 still open at its parent are tested once against their bounds. Only pairs
 that reach their bound go further, and the A half of the verdict (A's
 progression and dilation) is built once per A that has an equality case.
-An equality case's size is its row's bound, so its verdict and record
-depend on the row and the observed facts about A alone
-(structure.observed_a_facts, which A's first element is not among): each
-chunk builds them once per (row, facts) that occurs, and derives a row's H
-half (rule, hypotheses, H's progression and run) at the row's first
-equality case. A case finds its template in its row's table, keyed by A's
-facts computed once per A. The first case's record is a read-only dict
-(CaseRecord); each later one is a repeat that stores only its "a" and one
-pointer, and reads every other key through the first, so
-VerificationReport.to_json encodes those shared fields once and writes
-each case as its A text spliced before them. A case that no list keeps,
-all of them being at the case cap, is only counted: it builds no record,
-and A's text is formatted only for a template, a kept case or a violation.
-Each block is cut into contiguous chunks of at most 512 of its A-sets by
-combinatorial rank within the block, and each chunk resumes at its rank
-with itertools.combinations. The chunk is the one unit of work: it sets up
+An equality case's size is its row's bound, so its record depends on the
+row and the observed facts about A alone (structure.observed_a_facts,
+which A's first element is not among): each chunk builds it once per (row,
+facts) that occurs, as a plain dict laid out from structure.judge without
+any verdict dataclass, and derives a row's H half (rule, hypotheses, H's
+progression and run) at the row's first equality case. A case finds its
+template in its row's table, keyed by A's facts computed once per A, and
+is kept as a (first record, A text) pair: every case of a template shares
+its first record, so a case costs its A text and one tuple, and chunk
+results cross the worker pool as plain tuples. Each report list is a
+CaseList over its pairs, read as the list of their records (one plain dict
+per read), and encode_json writes a case as '{"a":', its A text and its
+first record's JSON after "a", encoded once per call. A case that no list
+keeps, all of them being at the case cap, is only counted, and A's text is
+formatted only for a template, a kept case or a violation. Each block is
+cut into contiguous chunks of at most 512 of its A-sets by combinatorial
+rank within the block, and each chunk resumes at its rank with
+itertools.combinations. The chunk is the one unit of work: it sets up
 its block's rows and templates once and is one pool message. Chunk
 boundaries are independent of the worker count and chunk results merge in
 rank order as they finish, so the report is byte-identical no matter how
@@ -43,28 +45,33 @@ memory follows the cap rather than the number of cases.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain, combinations, islice
 from json.encoder import encode_basestring_ascii
 from math import comb, log10
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import bounds
 from .engine import SumsetKind, extend_ladder, require_kind, sumset_ladder
 from .errors import SpaceTooLargeError, WorkerLostError
-from .intset import HSet, IntSet, SetClass, format_elements, parse_elements
+from .intset import HSet, IntSet, format_elements, parse_elements
 from .structure import (
-    InverseVerdict,
-    build_verdict,
+    FACT_NAMES,
+    FLAG_NAMES,
+    judge,
     observed_a_facts,
     plain_fields,
     verdict_a_half,
     verdict_h_half,
 )
+# not called here: bench/spans.HOOKS wraps this name on this module
+from .structure import build_verdict  # noqa: F401
 
 REPORT_VERSION = "sumset-lab-report/1"
 DEFAULT_PAIR_CAP = 10**8
@@ -243,19 +250,20 @@ def enumerate_pairs(
 
 @dataclass
 class _Cases:
-    """A complete count and the first case_cap records behind it."""
+    """A complete count and the first case_cap cases behind it, kept as
+    (first record, A text) pairs."""
 
     count: int = 0
-    records: list = field(default_factory=list)
+    kept: list = field(default_factory=list)
 
-    def add(self, record: dict, case_cap: int) -> None:
+    def add(self, pair: tuple[dict, str], case_cap: int) -> None:
         self.count += 1
-        if len(self.records) < case_cap:
-            self.records.append(record)
+        if len(self.kept) < case_cap:
+            self.kept.append(pair)
 
     def extend(self, other: _Cases, case_cap: int) -> None:
         self.count += other.count
-        self.records.extend(other.records[: case_cap - len(self.records)])
+        self.kept.extend(other.kept[: case_cap - len(self.kept)])
 
 
 @dataclass
@@ -269,8 +277,8 @@ class _Partial:
 
 def _merged(parts: Iterable[_Partial], case_cap: int) -> _Partial:
     """Fold chunk results in rank order as they arrive. Each list stops at
-    the cap, so the merge never holds more than case_cap records per list
-    and a chunk's result is dropped once it is folded in."""
+    the cap, so the merge never holds more than case_cap pairs per list and
+    a chunk's result is dropped once it is folded in."""
     merged = _Partial()
     for part in parts:
         merged.pairs += part.pairs
@@ -281,125 +289,57 @@ def _merged(parts: Iterable[_Partial], case_cap: int) -> _Partial:
     return merged
 
 
-class CaseRecord(dict):
-    """An equality case's record, read-only. CaseRecord(fields) is a first
-    record: a copy of fields with "a" as the first key. CaseRecord(first,
-    a_text) is a later case of the same (row, A's facts), a repeat: it
-    stores only its "a" and reads every other key through first (a plain
-    dict's frozen copy), so it costs its A text and one pointer, and to_json
-    encodes the shared fields once. Read, iterated, compared, copied or
-    encoded, a repeat is first's keys in first's order ("a" first) with its
-    own "a"; dict(record) is that, a plain mutable copy. Every mutator
-    raises TypeError, so no record can disagree with the fields encoded for
-    it. A pickle or copy is rebuilt from the first record, so records that
-    cross the pool still share it."""
+class CaseList(Sequence):
+    """A report's case list, read-only: (first record, A text) pairs, read
+    as the list of their records. A pair's record is its first record's keys
+    in order ("a" first) with its own "a", built as a plain dict on each
+    read, so no read can change the list. Every case of one (row, A's facts)
+    in a chunk shares the first such case's record, and a violation is its
+    own first record. A CaseList equals a list of dicts that equals its
+    records, and encode_json writes it from the pairs, encoding each first
+    record once per call. It pickles and copies as its pairs."""
 
-    __slots__ = ("_first",)  # None on a first record
+    __slots__ = ("_pairs",)
 
-    def __init__(self, fields: dict, a_text: str | None = None):
-        if a_text is None:
-            dict.__init__(self, a=fields["a"])
-            dict.update(self, fields)
-            self._first = None
-        else:
-            if type(fields) is not CaseRecord:
-                fields = CaseRecord(fields)
-            dict.__init__(self, a=a_text)
-            self._first = fields if fields._first is None else fields._first
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("a case record is read-only; dict(record) is a mutable copy")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-    def _keyed(self) -> dict:
-        """The record whose own storage holds every key: self or first."""
-        return self if self._first is None else self._first
-
-    def _full(self) -> dict:
-        """Every key and value in a plain dict, in the record's order."""
-        full = dict(dict.items(self._keyed()))
-        if self._first is not None:
-            full["a"] = dict.__getitem__(self, "a")
-        return full
-
-    def __missing__(self, key):
-        if self._first is None:
-            raise KeyError(key)
-        return dict.__getitem__(self._first, key)
-
-    def get(self, key, default=None):
-        return self[key] if key in self else default
-
-    def __contains__(self, key) -> bool:
-        return dict.__contains__(self._keyed(), key)
-
-    def __iter__(self):
-        return dict.__iter__(self._keyed())
-
-    def __reversed__(self):
-        return dict.__reversed__(self._keyed())
+    def __init__(self, pairs: Iterable[tuple[dict, str]] = ()):
+        self._pairs = tuple(pairs)
 
     def __len__(self) -> int:
-        return dict.__len__(self._keyed())
+        return len(self._pairs)
 
-    def keys(self):
-        return dict.keys(self._keyed())
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CaseList(self._pairs[index])
+        first, a_text = self._pairs[index]
+        record = first.copy()
+        record["a"] = a_text
+        return record
 
-    def values(self):
-        return dict.values(self if self._first is None else self._full())
-
-    def items(self):
-        return dict.items(self if self._first is None else self._full())
-
-    def copy(self) -> dict:
-        return self._full()
-
-    def __or__(self, other):
-        if not isinstance(other, dict):
-            return NotImplemented
-        merged = self._full()
-        merged.update(other)
-        return merged
+    def __iter__(self) -> Iterator[dict]:
+        for first, a_text in self._pairs:
+            record = first.copy()
+            record["a"] = a_text
+            yield record
 
     def __eq__(self, other):
-        if type(other) is CaseRecord and other._first is not None:
-            other = other._full()
-        if self._first is None:
-            return dict.__eq__(self, other)
-        return self._full() == other
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
+        if not isinstance(other, (CaseList, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def __repr__(self) -> str:
-        return repr(self._full())
-
-    def __reduce__(self):
-        if self._first is None:
-            return CaseRecord, (self._full(),)
-        return CaseRecord, (self._first, dict.__getitem__(self, "a"))
+        return f"CaseList({list(self)!r})"
 
 
-def case_record(a_text: str, h_text: str, zero_in: bool, verdict: InverseVerdict) -> dict:
-    """The pair, the comparison, the verdict flags, then the observed
-    structure's fields in declaration order."""
-    record = {
-        "a": a_text,
-        "h": h_text,
-        "kind": verdict.kind.value,
-        "zero_in_a": zero_in,
-        "size": verdict.computed_size,
-        "bound": verdict.bound_value,
-        "hypotheses_hold": verdict.hypotheses_hold,
-        "structure_matches": verdict.structure_matches,
-        "consistent": verdict.consistent,
-        "nonstructured": verdict.is_nonstructured_equality,
-        "rule": verdict.rule,
-    }
-    record.update(vars(verdict.structure_observed))
+def case_record(
+    a_text: str, h_text: str, kind: SumsetKind, zero_in: bool, size: int, bound: int,
+    rule: str, flags: tuple[bool, bool, bool, bool], observed: tuple,
+) -> dict:
+    """The pair, the comparison, judge's flags and the rule, then the
+    observed structure's fields in StructureFacts' order."""
+    record = {"a": a_text, "h": h_text, "kind": kind.value, "zero_in_a": zero_in,
+              "size": size, "bound": bound}
+    record.update(zip(FLAG_NAMES, flags), rule=rule)
+    record.update(zip(FACT_NAMES, observed))
     return record
 
 
@@ -493,7 +433,6 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
     # element of the block's universe: one guard per chunk
     top = space.universe_max - zero_in
     sumset_ladder(IntSet((top,)), space.h_max, SumsetKind.ORDINARY)
-    set_class = SetClass.ZERO_REST_POSITIVE if zero_in else SetClass.ALL_POSITIVE
     # the block's applicable (H, kind) rows, built per call (not cached):
     # patched formulas show
     rows, open_rows = [], [[] for _ in space.kinds]
@@ -511,7 +450,8 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
     # the row and A's observed facts only. tables[i] is row i's H half and
     # templates, from its first equality case on: by_a maps A's facts to a
     # template, the first case's record and the lists its cases go to, and
-    # by_facts holds each template once per observed facts
+    # by_facts holds each template once per observed facts. A kept case is
+    # the pair (first record, A text)
     tables = [None] * len(rows)
     row_count = space.h_subset_count() * len(space.kinds)
     a_sets = islice(_combinations_from(universe, pick, start), end - start)
@@ -527,18 +467,16 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
             h_text, kind, outcome, H = rows[i]
             if size < outcome.value:
                 a_text = a_text or format_elements(elements)
-                acc.violations.add(
-                    {
-                        "a": a_text,
-                        "h": h_text,
-                        "kind": kind.value,
-                        "zero_in_a": zero_in,
-                        "size": size,
-                        "bound": outcome.value,
-                        "formula": outcome.formula.identifier,
-                    },
-                    case_cap,
-                )
+                violation = {
+                    "a": a_text,
+                    "h": h_text,
+                    "kind": kind.value,
+                    "zero_in_a": zero_in,
+                    "size": size,
+                    "bound": outcome.value,
+                    "formula": outcome.formula.identifier,
+                }
+                acc.violations.add((violation, a_text), case_cap)
                 continue
             if a_key is None:
                 a_half = verdict_a_half(elements, zero_in)
@@ -549,29 +487,34 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
             if table is None:
                 table = tables[i] = (verdict_h_half(kind, zero_in, k, H, outcome), {}, {})
             h_half, by_a, by_facts = table
-            template, record = by_a.get(a_key), None
+            template = by_a.get(a_key)
             if template is None:
                 facts = observed_a_facts(a_half, h_half)
                 template = by_facts.get(facts)
                 if template is None:
                     a_text = a_text or format_elements(elements)
-                    verdict = build_verdict(kind, set_class, size, outcome, h_half, a_half)
-                    record = CaseRecord(case_record(a_text, h_text, zero_in, verdict))
+                    _, flags, observed = judge(size, outcome, h_half, facts)
+                    first = case_record(
+                        a_text, h_text, kind, zero_in, size, outcome.value, h_half[0],
+                        flags, observed,
+                    )
+                    _, _, consistent, nonstructured = flags
                     lists = (acc.equality,)
-                    if record["nonstructured"]:
+                    if nonstructured:
                         lists += (acc.nonstructured,)
-                    if not record["consistent"]:
+                    if not consistent:
                         lists += (acc.inconsistencies,)
-                    template = by_facts[facts] = (record, lists)
+                    template = by_facts[facts] = (first, lists)
                 by_a[a_key] = template
             first, lists = template
+            pair = None  # one tuple for every list the case is kept in
             for cases in lists:
                 cases.count += 1
-                if len(cases.records) < case_cap:
-                    if record is None:
+                if len(cases.kept) < case_cap:
+                    if pair is None:
                         a_text = a_text or format_elements(elements)
-                        record = CaseRecord(first, a_text)
-                    cases.records.append(record)
+                        pair = (first, a_text)
+                    cases.kept.append(pair)
     return acc
 
 
@@ -581,23 +524,24 @@ class VerificationReport:
 
     Violation and inconsistency lists must be empty on every space the
     catalog covers; a nonempty list is a counterexample. Case lists are
-    bounded by equality_case_cap (counts are always complete). Wall time is
-    informational: it is left out of equality and of the serialized form, so
-    that reports compare byte for byte. The serialized keys are the version,
-    then the compared fields in declaration order.
+    bounded by equality_case_cap (counts are always complete), and each is a
+    CaseList. Wall time is informational: it is left out of equality and of
+    the serialized form, so that reports compare byte for byte. The
+    serialized keys are the version, then the compared fields in declaration
+    order.
     """
 
     space: SearchSpace
     enumeration_count: int
     pairs_checked: int
     bound_violation_count: int
-    bound_violations: list
+    bound_violations: CaseList
     equality_case_count: int
-    equality_cases: list
+    equality_cases: CaseList
     allowed_nonstructured_count: int
-    allowed_nonstructured_equalities: list
+    allowed_nonstructured_equalities: CaseList
     inverse_inconsistency_count: int
-    inverse_inconsistencies: list
+    inverse_inconsistencies: CaseList
     equality_case_cap: int
     wall_time_seconds: float = field(default=0.0, compare=False)
 
@@ -605,27 +549,24 @@ class VerificationReport:
     def clean(self) -> bool:
         return self.bound_violation_count == 0 and self.inverse_inconsistency_count == 0
 
-    def to_dict(self) -> dict:
+    def _data(self) -> dict:
+        """The serialized keys and values, case lists as they are."""
         data = {"version": REPORT_VERSION}
         data.update((f.name, getattr(self, f.name)) for f in fields(self) if f.compare)
         data["space"] = self.space.to_dict()
         return data
 
+    def to_dict(self) -> dict:
+        """The serialized form, each case list a plain list of its records."""
+        return {
+            key: list(value) if type(value) is CaseList else value
+            for key, value in self._data().items()
+        }
+
     def to_json(self) -> str:
-        """json.dumps(self.to_dict(), separators=(",", ":")), built as one
-        list of pieces joined once: a CaseRecord is '{"a":', its A text and
-        its first record's JSON after "a", encoded once per call, and any
-        other value is encoded whole."""
-        pieces, tails = [], {}
-        for key, value in self.to_dict().items():
-            pieces += (",", encode_basestring_ascii(key), ":")
-            if type(value) is list:
-                _encode_records(value, pieces, tails)
-            else:
-                pieces.append(_ENCODER.encode(value))
-        pieces[0] = "{"
-        pieces.append("}")
-        return "".join(pieces)
+        """json.dumps(self.to_dict(), separators=(",", ":")), written from
+        the case lists' pairs by encode_json."""
+        return encode_json(self._data())
 
     @classmethod
     def from_dict(cls, data: dict) -> VerificationReport:
@@ -633,6 +574,10 @@ class VerificationReport:
             raise ValueError(f"unsupported report version {data.get('version')!r}")
         values = {f.name: data[f.name] for f in fields(cls) if f.compare}
         values["space"] = SearchSpace.from_dict(data["space"])
+        for name, value in values.items():
+            if type(value) is list:
+                # each record its own first, copied with "a" first
+                values[name] = CaseList(({"a": r["a"], **r}, r["a"]) for r in value)
         return cls(**values)
 
     @classmethod
@@ -640,26 +585,50 @@ class VerificationReport:
         return cls.from_dict(json.loads(text))
 
 
-# a report's values are flat records, ints and the space: no cycle to check
+# records are flat and reports and groups are trees: no cycle to check
 _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
-def _encode_records(records: list, pieces: list, tails: dict) -> None:
-    """Append a report list's JSON pieces to pieces. tails maps the id of a
-    first record (which its cases keep alive) to its JSON after "a"."""
-    sep = "["
-    for record in records:
-        if type(record) is CaseRecord:
-            first = record if record._first is None else record._first
+def encode_json(value) -> str:
+    """json.dumps(value, separators=(",", ":")) for data with string keys in
+    which a CaseList stands for the list of its records, built as one list
+    of pieces joined once. A case is written as '{"a":', its A text and its
+    first record's JSON after "a", encoded once per call; dicts and lists
+    are walked, and any other value is encoded whole."""
+    pieces = []
+    _encode(value, pieces, {})
+    return "".join(pieces)
+
+
+def _encode(value, pieces: list, tails: dict) -> None:
+    """Append value's JSON pieces to pieces. tails maps the id of a first
+    record (which its pairs keep alive) to its JSON after "a"."""
+    if type(value) is CaseList:
+        sep = "["
+        for first, a_text in value._pairs:
             tail = tails.get(id(first))
             if tail is None:
                 head = '{"a":' + encode_basestring_ascii(first["a"])
                 tail = tails[id(first)] = _ENCODER.encode(first)[len(head) :]
-            pieces += (sep, '{"a":', encode_basestring_ascii(record["a"]), tail)
-        else:
-            pieces += (sep, _ENCODER.encode(record))
-        sep = ","
-    pieces.append("]" if records else "[]")
+            pieces += (sep, '{"a":', encode_basestring_ascii(a_text), tail)
+            sep = ","
+        pieces.append("]" if value._pairs else "[]")
+    elif type(value) is dict:
+        sep = "{"
+        for key, item in value.items():
+            pieces += (sep, encode_basestring_ascii(key), ":")
+            _encode(item, pieces, tails)
+            sep = ","
+        pieces.append("}" if value else "{}")
+    elif type(value) is list:
+        sep = "["
+        for item in value:
+            pieces.append(sep)
+            _encode(item, pieces, tails)
+            sep = ","
+        pieces.append("]" if value else "[]")
+    else:
+        pieces.append(_ENCODER.encode(value))
 
 
 def _pool_size(workers: int | None, most: int) -> int:
@@ -723,13 +692,13 @@ def verify(
         pairs_checked=merged.pairs,
         enumeration_count=expected,
         bound_violation_count=merged.violations.count,
-        bound_violations=merged.violations.records,
+        bound_violations=CaseList(merged.violations.kept),
         equality_case_count=merged.equality.count,
-        equality_cases=merged.equality.records,
+        equality_cases=CaseList(merged.equality.kept),
         allowed_nonstructured_count=merged.nonstructured.count,
-        allowed_nonstructured_equalities=merged.nonstructured.records,
+        allowed_nonstructured_equalities=CaseList(merged.nonstructured.kept),
         inverse_inconsistency_count=merged.inconsistencies.count,
-        inverse_inconsistencies=merged.inconsistencies.records,
+        inverse_inconsistencies=CaseList(merged.inconsistencies.kept),
         equality_case_cap=case_cap,
         wall_time_seconds=time.perf_counter() - started,
     )
@@ -744,8 +713,9 @@ def find_extremal(
     """All equality cases grouped by (k, r, kind), each with its structure.
 
     Group contents come from the equality case list of a verify run over the
-    same space. Raises ValueError when case_cap truncated that list, since
-    groups built from it would be silently partial.
+    same space, each group's cases a CaseList in report order. Raises
+    ValueError when case_cap truncated that list, since groups built from it
+    would be silently partial.
     """
     report = verify(space, workers=workers, pair_cap=pair_cap, case_cap=case_cap)
     if report.equality_case_count > len(report.equality_cases):
@@ -754,15 +724,17 @@ def find_extremal(
             f" {len(report.equality_cases)} kept under the case cap;"
             " raise --case-cap to group them all"
         )
+    # a chunk lies in one (k, zero mode) block, so every case of a first
+    # record shares its row and its k: the key is read once per first
     groups: dict[tuple[int, int, str], list] = {}
-    for record in report.equality_cases:
-        key = (
-            len(parse_elements(record["a"])),
-            len(parse_elements(record["h"])),
-            record["kind"],
-        )
-        groups.setdefault(key, []).append(record)
+    keys = {}
+    for pair in report.equality_cases._pairs:
+        first = pair[0]
+        if id(first) not in keys:
+            k, r = len(parse_elements(first["a"])), len(parse_elements(first["h"]))
+            keys[id(first)] = (k, r, first["kind"])
+        groups.setdefault(keys[id(first)], []).append(pair)
     return [
-        {"k": k, "r": r, "kind": kind, "cases": cases}
-        for (k, r, kind), cases in sorted(groups.items())
+        {"k": k, "r": r, "kind": kind, "cases": CaseList(pairs)}
+        for (k, r, kind), pairs in sorted(groups.items())
     ]

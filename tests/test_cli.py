@@ -426,6 +426,23 @@ def test_usage_error_exits_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "extremal"])
+@pytest.mark.parametrize(
+    "flag, value", [("--k", "2..x"), ("--k", "x"), ("--r", "1.."), ("--r", "1..2..3")]
+)
+def test_bad_span_names_its_flag(capsys, command, flag, value):
+    spans = {"--k": "2..3", "--r": "1..2", flag: value}
+    argv = [command, "--universe", "6", "--hmax", "3", "--k", spans["--k"], "--r", spans["--r"]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(
+        f"sumset-lab {command}: error: argument {flag}: expected N or LO..HI, got {value!r}\n"
+    )
+
+
 def test_env_var_sets_default_format(capsys, monkeypatch):
     monkeypatch.setenv("SUMSET_LAB_FORMAT", "json")
     code, out, _ = run_cli(capsys, "bound", "-A", "1..4", "-H", "2")

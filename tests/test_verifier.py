@@ -8,7 +8,7 @@ import pickle
 import signal
 import weakref
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, fields, replace
 from itertools import combinations, islice, product
 from math import comb
 
@@ -22,7 +22,7 @@ from sumset_lab.engine import SumsetKind, union_sumset
 from sumset_lab.errors import SpaceTooLargeError, WorkerLostError
 from sumset_lab.intset import HSet, IntSet, format_elements, parse_elements
 from sumset_lab.verifier import (
-    CaseRecord,
+    CaseList,
     SearchSpace,
     VerificationReport,
     ZeroMode,
@@ -31,6 +31,7 @@ from sumset_lab.verifier import (
     _prefix_caps,
     _run_chunk,
     case_record,
+    encode_json,
     enumerate_pairs,
     find_extremal,
     verify,
@@ -527,7 +528,7 @@ def test_bound_violations_capped_per_chunk_counts_complete(monkeypatch, same_jso
     (block,) = space.a_blocks()
     chunk = _run_chunk((space, block, 0, block[4], 1))
     assert chunk.violations.count == report.bound_violation_count
-    assert len(chunk.violations.records) == 1  # capped before the merge
+    assert len(chunk.violations.kept) == 1  # capped before the merge
 
 
 def test_bounds_looked_up_once_per_block(monkeypatch):
@@ -641,6 +642,15 @@ def _count_calls(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, wrapper)
 
 
+# an equality case's keys: the pair, the comparison, the verdict flags, then
+# the observed structure's fields in declaration order
+_RECORD_KEYS = [
+    "a", "h", "kind", "zero_in_a", "size", "bound", "hypotheses_hold",
+    "structure_matches", "consistent", "nonstructured", "rule",
+    *(f.name for f in fields(structure.StructureFacts)),
+]
+
+
 def test_equality_templates_built_once_per_row_and_a_facts(monkeypatch):
     # progressions and non-progressions of every k in both zero modes
     space = SearchSpace(7, (1, 5), 4, (2, 4), zero_mode=ZeroMode.BOTH)
@@ -657,20 +667,23 @@ def test_equality_templates_built_once_per_row_and_a_facts(monkeypatch):
             rows.add(row)
             keys.add((row, facts))
             half_keys.add((row, structure.verdict_a_half(A.elements, zero_in)))
-    built, derived = [], []
-    _count_calls(monkeypatch, verifier, "build_verdict", built)
+    built, derived, dataclasses_made = [], [], []
+    _count_calls(monkeypatch, verifier, "case_record", built)
     _count_calls(monkeypatch, structure, "_expectation", derived)
+    _count_calls(monkeypatch, structure, "InverseVerdict", dataclasses_made)
+    _count_calls(monkeypatch, structure, "StructureFacts", dataclasses_made)
     chunk = _run_blocks(space, equalities)
-    assert chunk.equality.count == len(chunk.equality.records) == equalities
-    # one verdict per (row, A's observed facts), A's first element aside, and
-    # H's facts once per row that reaches an equality case
+    assert chunk.equality.count == len(chunk.equality.kept) == equalities
+    # one record per (row, A's observed facts), A's first element aside, and
+    # H's facts once per row that reaches an equality case; no verdict
+    # dataclass on the way
     assert len(built) == len(keys) < len(half_keys) < equalities
     assert len(derived) == len(rows) < len(keys)
-    records = chunk.equality.records
-    assert len(set(map(id, records))) == len(records)
-    verdict = structure.check_inverse(IntSet((1,)), HSet((1,)), ORD)
-    order = list(case_record("", "", False, verdict))
-    assert all(list(record) == order for record in records)
+    assert dataclasses_made == []
+    # every case is a pair whose first record is one of those built
+    firsts = {id(first): first for first, _ in chunk.equality.kept}
+    assert len(firsts) == len(built)
+    assert all(list(first) == _RECORD_KEYS for first in firsts.values())
 
 
 @pytest.mark.parametrize("raised", [False, True])
@@ -689,13 +702,18 @@ def test_full_case_lists_only_count(monkeypatch, raised):
         monkeypatch.setattr(bounds, "catalog_bound", raise_ordinary)
     space = SearchSpace(8, (2, 5), 4, (1, 4), zero_mode=ZeroMode.BOTH)
     h_texts = len(space.a_blocks()) * space.h_subset_count()
-    built, records_made, texts = [], [], []
-    _count_calls(monkeypatch, verifier, "build_verdict", built)
-    _count_calls(monkeypatch, CaseRecord, "__init__", records_made)
+    built, texts = [], []
+    real_record = verifier.case_record
+
+    def recorded(*args):
+        built.append(real_record(*args))
+        return built[-1]
+
+    monkeypatch.setattr(verifier, "case_record", recorded)
     _count_calls(monkeypatch, verifier, "format_elements", texts)
 
     def run(cap):
-        for calls in (built, records_made, texts):
+        for calls in (built, texts):
             calls.clear()
         return _run_blocks(space, cap)
 
@@ -704,9 +722,11 @@ def test_full_case_lists_only_count(monkeypatch, raised):
     counts = [getattr(full, name).count for name in lists]
     # violations and inconsistencies only under the raised bound
     assert all(counts) if raised else counts[0] == counts[3] == 0 < counts[2]
-    # uncapped: one record per equality case and one text per A that has a case
-    assert len(records_made) == counts[1] > len(built)
-    a_texts = {r["a"] for name in lists for r in getattr(full, name).records}
+    # uncapped: one pair per equality case, its first record one of the
+    # templates, and one text per A that has a case
+    assert len(full.equality.kept) == counts[1] > len(built)
+    assert {id(first) for first, _ in full.equality.kept} == set(map(id, built))
+    a_texts = {a_text for name in lists for _, a_text in getattr(full, name).kept}
     assert len(texts) == h_texts + len(a_texts)
     templates = len(built)
     uncapped = verify(space, workers=1, case_cap=10**9)
@@ -716,16 +736,16 @@ def test_full_case_lists_only_count(monkeypatch, raised):
         chunk = run(cap)
         assert len(built) == templates
         if cap == 0:
-            # a case that no list keeps builds no record, and A's text is
+            # a case that no list keeps is only counted, and A's text is
             # written only for a template or a violation
-            assert len(records_made) == templates
+            assert all(getattr(chunk, name).kept == [] for name in lists)
             assert len(texts) <= h_texts + templates + counts[0]
         report = verify(space, workers=1, case_cap=cap)
         for name, count, (count_field, list_field) in zip(lists, counts, _COUNTS_AND_LISTS):
             cases = getattr(chunk, name)
             assert cases.count == count == getattr(report, count_field)
             assert getattr(uncapped, count_field) == count
-            assert cases.records == getattr(full, name).records[:cap]
+            assert CaseList(cases.kept) == CaseList(getattr(full, name).kept)[:cap]
             assert getattr(report, list_field) == getattr(uncapped, list_field)[:cap]
 
 
@@ -769,8 +789,12 @@ def test_to_json_equals_json_dumps_on_every_report_kind(monkeypatch, same_json):
     reports["from_json"] = VerificationReport.from_json(full.to_json())
     # k <= 2 in a wide universe: nearly every (row, A's half) occurs once
     reports["few repeats"] = verify(SearchSpace(30, (1, 2), 3, (1, 3)), workers=1)
-    mixed = [case if i % 3 else dict(case) for i, case in enumerate(full.equality_cases)]
-    reports["mixed"] = replace(full, equality_cases=mixed)
+    # a report built by hand with plain lists: encoded element by element
+    reports["plain lists"] = replace(
+        full,
+        equality_cases=list(full.equality_cases),
+        allowed_nonstructured_equalities=list(full.allowed_nonstructured_equalities),
+    )
     real = bounds.catalog_bound
 
     def raised(kind, *args):
@@ -788,59 +812,75 @@ def test_to_json_equals_json_dumps_on_every_report_kind(monkeypatch, same_json):
     for name, report in reports.items():
         same_json(report.to_json(), _oracle_json(report), name)
     same_json(reports["workers=2"].to_json(), full.to_json())
-    assert all(type(case) is CaseRecord for case in reports["workers=2"].equality_cases)
-    assert all(type(case) is dict for case in reports["from_json"].equality_cases)
+    same_json(reports["from_json"].to_json(), full.to_json())
+    for name in ("workers=2", "from_json"):
+        assert reports[name] == full
+        cases = reports[name].equality_cases
+        assert type(cases) is CaseList and all(type(case) is dict for case in cases)
 
 
 def test_case_records_are_read_only(same_json):
     space = SearchSpace(8, (2, 4), 4, (1, 3), zero_mode=ZeroMode.BOTH)
     report = verify(space, workers=1)
-    records = report.equality_cases
-    # both the first record of a (row, A's half) and later ones that repeat it
-    assert {record._first is None for record in records} == {True, False}
+    cases = report.equality_cases
+    # both the first case of a (row, A's half) and later ones that share its
+    # first record
+    assert {first["a"] == a_text for first, a_text in cases._pairs} == {True, False}
+    before, blob = list(cases), report.to_json()
+    # a case list has no mutators
     mutations = [
-        lambda r: r.__setitem__("size", 0),
-        lambda r: r.__delitem__("size"),
-        lambda r: r.update(size=0),
-        lambda r: r.pop("size"),
-        lambda r: r.popitem(),
-        lambda r: r.setdefault("extra", 0),
-        lambda r: r.clear(),
+        lambda c: c.__setitem__(0, {}),
+        lambda c: c.__delitem__(0),
+        lambda c: c.append({}),
+        lambda c: c.extend([{}]),
+        lambda c: c.insert(0, {}),
+        lambda c: c.pop(),
+        lambda c: c.remove(before[0]),
+        lambda c: c.clear(),
+        lambda c: c.sort(),
+        lambda c: c.reverse(),
     ]
-    for record in records:
-        before = dict(record)
-        for mutate in mutations:
-            with pytest.raises(TypeError):
-                mutate(record)
-        alias = record
-        with pytest.raises(TypeError):
-            alias |= {"size": 0}
-        assert record == before and type(record) is CaseRecord
-        plain = dict(record)
-        assert type(plain) is dict
-        plain["size"] = -1
-        assert record["size"] == before["size"]
-    blob = report.to_json()
-    # the pool path: records cross as pickles, then encode the same
+    for mutate in mutations:
+        with pytest.raises((TypeError, AttributeError)):
+            mutate(cases)
+    alias = cases
+    with pytest.raises(TypeError):
+        alias += [{}]
+    # each read is a fresh plain dict: changing it changes no record
+    for i, record in enumerate(cases):
+        assert type(record) is dict and record == before[i]
+        assert cases[i] is not cases[i]
+        record["size"] = -1
+        del record["h"]
+        assert cases[i] == before[i]
+    assert list(cases) == before
+    same_json(report.to_json(), blob)
+    # the pool path: a chunk's pairs cross as pickles of plain tuples, and
+    # every case of a first record still shares it
+    chunk = _run_chunk((space, space.a_blocks()[2], 0, space.a_blocks()[2][4], 10**9))
+    twin = pickle.loads(pickle.dumps(chunk))
+    for part in (chunk, twin):
+        assert all(type(pair) is tuple for pair in part.equality.kept)
+    shared = [{id(first) for first, _ in part.equality.kept} for part in (chunk, twin)]
+    assert len(shared[0]) == len(shared[1]) < len(chunk.equality.kept)
+    assert CaseList(twin.equality.kept) == CaseList(chunk.equality.kept)
+    # a report pickles and copies as its pairs
     restored = pickle.loads(pickle.dumps(report))
-    assert restored == report
-    assert all(type(case) is CaseRecord for case in restored.equality_cases)
+    assert restored == report and type(restored.equality_cases) is CaseList
     same_json(restored.to_json(), blob)
-    for record in records:
-        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
-            assert type(twin) is CaseRecord and twin == record
-            assert list(twin) == list(record)
-    lists = {name: [copy.copy(r) for r in getattr(report, name)] for _, name in _COUNTS_AND_LISTS}
-    same_json(replace(report, **lists).to_json(), blob)
-    # built directly, a record sets its own slot: "a" goes first, and a
-    # repeat of a plain dict points at a frozen copy of it
-    plain = dict(records[-1])
-    built = [CaseRecord(dict(reversed(plain.items()))), CaseRecord(plain, "{1,2}")]
-    assert [list(record)[0] for record in built] == ["a", "a"]
-    for record in built:
-        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
-            assert type(twin) is CaseRecord and list(twin.items()) == list(record.items())
-    with_built = replace(report, equality_cases=built + records)
+    for twin in (copy.copy(cases), copy.deepcopy(cases)):
+        assert type(twin) is CaseList and twin == cases
+    # read back from plain records, each is copied with "a" first
+    plain = before[-1]
+    reordered = dict(reversed(plain.items()))
+    data = report.to_dict()
+    data["equality_cases"] = [reordered, *before]
+    with_built = VerificationReport.from_dict(data)
+    built = with_built.equality_cases
+    assert type(built) is CaseList and built == [plain, *before]
+    assert list(built[0]) == ["a", *(key for key in reordered if key != "a")]
+    reordered["size"] = -1
+    assert built[0] == plain
     same_json(with_built.to_json(), _oracle_json(with_built))
 
 
@@ -850,76 +890,102 @@ _ACCEPTANCE = SearchSpace(12, (2, 6), 6, (1, 6), zero_mode=ZeroMode.BOTH)
 
 
 def test_acceptance_space_builds_one_template_per_row_and_facts(monkeypatch):
-    # a template per (row, A's observed facts) and one record per case: a
+    # a template per (row, A's observed facts) and one pair per case: a
     # per-row table that rebuilt templates would raise the first count
-    built, records_made = [], []
-    _count_calls(monkeypatch, verifier, "build_verdict", built)
-    _count_calls(monkeypatch, CaseRecord, "__init__", records_made)
+    built, verdicts = [], []
+    _count_calls(monkeypatch, verifier, "case_record", built)
+    _count_calls(monkeypatch, structure, "build_verdict", verdicts)
     report = verify(_ACCEPTANCE, workers=1)
     assert report.equality_case_count == len(report.equality_cases) == 21027
-    assert len(built) == 2536
-    assert len(records_made) == 21027
+    assert len(built) == 2536 and verdicts == []
+    pairs = report.equality_cases._pairs
+    assert len(pairs) == 21027
+    assert len({id(first) for first, _ in pairs}) == 2536
 
 
 def test_every_read_path_of_a_case_record_matches_its_dict():
-    # the groups are every equality case, byte for byte as before repeats
-    # forwarded their reads, so their text is the plain records to match
+    # the groups are every equality case, byte for byte as before cases were
+    # kept as pairs, so their text is the plain records to match
     groups = find_extremal(_ACCEPTANCE, workers=1)
-    blob = json.dumps(groups)
+    blob = json.dumps(groups, default=list)
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "4e5ddfaa25dce7034819ad6bc910f1f142e8dfeb715651709aff0b4d5c3d925c"
     )
-    records = [case for group in groups for case in group["cases"]]
-    parsed = [case for group in json.loads(blob) for case in group["cases"]]
-    assert len(records) == 21027
-    repeats = [record for record in records if record._first is not None]
-    assert 0 < len(repeats) < len(records)
-    # a repeat stores its "a" alone and reads the rest through its first
-    assert all(dict.__len__(record) == 1 for record in repeats)
-    # the paths that copy or encode a record whole, on every record
-    plains = list(map(dict, records))
-    assert plains == parsed and records == parsed and parsed == records
-    assert [list(plain) for plain in plains] == [list(plain) for plain in parsed]
-    assert [list(record.items()) for record in records] == [list(p.items()) for p in parsed]
-    for options in ({}, {"sort_keys": True}):
+    lists = [group["cases"] for group in groups]
+    plains = [group["cases"] for group in json.loads(blob)]
+    assert all(type(cases) is CaseList for cases in lists)
+    pairs = [pair for cases in lists for pair in cases._pairs]
+    assert len(pairs) == 21027
+    # cases that repeat an earlier case's first record, and first cases
+    assert 0 < sum(first["a"] != a_text for first, a_text in pairs) < len(pairs)
+    # every read path of each group's list, against the plain list
+    for cases, plain in zip(lists, plains):
+        n = len(cases)
+        assert n == len(plain) > 0
+        assert cases == plain and plain == cases and not cases != plain
+        assert list(cases) == plain and list(reversed(cases)) == plain[::-1]
+        assert [cases[i] for i in range(-n, n)] == plain * 2
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                cases[index]
+        for part in (slice(1, None), slice(None, None, -2), slice(n, None)):
+            assert type(cases[part]) is CaseList and cases[part] == plain[part]
+        assert plain[-1] in cases and {} not in cases
+        assert cases.index(plain[-1]) == plain.index(plain[-1])
+        assert cases.count(plain[0]) == plain.count(plain[0]) == 1
+        changed = [*plain[:-1], {**plain[-1], "size": -1}]
+        assert cases != changed and changed != cases
+        assert cases != plain[:-1] and cases != plain + plain[:1]
+        assert cases != tuple(plain) and cases != {}
+        assert repr(cases) == f"CaseList({plain!r})"
+    # every record, key for key and in order, and the paths that encode it
+    records = [record for cases in lists for record in cases]
+    parsed = [record for plain in plains for record in plain]
+    assert all(type(record) is dict for record in records)
+    assert [list(r.items()) for r in records] == [list(p.items()) for p in parsed]
+    for options in ({}, {"sort_keys": True}, {"indent": 1}):
         assert json.dumps(records, **options) == json.dumps(parsed, **options)
-    # every read path of every first record and of one repeat of each: a
-    # repeat's paths read its own "a" and its first's storage alone
-    one_each = {id(record._first): record for record in repeats}
-    firsts = [record for record in records if record._first is None]
-    missing = object()
-    for record in firsts + list(one_each.values()):
-        plain = dict(record)
-        assert [record[key] for key in plain] == list(plain.values())
-        assert [record.get(key) for key in plain] == list(plain.values())
-        assert record.get("extra", missing) is missing and record.get("extra") is None
-        assert all(key in record for key in plain) and "extra" not in record
-        with pytest.raises(KeyError):
-            record["extra"]
-        assert list(record) == list(record.keys()) == list(plain)
-        assert len(record) == len(plain)
-        assert list(record.values()) == list(plain.values())
-        assert list(reversed(record)) == list(reversed(plain))
-        assert record == plain and plain == record and not record != plain
-        assert record != {**plain, "size": -1} and {**plain, "size": -1} != record
-        copied = record.copy()
-        assert type(copied) is dict and list(copied.items()) == list(plain.items())
-        assert list((record | {"extra": 0}).items()) == list((plain | {"extra": 0}).items())
-        assert list(({"extra": 0} | record).items()) == list(({"extra": 0} | plain).items())
-        assert list({**record}.items()) == list(plain.items())
-        assert repr(record) == repr(plain)
-        # indent picks the pure-Python encoder, which reads len and items()
-        assert json.dumps(record, indent=1) == json.dumps(plain, indent=1)
-    # a repeat equals its first only when their "a" agree
-    first = repeats[0]._first
-    assert CaseRecord(first, first["a"]) == first != repeats[0]
+    # the splice writes the same text as the plain groups
+    assert encode_json(groups) == json.dumps(json.loads(blob), separators=(",", ":"))
+
+
+def test_sweep_templates_equal_check_inverse_records():
+    # every equality pair of a small space in both zero modes: the record the
+    # sweep lays out from judge, without a verdict, is case_record of the
+    # verdict check_inverse builds for the pair itself
+    space = SearchSpace(7, (1, 5), 4, (1, 4), zero_mode=ZeroMode.BOTH)
+    equal = set()
+    for A, H, kind in enumerate_pairs(space):
+        verdict = structure.check_inverse(A, H, kind)
+        if verdict.equality_holds:
+            equal.add((format_elements(A.elements), format_elements(H.elements), kind.value))
+    pairs = _run_blocks(space, 10**9).equality.kept
+    assert len(pairs) == len(equal) > 100
+    seen, facts = set(), set()
+    for first, a_text in pairs:
+        sweep = {**first, "a": a_text}
+        A, H = IntSet(parse_elements(a_text)), HSet(parse_elements(first["h"]))
+        v = structure.check_inverse(A, H, SumsetKind(first["kind"]))
+        expected = case_record(
+            a_text, first["h"], v.kind, A.elements[0] == 0, v.computed_size, v.bound_value,
+            v.rule,
+            (v.hypotheses_hold, v.structure_matches, v.consistent, v.is_nonstructured_equality),
+            astuple(v.structure_observed),
+        )
+        assert list(sweep.items()) == list(expected.items())
+        seen.add((a_text, first["h"], first["kind"]))
+        facts.add((sweep["hypotheses_hold"], sweep["structure_matches"], sweep["nonstructured"]))
+    assert seen == equal
+    # both hypotheses met and unmet, structured and not
+    assert len(facts) >= 3
 
 
 def test_extremal_output_is_pinned(capsys):
     space = SearchSpace(8, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
     groups = find_extremal(space, workers=1)
-    plain = [group | {"cases": [dict(case) for case in group["cases"]]} for group in groups]
-    assert json.dumps(groups) == json.dumps(plain)
+    plain = [group | {"cases": list(group["cases"])} for group in groups]
+    assert groups == plain
+    assert encode_json(groups) == json.dumps(plain, separators=(",", ":"))
     argv = ["extremal", "--universe", "8", "--k", "2..4", "--hmax", "3", "--r", "1..3",
             "--kind", "both", "--zero-mode", "both", "--json"]
     assert cli.main(argv) == 0
