@@ -1,6 +1,8 @@
 #!/bin/sh
 # Worked examples: the notable configurations, one CLI invocation each.
 # Run from anywhere after `pip install -e .`; exits nonzero if any step fails.
+# Its stdout is checked in as docs/worked_examples.out; refresh that file
+# whenever a CLI text changes on purpose.
 set -e
 
 echo '== ordinary extremal family: A=[1,3], H=[1,2] fills [1, rk] exactly'

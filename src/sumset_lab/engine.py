@@ -251,41 +251,13 @@ def _stable_threshold(A: IntSet) -> int:
     return max(1, span // g - k + 2)
 
 
-def _stable_union(A: IntSet, hs: tuple[int, ...], base: int) -> int | None:
-    """The ordinary union's bits (as _sumset ORs them) from a ladder that
-    stops at s = h0 + 1, or None where that does not pay or the certificate
-    rung s = rung s-1 | rung s-1 << span fails. Past s every rung follows the
-    same recurrence (module docstring); they are walked in hs' order."""
-    e, top = A.elements, hs[-1]
-    k, t, span = len(e), e[0], e[-1] - e[0]
-    s = _stable_threshold(A) + 1
-    if (top - s) * k < _STABLE_MIN_STEPS:
-        return None
-    rungs = _ladder(A, s, SumsetKind.ORDINARY)
-    rung = rungs[s]
-    if rung != rungs[s - 1] | rungs[s - 1] << span:
-        return None
-    bits = 0
-    n = bisect(hs, s)
-    for h in hs[:n]:
-        bits |= rungs[h] << (h * t - base)
-    at = s
-    for h in hs[n:]:
-        # rung + span*[0, h - at], doubling the run of shifts ORed in so far
-        step = 1
-        while at < h:
-            if step > h - at:
-                step = h - at
-            rung |= rung << step * span
-            at += step
-            step += step
-        bits |= rung << (h * t - base)
-    return bits
-
-
 def _sumset(A: IntSet, hs: tuple[int, ...], kind: SumsetKind) -> SumBitmap:
-    # hs is increasing. One guard, one ladder up to the largest contributing
-    # rung (or, for an ordinary union, up to the stable rung), OR the rungs hs.
+    # hs is increasing. One guard, one ladder up to s, the largest rung of hs
+    # or, for an ordinary union that the gate lets through, the stable rung
+    # h0 + 1; there the certificate rung s = rung s-1 | rung s-1 << span must
+    # hold, or the ladder is built again up to max(hs). The rungs hs up to s
+    # are ORed in, and past s every rung follows the same recurrence (module
+    # docstring): they are walked in hs' order.
     _require_nonempty(A)
     if hs[0] < 0:
         raise ArityError("multiplicity must be nonnegative")
@@ -295,18 +267,33 @@ def _sumset(A: IntSet, hs: tuple[int, ...], kind: SumsetKind) -> SumBitmap:
         return SumBitmap(0, 0)
     check_rungs(A, hs, kind)
     # rung h sits at offset h*t, so the lowest offset is at an end of hs
-    t = A.min
-    base = min(hs[0] * t, hs[-1] * t)
-    # the stable rung s is at least 2: too few skippable steps end the gate
+    t, s = A.min, hs[-1]
+    base = min(hs[0] * t, s * t)
+    # the stable rung is at least 2: too few skippable steps end the gate
     # before the threshold's gcd
-    if kind is SumsetKind.ORDINARY and (hs[-1] - 2) * len(A) >= _STABLE_MIN_STEPS:
-        bits = _stable_union(A, hs, base)
-        if bits is not None:
-            return SumBitmap(base, bits)
-    rungs = _ladder(A, hs[-1], kind)
-    bits = 0
+    if kind is SumsetKind.ORDINARY and (s - 2) * len(A) >= _STABLE_MIN_STEPS:
+        stable = _stable_threshold(A) + 1
+        if (s - stable) * len(A) >= _STABLE_MIN_STEPS:
+            s = stable
+    rungs = _ladder(A, s, kind)
+    span = A.elements[-1] - t
+    if s < hs[-1] and rungs[s] != rungs[s - 1] | rungs[s - 1] << span:
+        s = hs[-1]
+        rungs = _ladder(A, s, kind)
+    bits, rung, at = 0, rungs[s], s
     for h in hs:
-        bits |= rungs[h] << (h * t - base)
+        if h <= at:  # at is still s: a rung of the ladder
+            bits |= rungs[h] << (h * t - base)
+            continue
+        # rung + span*[0, h - at], doubling the run of shifts ORed in so far
+        step = 1
+        while at < h:
+            if step > h - at:
+                step = h - at
+            rung |= rung << step * span
+            at += step
+            step += step
+        bits |= rung << (h * t - base)
     return SumBitmap(base, bits)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
@@ -46,14 +45,14 @@ class IntSet:
         e = self.elements
         # whole-tuple passes at C speed; the loop below only names the fault
         if (
-            all(map(isinstance, e, repeat(int)))
+            set(map(type, e)) <= {int}
             and all(map(lt, e, e[1:]))
             and (not e or INT64_MIN <= e[0] <= e[-1] <= INT64_MAX)
         ):
             return
         prev = None
         for a in e:
-            if not isinstance(a, int):
+            if type(a) is not int:  # a bool's text would not parse back
                 raise TypeError(f"element {a!r} is not an integer")
             checked_int64(a)
             if prev is not None and a <= prev:
@@ -267,33 +266,22 @@ def parse_hset(text: str) -> HSet:
 def format_elements(elements: tuple[int, ...]) -> str:
     """Canonical text for a sorted element tuple; runs of 3+ become a..b.
 
-    The elements strictly increase, so e[i+s] - e[i] == s exactly when
-    e[i..i+s] are consecutive. A run of 3 or more is probed ahead with
-    doubling steps and its end found by halving back, so a run costs time
-    logarithmic in its length.
+    One scan: each run is followed to its end an element at a time. The
+    texts written here (A, H and case texts) are short; a union prints
+    from its bits (SumBitmap.text).
     """
-    e = elements
-    n = len(e)
+    e, n = elements, len(elements)
     parts: list[str] = []
     i = 0
     while i < n:
-        a = e[i]
-        if i + 2 < n and e[i + 2] - a == 2:
-            # offset lo is in the run; offset hi is past it or past the end
-            lo, hi = 2, 4
-            while i + hi < n and e[i + hi] - a == hi:
-                lo, hi = hi, 2 * hi
-            hi = min(hi, n - i)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if e[i + mid] - a == mid:
-                    lo = mid
-                else:
-                    hi = mid
-            parts.append(f"{a}..{e[i + lo]}")
-            i += lo + 1
+        j = i
+        while j + 1 < n and e[j + 1] == e[j] + 1:
+            j += 1
+        if j - i >= 2:
+            parts.append(f"{e[i]}..{e[j]}")
+            i = j + 1
         else:
-            parts.append(str(a))
+            parts.append(str(e[i]))
             i += 1
     return ",".join(parts)
 

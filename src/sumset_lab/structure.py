@@ -219,10 +219,28 @@ def _plain(value):
     return value
 
 
-def _expectation(
-    kind: SumsetKind, zero_in: bool, k: int, H: HSet
-) -> tuple[str, tuple[str, ...], list[str]]:
-    """Rule name, predicted fact names, and unmet-hypothesis reasons."""
+def verdict_a_half(
+    elements: tuple[int, ...], zero_in: bool
+) -> tuple[bool, int | None, int | None, bool]:
+    """The verdict inputs that look at A alone, from the increasing elements
+    of a sign-reduced set: is it a progression, its difference, its first
+    element beside a difference (else None), is it a dilated interval. In
+    one row, equal tuples give equal verdicts to equality cases."""
+    ad = _progression(elements)
+    first = ad.first if ad.difference else None
+    return ad.is_ap, ad.difference, first, _dilation(ad, zero_in) is not None
+
+
+# rule, predicted fact names, unmet hypotheses, H's progression, H is a run
+HHalf = tuple[str, tuple[str, ...], tuple[str, ...], APDescriptor, bool]
+
+
+def verdict_h_half(
+    kind: SumsetKind, zero_in: bool, k: int, H: HSet, outcome: bounds.BoundOutcome
+) -> HHalf:
+    """The verdict inputs that look at the row alone (kind, 0 in A, k, H and
+    its bound outcome): the rule, its predicted fact names, the unmet
+    hypotheses, H's progression, whether H is a run."""
     r = len(H)
     reasons: list[str] = []
     if not H.all_positive:
@@ -268,48 +286,10 @@ def _expectation(
             reasons.append(f"multiplicity count {r} below 2")
         if not H.is_empty and H.max > k - 2:
             reasons.append(f"max multiplicity {H.max} above k-2 = {k - 2}")
-    return rule, predicted, reasons
-
-
-def verdict_a_half(elements: tuple[int, ...], zero_in: bool) -> tuple[APDescriptor, bool]:
-    """The verdict inputs that look at A alone, given as the increasing
-    elements of a sign-reduced set: its progression, whether it is a
-    dilated interval."""
-    ad = _progression(elements)
-    return ad, _dilation(ad, zero_in) is not None
-
-
-# rule, predicted fact names, unmet hypotheses, H's progression, H is a run
-HHalf = tuple[str, tuple[str, ...], tuple[str, ...], APDescriptor, bool]
-
-
-def verdict_h_half(
-    kind: SumsetKind, zero_in: bool, k: int, H: HSet, outcome: bounds.BoundOutcome
-) -> HHalf:
-    """The verdict inputs that look at the row alone (kind, 0 in A, k, H and
-    its bound outcome): the rule, its predicted fact names, the unmet
-    hypotheses, H's progression, whether H is a run."""
-    rule, predicted, reasons = _expectation(kind, zero_in, k, H)
     if not outcome.applicable and outcome.reason:
         reasons.append(f"no applicable bound: {outcome.reason}")
     hd = ap_descriptor(H) if H.elements else APDescriptor(True, 0, None)
     return rule, predicted, tuple(reasons), hd, h_shifted_interval(H) is not None
-
-
-def observed_a_facts(
-    a_half: tuple[APDescriptor, bool], h_half: HHalf
-) -> tuple[bool, int | None, bool, bool | None]:
-    """The observed facts that depend on A: a_is_ap, a_difference,
-    a_dilated_interval and difference_relation. With the row, they fix an
-    equality case's verdict, since its size is the row's bound."""
-    ad, a_dilated = a_half
-    hd = h_half[3]
-    # a difference is None unless the set is a progression of 2+ elements
-    if hd.difference is not None and ad.difference is not None:
-        relation = ad.difference == hd.difference * ad.first
-    else:
-        relation = None
-    return ad.is_ap, ad.difference, a_dilated, relation
 
 
 FACT_NAMES = tuple(f.name for f in fields(StructureFacts))
@@ -318,14 +298,20 @@ FLAG_NAMES = ("hypotheses_hold", "structure_matches", "consistent", "nonstructur
 
 
 def judge(
-    size: int, outcome: bounds.BoundOutcome, h_half: HHalf, a_facts: tuple
+    size: int, outcome: bounds.BoundOutcome, h_half: HHalf, a_half: tuple
 ) -> tuple[bool, tuple[bool, bool, bool, bool], tuple]:
     """The inverse rule, from a union's size, its bound outcome, the row's
-    half (verdict_h_half) and A's observed facts (observed_a_facts):
-    (equality, the FLAG_NAMES values, the FACT_NAMES values). build_verdict
-    wraps them in dataclasses; the exhaustive verifier builds none."""
+    half (verdict_h_half) and A's half (verdict_a_half): (equality, the
+    FLAG_NAMES values, the FACT_NAMES values). build_verdict wraps them in
+    dataclasses; the exhaustive verifier builds none."""
     rule, predicted, reasons, hd, h_run = h_half
-    observed = (hd.is_ap, hd.difference, h_run, *a_facts)
+    a_is_ap, a_difference, a_first, a_dilated = a_half
+    # a difference is None unless the set is a progression of 2+ elements
+    if hd.difference is not None and a_difference is not None:
+        relation = a_difference == hd.difference * a_first
+    else:
+        relation = None
+    observed = (hd.is_ap, hd.difference, h_run, a_is_ap, a_difference, a_dilated, relation)
     matches = all([observed[_FACT_INDEX[name]] for name in predicted])
     hypotheses = not reasons
     equality = outcome.applicable and size == outcome.value
@@ -340,15 +326,14 @@ def build_verdict(
     size: int,
     outcome: bounds.BoundOutcome,
     h_half: HHalf,
-    a_half: tuple[APDescriptor, bool],
+    a_half: tuple,
     extra_reasons: tuple[str, ...] = (),
 ) -> InverseVerdict:
     """Assemble the verdict of a sign-reduced A from its union's size, its
     bound outcome, the row's half (verdict_h_half) and A's half
     (verdict_a_half), as judge decides it."""
-    equality, (hypotheses, matches, consistent, _), observed = judge(
-        size, outcome, h_half, observed_a_facts(a_half, h_half)
-    )
+    equality, flags, observed = judge(size, outcome, h_half, a_half)
+    hypotheses, matches, consistent, _ = flags
     return InverseVerdict(
         kind=kind,
         set_class=set_class,

@@ -13,15 +13,14 @@ elements adds at least g(j) sums: h_r, or for a restricted row max(H ∩
 [1, j]) (the README's prefix lemmas). A leaf is never pushed: the rows
 still open at its parent are tested once against their bounds. Only pairs
 that reach their bound go further, and the A half of the verdict (A's
-progression and dilation) is built once per A that has an equality case.
-An equality case's size is its row's bound, so its record depends on the
-row and the observed facts about A alone (structure.observed_a_facts,
-which A's first element is not among): each chunk builds it once per (row,
-facts) that occurs, as a plain dict laid out from structure.judge without
-any verdict dataclass, and derives a row's H half (rule, hypotheses, H's
-progression and run) at the row's first equality case. A case finds its
-template in its row's table, keyed by A's facts computed once per A, and
-is kept as a (first record, A text) pair: every case of a template shares
+progression and dilation, structure.verdict_a_half) is built once per A
+that has an equality case. An equality case's size is its row's bound, so
+its record depends on the row and A's half alone: each chunk builds it
+once per (row, observed facts) that occurs, as a plain dict laid out from
+structure.judge without any verdict dataclass, and derives a row's H half
+(rule, hypotheses, H's progression and run) at the row's first equality
+case. A case finds its template in its row's table, keyed by A's half,
+and is kept as a (first record, A text) pair: every case of a template shares
 its first record, so a case costs its A text and one tuple, and chunk
 results cross the worker pool as plain tuples. Each report list is a
 CaseList over its pairs, read as the list of their records (one plain dict
@@ -65,7 +64,6 @@ from .structure import (
     FACT_NAMES,
     FLAG_NAMES,
     judge,
-    observed_a_facts,
     plain_fields,
     verdict_a_half,
     verdict_h_half,
@@ -114,6 +112,9 @@ class SearchSpace:
     zero_mode: ZeroMode = ZeroMode.WITHOUT
 
     def __post_init__(self) -> None:
+        # stored as tuples, so that a space built from lists hashes and serializes
+        for name in ("k_range", "r_range", "kinds"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.universe_max < 1:
             raise ValueError("universe_max must be at least 1")
         if self.h_max < 1:
@@ -447,11 +448,11 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
                     kind_rows.append((len(rows), h_combo, caps))
                     rows.append((h_text, kind, outcome, H))
     # An equality case's size is its row's bound, so its record depends on
-    # the row and A's observed facts only. tables[i] is row i's H half and
-    # templates, from its first equality case on: by_a maps A's facts to a
-    # template, the first case's record and the lists its cases go to, and
-    # by_facts holds each template once per observed facts. A kept case is
-    # the pair (first record, A text)
+    # the row and A's half only. tables[i] is row i's H half and templates,
+    # from its first equality case on: by_a maps A's half to a template, the
+    # first case's record and the lists its cases go to, and by_facts holds
+    # each template once per judge's observed facts. A kept case is the pair
+    # (first record, A text)
     tables = [None] * len(rows)
     row_count = space.h_subset_count() * len(space.kinds)
     a_sets = islice(_combinations_from(universe, pick, start), end - start)
@@ -462,7 +463,7 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
         if not hits:
             continue
         # A's text only for a template, a kept case or a violation
-        a_text = a_key = None
+        a_text = a_half = None
         for i, size in hits:
             h_text, kind, outcome, H = rows[i]
             if size < outcome.value:
@@ -478,22 +479,18 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
                 }
                 acc.violations.add((violation, a_text), case_cap)
                 continue
-            if a_key is None:
+            if a_half is None:
                 a_half = verdict_a_half(elements, zero_in)
-                ad, dilated = a_half
-                # observed_a_facts reads A's first element only beside a difference
-                a_key = (ad.is_ap, ad.difference, ad.first if ad.difference else None, dilated)
             table = tables[i]
             if table is None:
                 table = tables[i] = (verdict_h_half(kind, zero_in, k, H, outcome), {}, {})
             h_half, by_a, by_facts = table
-            template = by_a.get(a_key)
+            template = by_a.get(a_half)
             if template is None:
-                facts = observed_a_facts(a_half, h_half)
-                template = by_facts.get(facts)
+                _, flags, observed = judge(size, outcome, h_half, a_half)
+                template = by_facts.get(observed)
                 if template is None:
                     a_text = a_text or format_elements(elements)
-                    _, flags, observed = judge(size, outcome, h_half, facts)
                     first = case_record(
                         a_text, h_text, kind, zero_in, size, outcome.value, h_half[0],
                         flags, observed,
@@ -504,8 +501,8 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
                         lists += (acc.nonstructured,)
                     if not consistent:
                         lists += (acc.inconsistencies,)
-                    template = by_facts[facts] = (first, lists)
-                by_a[a_key] = template
+                    template = by_facts[observed] = (first, lists)
+                by_a[a_half] = template
             first, lists = template
             pair = None  # one tuple for every list the case is kept in
             for cases in lists:

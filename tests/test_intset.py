@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sumset_lab.engine import SumBitmap
 from sumset_lab.errors import (
     ArityError,
     IntegerOverflowError,
@@ -68,6 +69,9 @@ def test_intset_requires_strictly_increasing():
         ((2**64, "x"), IntegerOverflowError, f"value {2**64} outside signed 64-bit range"),
         ((2**64, 1), IntegerOverflowError, f"value {2**64} outside signed 64-bit range"),
         ((1, 3, 2, "x"), ValueError, "elements must be strictly increasing"),
+        # a bool's text (False..2, True) would not parse back
+        ((False, True, 2), TypeError, "element False is not an integer"),
+        ((1, True), TypeError, "element True is not an integer"),
     ],
 )
 def test_intset_validation_names_the_first_fault(elements, error, message):
@@ -77,10 +81,22 @@ def test_intset_validation_names_the_first_fault(elements, error, message):
     assert str(caught.value) == message
 
 
-def test_intset_validation_accepts_bools_and_int64_ends():
-    assert IntSet((True, 2)).elements == (True, 2)
+def test_intset_validation_accepts_int64_ends():
     assert IntSet((INT64_MIN, 0, INT64_MAX)).elements == (INT64_MIN, 0, INT64_MAX)
     assert IntSet(()).is_empty
+
+
+def test_hset_and_of_refuse_bools():
+    # a bool is an int subclass whose text (True, False..2) would not parse back
+    for build, bad in (
+        (lambda: HSet((True, 2)), True),
+        (lambda: HSet((0, 1, False)), False),
+        (lambda: IntSet.of([True, 2]), True),
+        (lambda: HSet.of([3, False]), False),
+    ):
+        with pytest.raises(TypeError) as caught:
+            build()
+        assert str(caught.value) == f"element {bad!r} is not an integer"
 
 
 def test_intset_membership():
@@ -245,7 +261,7 @@ def test_format_runs():
 
 
 def _linear_format(elements):
-    # the one-element-at-a-time formatter that format_elements replaced
+    # the one-element-at-a-time scan, a copy kept apart from the package's own
     parts = []
     i = 0
     n = len(elements)
@@ -286,7 +302,18 @@ def test_format_matches_linear_formatter_on_every_run_length():
             (-500, -498) + tuple(a - 3 for a in run),  # run at the end, negative
             _runs(rng.randint(-99, 99), [length, 1, length, 2], [1, 1, 2, 1]),
         ):
-            assert format_elements(elements) == _linear_format(elements), elements
+            _check_format(elements)
+
+
+def _bitmap_text(elements):
+    # an independent writer: the text read off the bits of the same set
+    base = elements[0] if elements else 0
+    return SumBitmap(base, sum(1 << (a - base) for a in elements)).text
+
+
+def _check_format(elements):
+    text = format_elements(elements)
+    assert text == _linear_format(elements) == _bitmap_text(elements), elements
 
 
 def test_format_matches_linear_formatter_on_random_tuples():
@@ -313,7 +340,7 @@ def test_format_matches_linear_formatter_on_random_tuples():
                 [rng.choice((1, 1, 2, 3, 4, 7, 8, 9, 31, 32, 33)) for _ in range(count)],
                 [rng.randint(1, 4) for _ in range(count)],
             )
-        assert format_elements(elements) == _linear_format(elements), elements
+        _check_format(elements)
 
 
 def test_format_at_int64_extremes():

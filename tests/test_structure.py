@@ -57,7 +57,11 @@ def test_dilated_interval_matches_literal_definition():
             expected = literal[0] if literal else None  # {0} matches every d; the least
             A = IntSet(elements)
             assert is_dilated_interval(A, zero_in) == expected, elements
-            assert verdict_a_half(elements, zero_in) == (ap_descriptor(A), expected is not None)
+            ad = ap_descriptor(A)
+            # the first element only beside a difference
+            first = ad.first if ad.difference is not None else None
+            half = (ad.is_ap, ad.difference, first, expected is not None)
+            assert verdict_a_half(elements, zero_in) == half
 
 
 def test_h_shifted_interval():

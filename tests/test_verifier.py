@@ -669,7 +669,7 @@ def test_equality_templates_built_once_per_row_and_a_facts(monkeypatch):
             half_keys.add((row, structure.verdict_a_half(A.elements, zero_in)))
     built, derived, dataclasses_made = [], [], []
     _count_calls(monkeypatch, verifier, "case_record", built)
-    _count_calls(monkeypatch, structure, "_expectation", derived)
+    _count_calls(monkeypatch, verifier, "verdict_h_half", derived)
     _count_calls(monkeypatch, structure, "InverseVerdict", dataclasses_made)
     _count_calls(monkeypatch, structure, "StructureFacts", dataclasses_made)
     chunk = _run_blocks(space, equalities)
@@ -747,6 +747,21 @@ def test_full_case_lists_only_count(monkeypatch, raised):
             assert getattr(uncapped, count_field) == count
             assert CaseList(cases.kept) == CaseList(getattr(full, name).kept)[:cap]
             assert getattr(report, list_field) == getattr(uncapped, list_field)[:cap]
+
+
+def test_space_built_from_lists_hashes_and_serializes():
+    # a space built from lists stores tuples: it hashes, its report
+    # serializes, and the report round-trips to an equal space
+    listed = SearchSpace(5, [2, 3], 3, [1, 2], kinds=[ORD])
+    space = SearchSpace(5, (2, 3), 3, (1, 2), kinds=(ORD,))
+    assert listed == space and hash(listed) == hash(space)
+    assert (listed.k_range, listed.r_range, listed.kinds) == ((2, 3), (1, 2), (ORD,))
+    report = verify(listed, workers=1)
+    assert report.pairs_checked == 120
+    blob = report.to_json()
+    assert blob == verify(space, workers=1).to_json()
+    rebuilt = VerificationReport.from_json(blob)
+    assert rebuilt.space == listed and rebuilt.to_json() == blob
 
 
 def test_report_json_round_trip():
