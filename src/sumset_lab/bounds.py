@@ -16,7 +16,7 @@ from .engine import SumsetKind, require_kind, union_bitmap
 # not called here: bench/spans.HOOKS wraps this name on this module
 from .engine import union_sumset  # noqa: F401
 from .errors import HypothesisError
-from .intset import REFLECTION_NOTE, HSet, IntSet, make_interval, sign_reduce
+from .intset import REFLECTION_NOTE, HSet, IntSet, make_interval, require_int, sign_reduce
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,8 @@ class BoundReport:
 
 def bound_h_fold(k: int, h: int) -> int:
     """Minimum size of the h-fold sumset of a k-element integer set."""
+    require_int("cardinality", k)
+    require_int("multiplicity", h)
     if k < 1 or h < 1:
         raise HypothesisError(f"need k >= 1 and h >= 1, got k={k}, h={h}")
     return h * (k - 1) + 1
@@ -65,6 +67,8 @@ def bound_h_fold(k: int, h: int) -> int:
 
 def bound_h_fold_restricted(k: int, h: int) -> int:
     """Minimum size of the h-fold restricted sumset; needs 1 <= h <= k."""
+    require_int("cardinality", k)
+    require_int("multiplicity", h)
     if k < 1 or h < 1:
         raise HypothesisError(f"need k >= 1 and h >= 1, got k={k}, h={h}")
     if h > k:
@@ -73,6 +77,7 @@ def bound_h_fold_restricted(k: int, h: int) -> int:
 
 
 def _require_k(k: int) -> None:
+    require_int("cardinality", k)
     if k < 1:
         raise HypothesisError(f"need k >= 1, got {k}")
 
@@ -219,6 +224,8 @@ def evaluate(
     """Size-vs-bound reports for (A, H), one per requested kind (see
     bound_report); A is sign-reduced once, and each union is computed on the
     reduced set and sized by popcount."""
+    if isinstance(kinds, (SumsetKind, str)):
+        raise TypeError(f"kinds must be a sequence of SumsetKind, got {kinds!r}")
     work, _ = sign_reduce(A)
     reflected = work is not A
     if kinds is None:

@@ -96,13 +96,6 @@ def _add_space_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit JSON")
 
 
-_ZERO_MODES = {
-    "without": ZeroMode.WITHOUT,
-    "with": ZeroMode.WITH,
-    "both": ZeroMode.BOTH,
-}
-
-
 def _space_from(args) -> SearchSpace:
     space = SearchSpace(
         universe_max=args.universe,
@@ -110,7 +103,7 @@ def _space_from(args) -> SearchSpace:
         h_max=args.hmax,
         r_range=args.r if args.r is not None else (1, args.hmax),
         kinds=_kinds_from(args.kind),
-        zero_mode=_ZERO_MODES[args.zero_mode],
+        zero_mode=ZeroMode[args.zero_mode.upper()],
     )
     # an empty run would pass vacuously
     if space.enumeration_count() == 0:

@@ -50,7 +50,7 @@ from math import comb, gcd
 from typing import Sequence
 
 from .errors import ArityError, OracleRefusedError
-from .intset import INT64_MAX, INT64_MIN, HSet, IntSet, checked_int64
+from .intset import INT64_MAX, INT64_MIN, HSet, IntSet, checked_int64, require_int
 
 DEFAULT_ORACLE_CAP = 1_000_000
 
@@ -302,6 +302,7 @@ def h_fold(A: IntSet, h: int) -> IntSet:
 
     h = 0 gives {0}, h = 1 gives A back. The result is rung h of the ladder.
     """
+    require_int("multiplicity", h)
     return _sumset(A, (h,), SumsetKind.ORDINARY).to_intset()
 
 
@@ -311,6 +312,7 @@ def h_fold_restricted(A: IntSet, h: int) -> IntSet:
     h = 0 gives {0}, h = |A| the singleton total, h > |A| the empty set.
     The result is rung h of the restricted ladder.
     """
+    require_int("multiplicity", h)
     return _sumset(A, (h,), SumsetKind.RESTRICTED).to_intset()
 
 
@@ -341,6 +343,7 @@ def naive_h_fold(
     """
     require_kind(kind)
     _require_nonempty(A)
+    require_int("multiplicity", h)
     if h < 0:
         raise ArityError("multiplicity must be nonnegative")
     k = len(A)

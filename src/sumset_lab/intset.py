@@ -25,6 +25,13 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 
+def require_int(name: str, value: int) -> None:
+    """Refuse a value whose type is not exactly int: a bool's text would not
+    parse back, and a float would slip through the arithmetic."""
+    if type(value) is not int:
+        raise TypeError(f"{name} {value!r} is not an integer")
+
+
 def checked_int64(value: int) -> int:
     if not (INT64_MIN <= value <= INT64_MAX):
         raise IntegerOverflowError(f"value {value} outside signed 64-bit range")
@@ -52,8 +59,7 @@ class IntSet:
             return
         prev = None
         for a in e:
-            if type(a) is not int:  # a bool's text would not parse back
-                raise TypeError(f"element {a!r} is not an integer")
+            require_int("element", a)
             checked_int64(a)
             if prev is not None and a <= prev:
                 raise ValueError("elements must be strictly increasing")

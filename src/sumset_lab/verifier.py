@@ -15,19 +15,19 @@ still open at its parent are tested once against their bounds. Only pairs
 that reach their bound go further, and the A half of the verdict (A's
 progression and dilation, structure.verdict_a_half) is built once per A
 that has an equality case. An equality case's size is its row's bound, so
-its record depends on the row and A's half alone: each chunk builds it
-once per (row, observed facts) that occurs, as a plain dict laid out from
-structure.judge without any verdict dataclass, and derives a row's H half
-(rule, hypotheses, H's progression and run) at the row's first equality
-case. A case finds its template in its row's table, keyed by A's half,
-and is kept as a (first record, A text) pair: every case of a template shares
-its first record, so a case costs its A text and one tuple, and chunk
-results cross the worker pool as plain tuples. Each report list is a
-CaseList over its pairs, read as the list of their records (one plain dict
-per read), and encode_json writes a case as '{"a":', its A text and its
-first record's JSON after "a", encoded once per call. A case that no list
-keeps, all of them being at the case cap, is only counted, and A's text is
-formatted only for a template, a kept case or a violation. Each block is
+its record less "a" depends on the row and A's half only: each chunk
+builds that template once per (row, observed facts) that occurs, as a
+plain dict laid out from structure.judge without any verdict dataclass,
+and derives a row's H half (rule, hypotheses, H's progression and run) at
+the row's first equality case. A case finds its template in its row's
+table, keyed by A's half; a violation is its own template. Every kept case
+is a (template, A text) pair, so a repeat costs its A text and one tuple,
+and chunk results cross the worker pool as plain tuples. Each report list
+is a CaseList over its pairs, read as the list of their records (a plain
+dict per read, "a" first), and encode_json writes a case as '{"a":', its A
+text and its template's JSON less its "{", encoded once per call. A case
+that no list keeps, all of them being at the case cap, is only counted,
+and A's text is formatted once per A, only for a kept case. Each block is
 cut into contiguous chunks of at most 512 of its A-sets by combinatorial
 rank within the block, and each chunk resumes at its rank with
 itertools.combinations. The chunk is the one unit of work: it sets up
@@ -252,15 +252,10 @@ def enumerate_pairs(
 @dataclass
 class _Cases:
     """A complete count and the first case_cap cases behind it, kept as
-    (first record, A text) pairs."""
+    (template, A text) pairs."""
 
     count: int = 0
     kept: list = field(default_factory=list)
-
-    def add(self, pair: tuple[dict, str], case_cap: int) -> None:
-        self.count += 1
-        if len(self.kept) < case_cap:
-            self.kept.append(pair)
 
     def extend(self, other: _Cases, case_cap: int) -> None:
         self.count += other.count
@@ -291,14 +286,14 @@ def _merged(parts: Iterable[_Partial], case_cap: int) -> _Partial:
 
 
 class CaseList(Sequence):
-    """A report's case list, read-only: (first record, A text) pairs, read
-    as the list of their records. A pair's record is its first record's keys
-    in order ("a" first) with its own "a", built as a plain dict on each
-    read, so no read can change the list. Every case of one (row, A's facts)
-    in a chunk shares the first such case's record, and a violation is its
-    own first record. A CaseList equals a list of dicts that equals its
-    records, and encode_json writes it from the pairs, encoding each first
-    record once per call. It pickles and copies as its pairs."""
+    """A report's case list, read-only: (template, A text) pairs, read as
+    the list of their records. A pair's record is "a", its A text, then its
+    template's keys in order, built as a plain dict on each read, so no read
+    can change the list. Every case of one (row, A's facts) in a chunk
+    shares one template, and a violation is its own template. A CaseList
+    equals a list of dicts that equals its records, and encode_json writes
+    it from the pairs, encoding each template once per call. It pickles and
+    copies as its pairs."""
 
     __slots__ = ("_pairs",)
 
@@ -311,16 +306,12 @@ class CaseList(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return CaseList(self._pairs[index])
-        first, a_text = self._pairs[index]
-        record = first.copy()
-        record["a"] = a_text
-        return record
+        template, a_text = self._pairs[index]
+        return {"a": a_text, **template}
 
     def __iter__(self) -> Iterator[dict]:
-        for first, a_text in self._pairs:
-            record = first.copy()
-            record["a"] = a_text
-            yield record
+        for template, a_text in self._pairs:
+            yield {"a": a_text, **template}
 
     def __eq__(self, other):
         if not isinstance(other, (CaseList, list)):
@@ -332,13 +323,14 @@ class CaseList(Sequence):
 
 
 def case_record(
-    a_text: str, h_text: str, kind: SumsetKind, zero_in: bool, size: int, bound: int,
-    rule: str, flags: tuple[bool, bool, bool, bool], observed: tuple,
+    h_text: str, kind: SumsetKind, zero_in: bool, size: int, bound: int, rule: str,
+    flags: tuple[bool, bool, bool, bool], observed: tuple,
 ) -> dict:
-    """The pair, the comparison, judge's flags and the rule, then the
-    observed structure's fields in StructureFacts' order."""
-    record = {"a": a_text, "h": h_text, "kind": kind.value, "zero_in_a": zero_in,
-              "size": size, "bound": bound}
+    """An equality case's template: H and the kind, the comparison, judge's
+    flags and the rule, then the observed structure's fields in
+    StructureFacts' order. A case's record is "a", its A text, then these."""
+    record = {"h": h_text, "kind": kind.value, "zero_in_a": zero_in, "size": size,
+              "bound": bound}
     record.update(zip(FLAG_NAMES, flags), rule=rule)
     record.update(zip(FACT_NAMES, observed))
     return record
@@ -447,12 +439,12 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
                     caps = _prefix_caps(kind, k, h_combo, outcome.value)
                     kind_rows.append((len(rows), h_combo, caps))
                     rows.append((h_text, kind, outcome, H))
-    # An equality case's size is its row's bound, so its record depends on
-    # the row and A's half only. tables[i] is row i's H half and templates,
-    # from its first equality case on: by_a maps A's half to a template, the
-    # first case's record and the lists its cases go to, and by_facts holds
-    # each template once per judge's observed facts. A kept case is the pair
-    # (first record, A text)
+    # An equality case's size is its row's bound, so its record less "a"
+    # depends on the row and A's half only. tables[i] is row i's H half and
+    # templates, from its first equality case on: by_a maps A's half to a
+    # (template, lists its cases go to) pair, and by_facts holds each one
+    # once per judge's observed facts. A violation is its own template. A
+    # kept case is the pair (template, A text)
     tables = [None] * len(rows)
     row_count = space.h_subset_count() * len(space.kinds)
     a_sets = islice(_combinations_from(universe, pick, start), end - start)
@@ -462,55 +454,47 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
         acc.pairs += row_count
         if not hits:
             continue
-        # A's text only for a template, a kept case or a violation
+        # A's text once per A, and only for a kept case
         a_text = a_half = None
         for i, size in hits:
             h_text, kind, outcome, H = rows[i]
             if size < outcome.value:
-                a_text = a_text or format_elements(elements)
-                violation = {
-                    "a": a_text,
-                    "h": h_text,
-                    "kind": kind.value,
-                    "zero_in_a": zero_in,
-                    "size": size,
-                    "bound": outcome.value,
-                    "formula": outcome.formula.identifier,
-                }
-                acc.violations.add((violation, a_text), case_cap)
-                continue
-            if a_half is None:
-                a_half = verdict_a_half(elements, zero_in)
-            table = tables[i]
-            if table is None:
-                table = tables[i] = (verdict_h_half(kind, zero_in, k, H, outcome), {}, {})
-            h_half, by_a, by_facts = table
-            template = by_a.get(a_half)
-            if template is None:
-                _, flags, observed = judge(size, outcome, h_half, a_half)
-                template = by_facts.get(observed)
-                if template is None:
-                    a_text = a_text or format_elements(elements)
-                    first = case_record(
-                        a_text, h_text, kind, zero_in, size, outcome.value, h_half[0],
-                        flags, observed,
-                    )
-                    _, _, consistent, nonstructured = flags
-                    lists = (acc.equality,)
-                    if nonstructured:
-                        lists += (acc.nonstructured,)
-                    if not consistent:
-                        lists += (acc.inconsistencies,)
-                    template = by_facts[observed] = (first, lists)
-                by_a[a_half] = template
-            first, lists = template
+                template = {"h": h_text, "kind": kind.value, "zero_in_a": zero_in,
+                            "size": size, "bound": outcome.value,
+                            "formula": outcome.formula.identifier}
+                lists = (acc.violations,)
+            else:
+                if a_half is None:
+                    a_half = verdict_a_half(elements, zero_in)
+                table = tables[i]
+                if table is None:
+                    table = tables[i] = (verdict_h_half(kind, zero_in, k, H, outcome), {}, {})
+                h_half, by_a, by_facts = table
+                entry = by_a.get(a_half)
+                if entry is None:
+                    _, flags, observed = judge(size, outcome, h_half, a_half)
+                    entry = by_facts.get(observed)
+                    if entry is None:
+                        template = case_record(
+                            h_text, kind, zero_in, size, outcome.value, h_half[0], flags,
+                            observed,
+                        )
+                        _, _, consistent, nonstructured = flags
+                        lists = (acc.equality,)
+                        if nonstructured:
+                            lists += (acc.nonstructured,)
+                        if not consistent:
+                            lists += (acc.inconsistencies,)
+                        entry = by_facts[observed] = (template, lists)
+                    by_a[a_half] = entry
+                template, lists = entry
             pair = None  # one tuple for every list the case is kept in
             for cases in lists:
                 cases.count += 1
                 if len(cases.kept) < case_cap:
                     if pair is None:
                         a_text = a_text or format_elements(elements)
-                        pair = (first, a_text)
+                        pair = (template, a_text)
                     cases.kept.append(pair)
     return acc
 
@@ -573,8 +557,11 @@ class VerificationReport:
         values["space"] = SearchSpace.from_dict(data["space"])
         for name, value in values.items():
             if type(value) is list:
-                # each record its own first, copied with "a" first
-                values[name] = CaseList(({"a": r["a"], **r}, r["a"]) for r in value)
+                # each record its own template: a copy without "a"
+                values[name] = CaseList(
+                    ({key: item for key, item in r.items() if key != "a"}, r["a"])
+                    for r in value
+                )
         return cls(**values)
 
     @classmethod
@@ -590,23 +577,24 @@ def encode_json(value) -> str:
     """json.dumps(value, separators=(",", ":")) for data with string keys in
     which a CaseList stands for the list of its records, built as one list
     of pieces joined once. A case is written as '{"a":', its A text and its
-    first record's JSON after "a", encoded once per call; dicts and lists
-    are walked, and any other value is encoded whole."""
+    template's JSON less its "{", after a comma unless the template is
+    empty, encoded once per call; dicts and lists are walked, and any other
+    value is encoded whole."""
     pieces = []
     _encode(value, pieces, {})
     return "".join(pieces)
 
 
 def _encode(value, pieces: list, tails: dict) -> None:
-    """Append value's JSON pieces to pieces. tails maps the id of a first
-    record (which its pairs keep alive) to its JSON after "a"."""
+    """Append value's JSON pieces to pieces. tails maps the id of a template
+    (which its pairs keep alive) to the text written after its cases' A."""
     if type(value) is CaseList:
         sep = "["
-        for first, a_text in value._pairs:
-            tail = tails.get(id(first))
+        for template, a_text in value._pairs:
+            tail = tails.get(id(template))
             if tail is None:
-                head = '{"a":' + encode_basestring_ascii(first["a"])
-                tail = tails[id(first)] = _ENCODER.encode(first)[len(head) :]
+                tail = _ENCODER.encode(template)[1:]
+                tail = tails[id(template)] = "," + tail if template else tail
             pieces += (sep, '{"a":', encode_basestring_ascii(a_text), tail)
             sep = ","
         pieces.append("]" if value._pairs else "[]")
@@ -721,16 +709,16 @@ def find_extremal(
             f" {len(report.equality_cases)} kept under the case cap;"
             " raise --case-cap to group them all"
         )
-    # a chunk lies in one (k, zero mode) block, so every case of a first
-    # record shares its row and its k: the key is read once per first
+    # a chunk lies in one (k, zero mode) block, so every case of a template
+    # shares its row and its k: the key is read once per template
     groups: dict[tuple[int, int, str], list] = {}
     keys = {}
     for pair in report.equality_cases._pairs:
-        first = pair[0]
-        if id(first) not in keys:
-            k, r = len(parse_elements(first["a"])), len(parse_elements(first["h"]))
-            keys[id(first)] = (k, r, first["kind"])
-        groups.setdefault(keys[id(first)], []).append(pair)
+        template, a_text = pair
+        if id(template) not in keys:
+            k, r = len(parse_elements(a_text)), len(parse_elements(template["h"]))
+            keys[id(template)] = (k, r, template["kind"])
+        groups.setdefault(keys[id(template)], []).append(pair)
     return [
         {"k": k, "r": r, "kind": kind, "cases": CaseList(pairs)}
         for (k, r, kind), pairs in sorted(groups.items())

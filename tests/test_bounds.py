@@ -182,6 +182,44 @@ def test_evaluate_rejects_mixed():
         evaluate(IntSet((-3, 2)), HSet((1,)))
 
 
+def test_evaluate_refuses_a_lone_kind_or_a_string(monkeypatch):
+    # unchecked, one kind where a sequence belongs fails inside the
+    # comprehension and a string is iterated letter by letter: both are
+    # refused, naming kinds, before any union is computed
+    def refused(*args):
+        raise AssertionError("evaluate computed a union")
+
+    monkeypatch.setattr(bounds, "union_bitmap", refused)
+    for kinds in (ORD, RES, "ordinary", ""):
+        with pytest.raises(TypeError, match="^kinds must be a sequence of SumsetKind, got "):
+            evaluate(make_interval(1, 5), HSet((1, 2)), kinds)
+
+
+def test_bound_arguments_must_be_exact_ints():
+    # unchecked, a bool or a float passes: bound_h_fold(3.0, 2) gives 5.0 and
+    # catalog_bound(ORD, True, H, False) a formula with k=True
+    H = HSet((1, 2))
+    for bad in (True, False, 3.0, 2.5):
+        calls = [
+            (lambda: bound_h_fold(bad, 2), "cardinality"),
+            (lambda: bound_h_fold(3, bad), "multiplicity"),
+            (lambda: bound_h_fold_restricted(bad, 2), "cardinality"),
+            (lambda: bound_h_fold_restricted(3, bad), "multiplicity"),
+            (lambda: bound_union(bad, H, False), "cardinality"),
+            (lambda: bound_union_restricted(bad, H, False), "cardinality"),
+            (lambda: catalog_bound(ORD, bad, H, False), "cardinality"),
+            (lambda: catalog_bound(RES, bad, H, True), "cardinality"),
+        ]
+        for call, name in calls:
+            with pytest.raises(TypeError) as exc:
+                call()
+            assert str(exc.value) == f"{name} {bad!r} is not an integer"
+    assert (bound_h_fold(3, 2), bound_h_fold_restricted(3, 2), bound_union(3, H, False)) == (
+        5, 3, 6
+    )
+    assert catalog_bound(ORD, 3, H, False).value == 6
+
+
 def test_evaluate_reduces_negative_sets():
     pos = evaluate(IntSet((2, 4, 6, 8)), HSet((1, 2)), kinds=(ORD,))[0]
     neg = evaluate(IntSet((-8, -6, -4, -2)), HSet((1, 2)), kinds=(ORD,))[0]

@@ -350,6 +350,18 @@ def test_verify_text_pass(capsys):
     assert "result: PASS" in out
 
 
+def test_zero_mode_choices_name_zero_mode_members(capsys):
+    # each --zero-mode choice is the lowercase name of a ZeroMode member
+    expected = {"without": "without-zero", "with": "with-zero", "both": "both"}
+    for choice, value in expected.items():
+        code, out, _ = run_cli(
+            capsys, "verify", "--universe", "4", "--k", "2..2", "--hmax", "2",
+            "--zero-mode", choice, "--workers", "1", "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["space"]["zero_mode"] == value
+
+
 def test_verify_json_round_trips(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--universe", "5", "--k", "2..3", "--hmax", "2",

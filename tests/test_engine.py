@@ -552,6 +552,25 @@ def test_kind_that_is_not_a_member_raises_type_error():
     assert union_sumset(A, H, ORD) == naive_h_fold(A, 2, ORD) == IntSet((2, 3, 4, 5, 6, 8))
 
 
+def test_fold_multiplicity_must_be_an_exact_int():
+    # unchecked, h_fold(A, True) returns A and h_fold(A, 2.0) fails inside a
+    # list multiplication; IntSet refuses the same values as elements
+    A = IntSet((1, 2, 4))
+    for bad in (True, False, 2.0, 1.5):
+        calls = [
+            lambda: h_fold(A, bad),
+            lambda: h_fold_restricted(A, bad),
+            lambda: naive_h_fold(A, bad, ORD),
+            lambda: naive_h_fold(A, bad, RES),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError) as exc:
+                call()
+            assert str(exc.value) == f"multiplicity {bad!r} is not an integer"
+    assert h_fold(A, 1) == naive_h_fold(A, 1, ORD) == A
+    assert h_fold_restricted(A, 2) == naive_h_fold(A, 2, RES) == IntSet((3, 5, 6))
+
+
 # ---------------------------------------------------------------------------
 # Ordinary unions past the stable threshold
 # ---------------------------------------------------------------------------

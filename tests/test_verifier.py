@@ -6,7 +6,9 @@ import json
 import os
 import pickle
 import signal
+import time
 import weakref
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, astuple, fields, replace
 from itertools import combinations, islice, product
@@ -19,7 +21,7 @@ import sumset_lab.cli as cli
 import sumset_lab.structure as structure
 import sumset_lab.verifier as verifier
 from sumset_lab.engine import SumsetKind, union_sumset
-from sumset_lab.errors import SpaceTooLargeError, WorkerLostError
+from sumset_lab.errors import IntegerOverflowError, SpaceTooLargeError, WorkerLostError
 from sumset_lab.intset import HSet, IntSet, format_elements, parse_elements
 from sumset_lab.verifier import (
     CaseList,
@@ -680,10 +682,11 @@ def test_equality_templates_built_once_per_row_and_a_facts(monkeypatch):
     assert len(built) == len(keys) < len(half_keys) < equalities
     assert len(derived) == len(rows) < len(keys)
     assert dataclasses_made == []
-    # every case is a pair whose first record is one of those built
-    firsts = {id(first): first for first, _ in chunk.equality.kept}
-    assert len(firsts) == len(built)
-    assert all(list(first) == _RECORD_KEYS for first in firsts.values())
+    # every case is a pair whose template is one of those built: the
+    # record's keys after "a"
+    templates = {id(template): template for template, _ in chunk.equality.kept}
+    assert len(templates) == len(built)
+    assert all(list(template) == _RECORD_KEYS[1:] for template in templates.values())
 
 
 @pytest.mark.parametrize("raised", [False, True])
@@ -722,10 +725,10 @@ def test_full_case_lists_only_count(monkeypatch, raised):
     counts = [getattr(full, name).count for name in lists]
     # violations and inconsistencies only under the raised bound
     assert all(counts) if raised else counts[0] == counts[3] == 0 < counts[2]
-    # uncapped: one pair per equality case, its first record one of the
-    # templates, and one text per A that has a case
+    # uncapped: one pair per equality case, its template one of those
+    # built, and one text per A that has a case
     assert len(full.equality.kept) == counts[1] > len(built)
-    assert {id(first) for first, _ in full.equality.kept} == set(map(id, built))
+    assert {id(template) for template, _ in full.equality.kept} == set(map(id, built))
     a_texts = {a_text for name in lists for _, a_text in getattr(full, name).kept}
     assert len(texts) == h_texts + len(a_texts)
     templates = len(built)
@@ -737,9 +740,9 @@ def test_full_case_lists_only_count(monkeypatch, raised):
         assert len(built) == templates
         if cap == 0:
             # a case that no list keeps is only counted, and A's text is
-            # written only for a template or a violation
+            # written only for a kept case: no A text at all
             assert all(getattr(chunk, name).kept == [] for name in lists)
-            assert len(texts) <= h_texts + templates + counts[0]
+            assert len(texts) == h_texts
         report = verify(space, workers=1, case_cap=cap)
         for name, count, (count_field, list_field) in zip(lists, counts, _COUNTS_AND_LISTS):
             cases = getattr(chunk, name)
@@ -747,6 +750,24 @@ def test_full_case_lists_only_count(monkeypatch, raised):
             assert getattr(uncapped, count_field) == count
             assert CaseList(cases.kept) == CaseList(getattr(full, name).kept)[:cap]
             assert getattr(report, list_field) == getattr(uncapped, list_field)[:cap]
+
+
+def test_sweep_int64_guard_refuses_sums_past_int64(capsys):
+    # h_max = 2^62 over [1, 4]: the walk's sums reach 4 * 2^62 = 2^64. The
+    # chunk's one guard, the only check on the walk's absolute vectors,
+    # refuses the first rung past int64 before a single row is built
+    space = SearchSpace(4, (1, 1), 2**62, (1, 1), kinds=(ORD,))
+    started = time.perf_counter()
+    with pytest.raises(IntegerOverflowError) as exc:
+        verify(space, pair_cap=10**30)
+    assert time.perf_counter() - started < 5
+    assert str(exc.value) == f"value {2**63} outside signed 64-bit range"
+    argv = ["verify", "--universe", "4", "--k", "1..1", "--hmax", str(2**62), "--r", "1..1",
+            "--kind", "ordinary", "--cap", str(10**30)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: value 9223372036854775808 outside signed 64-bit range\n"
 
 
 def test_space_built_from_lists_hashes_and_serializes():
@@ -810,6 +831,11 @@ def test_to_json_equals_json_dumps_on_every_report_kind(monkeypatch, same_json):
         equality_cases=list(full.equality_cases),
         allowed_nonstructured_equalities=list(full.allowed_nonstructured_equalities),
     )
+    # a record that holds only "a": its template is empty
+    bare = full.to_dict()
+    bare["equality_cases"] = [{"a": "1..3"}, *bare["equality_cases"][:2], {"a": "0,5"}]
+    reports["only a"] = VerificationReport.from_dict(bare)
+    assert reports["only a"].equality_cases._pairs[0] == ({}, "1..3")
     real = bounds.catalog_bound
 
     def raised(kind, *args):
@@ -838,9 +864,10 @@ def test_case_records_are_read_only(same_json):
     space = SearchSpace(8, (2, 4), 4, (1, 3), zero_mode=ZeroMode.BOTH)
     report = verify(space, workers=1)
     cases = report.equality_cases
-    # both the first case of a (row, A's half) and later ones that share its
-    # first record
-    assert {first["a"] == a_text for first, a_text in cases._pairs} == {True, False}
+    # templates shared by several cases of a (row, A's facts), none holding "a"
+    shares = Counter(id(template) for template, _ in cases._pairs)
+    assert 0 < sum(n > 1 for n in shares.values()) < len(shares)
+    assert not any("a" in template for template, _ in cases._pairs)
     before, blob = list(cases), report.to_json()
     # a case list has no mutators
     mutations = [
@@ -871,12 +898,12 @@ def test_case_records_are_read_only(same_json):
     assert list(cases) == before
     same_json(report.to_json(), blob)
     # the pool path: a chunk's pairs cross as pickles of plain tuples, and
-    # every case of a first record still shares it
+    # every case of a template still shares it
     chunk = _run_chunk((space, space.a_blocks()[2], 0, space.a_blocks()[2][4], 10**9))
     twin = pickle.loads(pickle.dumps(chunk))
     for part in (chunk, twin):
         assert all(type(pair) is tuple for pair in part.equality.kept)
-    shared = [{id(first) for first, _ in part.equality.kept} for part in (chunk, twin)]
+    shared = [{id(template) for template, _ in part.equality.kept} for part in (chunk, twin)]
     assert len(shared[0]) == len(shared[1]) < len(chunk.equality.kept)
     assert CaseList(twin.equality.kept) == CaseList(chunk.equality.kept)
     # a report pickles and copies as its pairs
@@ -915,7 +942,7 @@ def test_acceptance_space_builds_one_template_per_row_and_facts(monkeypatch):
     assert len(built) == 2536 and verdicts == []
     pairs = report.equality_cases._pairs
     assert len(pairs) == 21027
-    assert len({id(first) for first, _ in pairs}) == 2536
+    assert len({id(template) for template, _ in pairs}) == 2536
 
 
 def test_every_read_path_of_a_case_record_matches_its_dict():
@@ -931,8 +958,11 @@ def test_every_read_path_of_a_case_record_matches_its_dict():
     assert all(type(cases) is CaseList for cases in lists)
     pairs = [pair for cases in lists for pair in cases._pairs]
     assert len(pairs) == 21027
-    # cases that repeat an earlier case's first record, and first cases
-    assert 0 < sum(first["a"] != a_text for first, a_text in pairs) < len(pairs)
+    # templates that several cases share and templates of one case, none
+    # holding "a"
+    shares = Counter(id(template) for template, _ in pairs)
+    assert 0 < sum(n > 1 for n in shares.values()) < len(shares)
+    assert not any("a" in template for template, _ in pairs)
     # every read path of each group's list, against the plain list
     for cases, plain in zip(lists, plains):
         n = len(cases)
@@ -977,18 +1007,17 @@ def test_sweep_templates_equal_check_inverse_records():
     pairs = _run_blocks(space, 10**9).equality.kept
     assert len(pairs) == len(equal) > 100
     seen, facts = set(), set()
-    for first, a_text in pairs:
-        sweep = {**first, "a": a_text}
-        A, H = IntSet(parse_elements(a_text)), HSet(parse_elements(first["h"]))
-        v = structure.check_inverse(A, H, SumsetKind(first["kind"]))
+    for template, a_text in pairs:
+        sweep = {"a": a_text, **template}
+        A, H = IntSet(parse_elements(a_text)), HSet(parse_elements(template["h"]))
+        v = structure.check_inverse(A, H, SumsetKind(template["kind"]))
         expected = case_record(
-            a_text, first["h"], v.kind, A.elements[0] == 0, v.computed_size, v.bound_value,
-            v.rule,
+            template["h"], v.kind, A.elements[0] == 0, v.computed_size, v.bound_value, v.rule,
             (v.hypotheses_hold, v.structure_matches, v.consistent, v.is_nonstructured_equality),
             astuple(v.structure_observed),
         )
-        assert list(sweep.items()) == list(expected.items())
-        seen.add((a_text, first["h"], first["kind"]))
+        assert list(sweep.items()) == list({"a": a_text, **expected}.items())
+        seen.add((a_text, template["h"], template["kind"]))
         facts.add((sweep["hypotheses_hold"], sweep["structure_matches"], sweep["nonstructured"]))
     assert seen == equal
     # both hypotheses met and unmet, structured and not
