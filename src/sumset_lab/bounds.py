@@ -108,8 +108,12 @@ def bound_union(k: int, H: HSet, zero_in_A: bool) -> int:
     and the value drops to max(H)*(k-1) + 1.
     """
     _require_formula_inputs(k, H)
-    tail = 1 if zero_in_A else H.r
-    return H.max * (k - 1) + tail
+    return _union_value(k, H.elements, zero_in_A)
+
+
+def _union_value(k: int, hs: tuple[int, ...], zero_in_A: bool) -> int:
+    """bound_union on checked inputs."""
+    return hs[-1] * (k - 1) + (1 if zero_in_A else len(hs))
 
 
 def bound_union_restricted(k: int, H: HSet, zero_in_A: bool) -> int:
@@ -124,6 +128,11 @@ def bound_union_restricted(k: int, H: HSet, zero_in_A: bool) -> int:
     breach = _cap_breach(k, hs, zero_in_A)
     if breach:
         raise HypothesisError(breach)
+    return _restricted_value(k, hs, zero_in_A)
+
+
+def _restricted_value(k: int, hs: tuple[int, ...], zero_in_A: bool) -> int:
+    """bound_union_restricted on checked inputs, within the cap."""
     total = 0
     prev = 0
     for h in hs:
@@ -140,7 +149,8 @@ def catalog_bound(kind: SumsetKind, k: int, H: HSet, zero_in_A: bool) -> BoundOu
     A multiplicity 0 in H is stripped when 0 is an element of A (the 0-fold
     contributes only {0}, which the positive folds already cover, so the
     union is literally unchanged); with 0 outside A no catalog formula
-    covers the enlarged union and the outcome is inapplicable.
+    covers the enlarged union and the outcome is inapplicable. Each input
+    is checked once, here, before the formula's value.
     """
     require_kind(kind)
     _require_k(k)
@@ -157,15 +167,14 @@ def catalog_bound(kind: SumsetKind, k: int, H: HSet, zero_in_A: bool) -> BoundOu
             )
         hs = hs[1:]
         note = "multiplicity 0 stripped (contributes nothing when 0 is in A)"
-    positive = H if note is None else HSet(hs)
     if kind is SumsetKind.ORDINARY:
-        value = bound_union(k, positive, zero_in_A)
+        value = _union_value(k, hs, zero_in_A)
         ident = "union-zero" if zero_in_A else "union-positive"
     else:
         breach = _cap_breach(k, hs, zero_in_A)
         if breach:
             return BoundOutcome(False, 0, None, breach)
-        value = bound_union_restricted(k, positive, zero_in_A)
+        value = _restricted_value(k, hs, zero_in_A)
         ident = "union-restricted-zero" if zero_in_A else "union-restricted-positive"
     return BoundOutcome(True, value, BoundFormula(ident, k, hs), note)
 

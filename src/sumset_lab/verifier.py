@@ -7,17 +7,20 @@ on (kind, k, H, 0 in A) only, and a chunk's A-sets all lie in one (k,
 zero-mode) block, so each chunk looks it up once and reads that table for
 every A. A block's sets come in lex order and are walked as a prefix tree:
 each prefix extends its parent's rungs by one element, and a row whose
-union of a prefix is above the row's bound less g(j) per missing element j
-is closed for the whole subtree, since appending a new maximum to j
-elements adds at least g(j) sums: h_r, or for a restricted row max(H ∩
-[1, j]) (the README's prefix lemmas). A leaf is never pushed: the rows
-still open at its parent are tested once against their bounds. Only pairs
-that reach their bound go further, and the A half of the verdict (A's
-progression and dilation, structure.verdict_a_half) is built once per A
-that has an equality case. An equality case's size is its row's bound, so
-its record less "a" depends on the row and A's half only: each chunk
-builds that template once per (row, observed facts) that occurs, as a
-plain dict laid out from structure.judge without any verdict dataclass,
+union of a prefix is above the row's prefix cap is closed for the whole
+subtree. The cap is the bound less the sums each missing element j is sure
+to add (the README's prefix lemmas): h_r for an ordinary row, and for a
+restricted one g(j) = max(H ∩ [1, j]), plus 1 when j+1 is in H unless 0 is
+in A and g(j) = j. With 0 in A an ordinary union is its top rung, so rows
+of one kind that OR the same rungs under the same caps are one walk row. A
+leaf is never pushed: the rows still open at its parent are tested once
+against their bounds, and a walk row's hit is a hit of each of its rows.
+Only pairs that reach their bound go further, and the A half of the
+verdict (A's progression and dilation, structure.verdict_a_half) is built
+once per A that has an equality case. An equality case's size is its row's
+bound, so its record less "a" depends on the row and A's half only: each
+chunk builds that template once per (row, observed facts) that occurs, as
+a plain dict laid out from structure.judge without any verdict dataclass,
 and derives a row's H half (rule, hypotheses, H's progression and run) at
 the row's first equality case. A case finds its template in its row's
 table, keyed by A's half; a violation is its own template. Every kept case
@@ -336,18 +339,25 @@ def case_record(
     return record
 
 
-def _prefix_caps(kind: SumsetKind, k: int, hs: tuple[int, ...], limit: int) -> tuple:
+def _prefix_caps(
+    kind: SumsetKind, k: int, hs: tuple[int, ...], limit: int, zero_in: bool = False
+) -> tuple:
     """A row's cap at each prefix size m = 0..k, or None where the prefix
     lemmas (README) are not used: an ordinary row needs a nonempty prefix, a
     restricted one m >= h_1. Appending a new maximum to a prefix of size j
-    adds at least g(j) sums, h_r for an ordinary row and max(H ∩ [1, j]) for
-    a restricted one, so the cap at m is limit - Σ_{j=m}^{k-1} g(j); the cap
-    at m = k is the row's bound."""
+    adds at least h_r sums to an ordinary row and g(j) + e(j) to a
+    restricted one, where g(j) = max(H ∩ [1, j]) and e(j) = 1 when j+1 is
+    in H, except when 0 is in A and g(j) = j. So the cap at m is limit less
+    those sums for j = m..k-1; the cap at m = k is the row's bound."""
     ordinary = kind is SumsetKind.ORDINARY
     caps = [None] * k + [limit]
     for m in range(k - 1, 0 if ordinary else hs[0] - 1, -1):
-        g = hs[-1] if ordinary else hs[bisect_right(hs, m) - 1]
-        caps[m] = caps[m + 1] - g
+        if ordinary:
+            grow = hs[-1]
+        else:
+            grow = hs[bisect_right(hs, m) - 1]
+            grow += m + 1 in hs and not (zero_in and grow == m)
+        caps[m] = caps[m + 1] - grow
     return tuple(caps)
 
 
@@ -357,16 +367,18 @@ def _walk(
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
     """(A, hits) for each A-set of a k-block, in the given order: hits are
     (row index, size) for the rows whose union of A is at most their bound,
-    in row order. open_rows holds each kind's rows (index, H, caps).
+    in row order. open_rows holds each kind's walk rows (indices, rungs
+    ORed, caps): one walk row stands for every report row of its indices,
+    which share its union and caps.
 
     The sets come in lex order, so consecutive ones share a prefix. A stack
     holds, per prefix length below k, each kind's rungs of that prefix as
     absolute vectors (bit s is the sum s; every element is >= 0) and its
     rows still open; a step extends a copy of its parent's rungs in place,
-    so the stack keeps them. Appending a new maximum adds at least g(j) sums
-    to a union (the README's prefix lemmas; see _prefix_caps), so a row
-    whose union of a prefix exceeds its cap there exceeds its bound on every
-    set below that prefix: it closes for the whole subtree. A itself, the
+    so the stack keeps them. Appending a new maximum adds at least the sums
+    that _prefix_caps counts (the README's prefix lemmas), so a row whose
+    union of a prefix exceeds its cap there exceeds its bound on every set
+    below that prefix: it closes for the whole subtree. A itself, the
     prefix of size k, is never pushed: the rows still open at its parent
     are tested against their bounds (caps[k]) once, and those within are
     A's hits.
@@ -406,13 +418,14 @@ def _walk(
                 if rows:
                     rungs = rungs.copy()
                     extend_ladder(rungs, x, kind)
-                    for index, hs, caps in rows:
+                    for indices, hs, caps in rows:
                         union = 0
                         for h in hs:
                             union |= rungs[h]
                         size = union.bit_count()
                         if size <= caps[k]:
-                            hits.append((index, size))
+                            for index in indices:
+                                hits.append((index, size))
             hits.sort()
         yield a, hits
 
@@ -427,18 +440,22 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
     top = space.universe_max - zero_in
     sumset_ladder(IntSet((top,)), space.h_max, SumsetKind.ORDINARY)
     # the block's applicable (H, kind) rows, built per call (not cached):
-    # patched formulas show
-    rows, open_rows = [], [[] for _ in space.kinds]
+    # patched formulas show. With 0 in A, (h-1)A ⊆ hA, so an ordinary union
+    # is its top rung; the walk tests each kind's rows once per (rungs ORed,
+    # caps), and a walk row lists the report rows it stands for
+    rows, walk_rows = [], [{} for _ in space.kinds]
     for r in space.r_values():
         for h_combo in combinations(range(1, space.h_max + 1), r):
             H = HSet(h_combo)
             h_text = format_elements(h_combo)
-            for kind, kind_rows in zip(space.kinds, open_rows):
+            for kind, kind_rows in zip(space.kinds, walk_rows):
                 outcome = bounds.catalog_bound(kind, k, H, zero_in)
                 if outcome.applicable:
-                    caps = _prefix_caps(kind, k, h_combo, outcome.value)
-                    kind_rows.append((len(rows), h_combo, caps))
+                    caps = _prefix_caps(kind, k, h_combo, outcome.value, zero_in)
+                    hs = h_combo[-1:] if zero_in and kind is SumsetKind.ORDINARY else h_combo
+                    kind_rows.setdefault((hs, caps), []).append(len(rows))
                     rows.append((h_text, kind, outcome, H))
+    open_rows = [[(ids, *key) for key, ids in kind_rows.items()] for kind_rows in walk_rows]
     # An equality case's size is its row's bound, so its record less "a"
     # depends on the row and A's half only. tables[i] is row i's H half and
     # templates, from its first equality case on: by_a maps A's half to a

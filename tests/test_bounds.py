@@ -357,3 +357,98 @@ def test_prefix_lemma():
                         assert after.applicable
                         assert after.value - before.value == H.max
     assert checked == {True: 8700, False: 12180}  # 0 in B, or not
+
+
+def _restricted_growth(H, j, zero_in):
+    """The sums a restricted union over H gains, at least, when a new
+    maximum joins a set of j >= h_1 elements (README, "Prefix lemma"): g(j)
+    plus e(j), which is 1 when j+1 is in H unless 0 is in the set and
+    g(j) = j."""
+    g = max(h for h in H if h <= j)
+    return g + (j + 1 in H and not (zero_in and g == j))
+
+
+def test_restricted_prefix_grows_by_g_plus_e():
+    h_sets = [HSet(hs) for r in range(1, 6) for hs in combinations(range(1, 6), r)]
+    sizes = {}
+
+    def size(a, H):
+        if (a, H) not in sizes:
+            sizes[a, H] = len(union_bitmap(IntSet(a), H, RES))
+        return sizes[a, H]
+
+    steps = tight = 0
+    for m in range(1, 10):
+        for b in combinations(range(9), m):
+            for H in h_sets:
+                if H.elements[0] > m:
+                    continue
+                grow = _restricted_growth(H.elements, m, b[0] == 0)
+                for x in range(b[-1] + 1, 10):
+                    gained = size(b + (x,), H) - size(b, H)
+                    assert gained >= grow, (b, x, H.elements)
+                    steps += 1
+                    tight += gained == grow
+    assert (steps, tight) == (29006, 8168)
+    # the exception is needed: B = {0, 1}, H = {2, 3} and x = 2 gain g(2) = 2
+    assert _restricted_growth((2, 3), 2, True) == 2
+    assert size((0, 1, 2), HSet((2, 3))) - size((0, 1), HSet((2, 3))) == 2
+
+
+def test_ordinary_union_with_zero_is_its_top_rung():
+    # 0 in A puts (h-1)A inside hA, so HA = h_r·A: the walk ORs one rung
+    h_sets = [HSet(hs) for r in range(1, 6) for hs in combinations(range(1, 6), r)]
+    for m in range(9):
+        for rest in combinations(range(1, 9), m):
+            A = IntSet((0,) + rest)
+            for H in h_sets:
+                assert union_bitmap(A, H, ORD) == union_bitmap(A, HSet((H.max,)), ORD)
+
+
+def test_restricted_gap_with_zero_gains_two():
+    # with A' = A minus 0, h^A = h^A' ∪ (h-1)^A', so H^A = (H ∪ (H-1))^A'.
+    # When h, h+2 are in H and h+1 is not, adding h+1 to H leaves H ∪ (H-1)
+    # as it is, and the bound of H ∪ {h+1} is H's plus 2
+    h_sets = [hs for r in range(1, 6) for hs in combinations(range(1, 6), r)]
+    checked = reached = 0
+    for m in range(2, 6):
+        for rest in combinations(range(1, 9), m):
+            A, k = IntSet((0,) + rest), m + 1
+            for hs in h_sets:
+                H = HSet(hs)
+                shifted = HSet(tuple(sorted(set(hs) | {h - 1 for h in hs})))
+                size = len(union_bitmap(A, H, RES))
+                assert size == len(union_bitmap(IntSet(rest), shifted, RES))
+                gaps = [h for h in hs if h + 2 in hs and h + 1 not in hs]
+                if not gaps or hs[-1] > k - 1:
+                    continue
+                filled = HSet(tuple(sorted(hs + (gaps[0] + 1,))))
+                bound = catalog_bound(RES, k, H, True).value
+                assert catalog_bound(RES, k, filled, True).value == bound + 2
+                assert size == len(union_bitmap(A, filled, RES)) >= bound + 2
+                checked += 1
+                reached += size == bound + 2
+    assert (checked, reached) == (952, 30)
+
+
+def test_catalog_bound_checks_each_input_once(monkeypatch):
+    counts = {"_require_k": 0, "_cap_breach": 0}
+    for name in counts:
+        real = getattr(bounds, name)
+
+        def counting(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(bounds, name, counting)
+    h_sets = [HSet(hs) for r in range(1, 5) for hs in combinations(range(5), r)]
+    calls = restricted = 0
+    for kind in (ORD, RES):
+        for k in range(1, 7):
+            for H in h_sets:
+                for zero_in_A in (False, True):
+                    catalog_bound(kind, k, H, zero_in_A)
+                    calls += 1
+                    restricted += kind is RES
+    assert counts["_require_k"] == calls
+    assert counts["_cap_breach"] <= restricted

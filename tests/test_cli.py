@@ -374,8 +374,8 @@ def test_verify_json_round_trips(capsys):
 
 
 def test_verify_detects_corruption_with_exit_2(capsys, monkeypatch):
-    real = bounds.bound_union
-    monkeypatch.setattr(bounds, "bound_union", lambda k, H, z: real(k, H, z) + 1)
+    real = bounds._union_value
+    monkeypatch.setattr(bounds, "_union_value", lambda k, hs, z: real(k, hs, z) + 1)
     code, out, _ = run_cli(
         capsys, "verify", "--universe", "4", "--k", "2..2", "--hmax", "2",
         "--kind", "ordinary", "--workers", "1",

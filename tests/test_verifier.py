@@ -20,7 +20,7 @@ import sumset_lab.bounds as bounds
 import sumset_lab.cli as cli
 import sumset_lab.structure as structure
 import sumset_lab.verifier as verifier
-from sumset_lab.engine import SumsetKind, union_sumset
+from sumset_lab.engine import SumsetKind, union_bitmap, union_sumset
 from sumset_lab.errors import IntegerOverflowError, SpaceTooLargeError, WorkerLostError
 from sumset_lab.intset import HSet, IntSet, format_elements, parse_elements
 from sumset_lab.verifier import (
@@ -497,12 +497,13 @@ def test_pool_size_clamps_to_cpu_affinity(monkeypatch):
 
 def test_corrupted_bound_is_detected(monkeypatch):
     # the suite must be able to see its own failures: inflate one formula
-    real = bounds.bound_union
+    # where catalog_bound evaluates it
+    real = bounds._union_value
 
-    def inflated(k, H, zero_in_A):
-        return real(k, H, zero_in_A) + 1
+    def inflated(k, hs, zero_in_A):
+        return real(k, hs, zero_in_A) + 1
 
-    monkeypatch.setattr(bounds, "bound_union", inflated)
+    monkeypatch.setattr(bounds, "_union_value", inflated)
     space = SearchSpace(5, (2, 3), 2, (1, 2), kinds=(ORD,))
     report = verify(space, workers=1)
     assert report.bound_violation_count > 0
@@ -512,8 +513,8 @@ def test_corrupted_bound_is_detected(monkeypatch):
 
 
 def test_bound_violations_capped_per_chunk_counts_complete(monkeypatch, same_json):
-    real = bounds.bound_union
-    monkeypatch.setattr(bounds, "bound_union", lambda k, H, z: real(k, H, z) + 1)
+    real = bounds._union_value
+    monkeypatch.setattr(bounds, "_union_value", lambda k, hs, z: real(k, hs, z) + 1)
     # more than one chunk, so the cap is applied before the merge
     _pin_cpus(monkeypatch, 2)
     monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 64)
@@ -622,15 +623,53 @@ def test_sweep_matches_single_pair_path(monkeypatch):
 
 
 def test_prefix_caps_chain_g():
-    # k = 6, H = {2, 5}: a prefix of size j grows by at least g(j) sums, 5
-    # (h_r) for the ordinary row and max(H ∩ [1, j]) for the restricted one,
-    # so a restricted row is tested from m = h_1 = 2, below h_r
+    # k = 6, H = {2, 5}: a prefix of size j grows by at least h_r = 5 sums
+    # for the ordinary row, and by g(j) + e(j) for the restricted one, where
+    # g(j) = max(H ∩ [1, j]) and e(j) = 1 when j+1 is in H (here j = 4), so
+    # a restricted row is tested from m = h_1 = 2, below h_r
     assert bounds.catalog_bound(ORD, 6, HSet((2, 5)), False).value == 27
     assert bounds.catalog_bound(RES, 6, HSet((2, 5)), False).value == 13
     assert _prefix_caps(ORD, 6, (2, 5), 27) == (None, 2, 7, 12, 17, 22, 27)
-    assert _prefix_caps(RES, 6, (2, 5), 13) == (None, None, 2, 4, 6, 8, 13)
+    assert _prefix_caps(ORD, 6, (2, 5), 27, True) == (None, 2, 7, 12, 17, 22, 27)
+    assert _prefix_caps(RES, 6, (2, 5), 13) == (None, None, 1, 3, 5, 8, 13)
+    # H = {2, 3}: e(2) = 1 without 0, but not with 0 in A, where g(2) = 2
+    assert _prefix_caps(RES, 4, (2, 3), 6, True) == (None, None, 1, 3, 6)
+    assert _prefix_caps(RES, 4, (2, 3), 7, False) == (None, None, 1, 4, 7)
     # with h_1 = h_r = k the only cap is the bound
     assert _prefix_caps(RES, 3, (3,), 1) == (None, None, None, 1)
+
+
+def test_sweep_matches_brute_force_near_the_bound(monkeypatch):
+    # every pair's size from union_bitmap against verify's counts and case
+    # lists, with the catalog's value raised by 0, 1 and 2: a walk that
+    # closes a row too soon (a prefix cap too low) loses cases near the bound
+    space = SearchSpace(9, (1, 6), 5, (1, 5), zero_mode=ZeroMode.BOTH)
+    assert space.enumeration_count() == 42408
+    sizes, real = [], bounds.catalog_bound
+    for A, H, kind in enumerate_pairs(space):
+        outcome = real(kind, len(A), H, A.elements[0] == 0)
+        if outcome.applicable:
+            size = len(union_bitmap(A, H, kind))
+            sizes.append((size, outcome.value, format_elements(A.elements), H, kind))
+    counts = []
+    for raise_by in (0, 1, 2):
+
+        def raised(*args, raise_by=raise_by):
+            outcome = real(*args)
+            return replace(outcome, value=outcome.value + raise_by)
+
+        monkeypatch.setattr(bounds, "catalog_bound", raised)
+        report = verify(space, workers=1)
+        equality = [(a, H, kind) for size, bound, a, H, kind in sizes if size == bound + raise_by]
+        below = [(a, H, kind, size) for size, bound, a, H, kind in sizes if size < bound + raise_by]
+        assert report.equality_case_count == len(equality)
+        assert report.bound_violation_count == len(below)
+        assert [(c["a"], HSet(parse_elements(c["h"])), SumsetKind(c["kind"]))
+                for c in report.equality_cases] == equality
+        assert [(c["a"], HSet(parse_elements(c["h"])), SumsetKind(c["kind"]), c["size"])
+                for c in report.bound_violations] == below
+        counts.append((len(equality), len(below)))
+    assert counts == [(4602, 0), (2049, 4602), (2007, 6651)]
 
 
 def _count_calls(monkeypatch, owner, name, calls):
