@@ -11,11 +11,16 @@ union of a prefix is above the row's prefix cap is closed for the whole
 subtree. The cap is the bound less the sums each missing element j is sure
 to add (the README's prefix lemmas): h_r for an ordinary row, and for a
 restricted one g(j) = max(H ∩ [1, j]), plus 1 when j+1 is in H unless 0 is
-in A and g(j) = j. With 0 in A an ordinary union is its top rung, so rows
-of one kind that OR the same rungs under the same caps are one walk row. A
-leaf is never pushed: the rows still open at its parent are tested once
-against their bounds, and a walk row's hit is a hit of each of its rows.
-Only pairs that reach their bound go further, and the A half of the
+in A and g(j) = j. Rows of one kind whose sizes differ by a fixed offset
+on every A and whose bounds differ by the same offset form a class (the
+README's "Row classes": a restricted H, k - H and H plus a top k, and with
+0 in A the ordinary rows of one h_r), and a class is one walk row, headed
+by its member of least h_r: it carries (row index, size offset) pairs. A
+class of fixed size (H = {1}, or a restricted {k}) is compared with its
+bound once per chunk and never enters the walk. A leaf is never pushed:
+the walk rows still open at its parent are tested once against their
+bounds, and a walk row's hit of size s is each member's hit at s plus its
+offset. Only pairs that reach their bound go further, and the A half of the
 verdict (A's progression and dilation, structure.verdict_a_half) is built
 once per A that has an equality case. An equality case's size is its row's
 bound, so its record less "a" depends on the row and A's half only: each
@@ -62,7 +67,7 @@ from typing import Iterable, Iterator
 from . import bounds
 from .engine import SumsetKind, extend_ladder, require_kind, sumset_ladder
 from .errors import SpaceTooLargeError, WorkerLostError
-from .intset import HSet, IntSet, format_elements, parse_elements
+from .intset import HSet, IntSet, format_elements, parse_elements, require_int
 from .structure import (
     FACT_NAMES,
     FLAG_NAMES,
@@ -361,15 +366,43 @@ def _prefix_caps(
     return tuple(caps)
 
 
+def _row_class(
+    kind: SumsetKind, k: int, hs: tuple[int, ...], value: int, zero_in: bool
+) -> tuple[tuple, int, tuple[int, ...]]:
+    """A row's class key, its size offset and the rungs it ORs. Rows of one
+    key have sizes that differ by their offsets alone, on every A, and the
+    same bound less offset, so they hit on the same A-sets (README "Row
+    classes"). An ordinary row's key is (rungs ORed, bound), its offset 0:
+    with 0 in A it ORs its top rung, and its caps follow from h_r and the
+    bound. A restricted row is keyed by H' and its bound less its offset.
+    Without 0 in A, an H other than {k} that holds k is one larger than
+    H' = H less k, its offset 1 (k^A = {ΣA} lies above every other
+    restricted sum); otherwise H' = H and the offset is 0. H' is then
+    replaced by the lesser of H' and k - H' when max H' < k, since
+    h^A = ΣA - (k-h)^A."""
+    if kind is SumsetKind.ORDINARY:
+        walked = hs[-1:] if zero_in else hs
+        return (walked, value), 0, walked
+    offset, rest = 0, hs
+    if not zero_in and hs[-1] == k and len(hs) > 1:
+        offset, rest = 1, hs[:-1]
+    if rest[-1] < k:
+        rest = min(rest, tuple(k - h for h in reversed(rest)))
+    return (rest, value - offset), offset, hs
+
+
 def _walk(
     a_sets: Iterable[tuple[int, ...]], k: int, kinds: tuple[SumsetKind, ...],
-    open_rows: list[list[tuple]], h_max: int,
+    open_rows: list[list[tuple]], h_max: int, fixed: list[tuple[int, int]],
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
     """(A, hits) for each A-set of a k-block, in the given order: hits are
     (row index, size) for the rows whose union of A is at most their bound,
-    in row order. open_rows holds each kind's walk rows (indices, rungs
-    ORed, caps): one walk row stands for every report row of its indices,
-    which share its union and caps.
+    in row order. fixed holds the hits that every A has, those of the
+    constant rows, which never enter the walk. open_rows holds each kind's
+    walk rows (members, rungs ORed, caps): a walk row is the head of a
+    class, and its members are (row index, size offset) pairs; a member's
+    size is the head's plus its offset, and it hits exactly when the head
+    does.
 
     The sets come in lex order, so consecutive ones share a prefix. A stack
     holds, per prefix length below k, each kind's rungs of that prefix as
@@ -378,10 +411,10 @@ def _walk(
     so the stack keeps them. Appending a new maximum adds at least the sums
     that _prefix_caps counts (the README's prefix lemmas), so a row whose
     union of a prefix exceeds its cap there exceeds its bound on every set
-    below that prefix: it closes for the whole subtree. A itself, the
-    prefix of size k, is never pushed: the rows still open at its parent
-    are tested against their bounds (caps[k]) once, and those within are
-    A's hits.
+    below that prefix: it closes for the whole subtree, and a prefix with no
+    row open is not extended. A itself, the prefix of size k, is never
+    pushed: the rows still open at its parent are tested against their
+    bounds (caps[k]) once, and those within are A's hits.
     """
     stack = [[([1] + [0] * h_max, rows) for rows in open_rows]]
     prev = ()
@@ -390,7 +423,7 @@ def _walk(
         while m < depth and a[m] == prev[m]:
             m += 1
         del stack[m + 1 :]
-        prev, state, hits = a, stack[m], []
+        prev, state, hits = a, stack[m], fixed.copy()
         while m < k - 1 and any(rows for _, rows in state):
             x, m = a[m], m + 1
             pushed = []
@@ -418,14 +451,14 @@ def _walk(
                 if rows:
                     rungs = rungs.copy()
                     extend_ladder(rungs, x, kind)
-                    for indices, hs, caps in rows:
+                    for members, hs, caps in rows:
                         union = 0
                         for h in hs:
                             union |= rungs[h]
                         size = union.bit_count()
                         if size <= caps[k]:
-                            for index in indices:
-                                hits.append((index, size))
+                            for index, offset in members:
+                                hits.append((index, size + offset))
             hits.sort()
         yield a, hits
 
@@ -440,22 +473,39 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
     top = space.universe_max - zero_in
     sumset_ladder(IntSet((top,)), space.h_max, SumsetKind.ORDINARY)
     # the block's applicable (H, kind) rows, built per call (not cached):
-    # patched formulas show. With 0 in A, (h-1)A ⊆ hA, so an ordinary union
-    # is its top rung; the walk tests each kind's rows once per (rungs ORed,
-    # caps), and a walk row lists the report rows it stands for
-    rows, walk_rows = [], [{} for _ in space.kinds]
+    # patched formulas show, since a class key holds its row's bound, and a
+    # row whose bound breaks its class's symmetry is walked apart. Each
+    # kind's rows are grouped by _row_class
+    rows, classes = [], [{} for _ in space.kinds]
     for r in space.r_values():
         for h_combo in combinations(range(1, space.h_max + 1), r):
             H = HSet(h_combo)
             h_text = format_elements(h_combo)
-            for kind, kind_rows in zip(space.kinds, walk_rows):
+            for kind, kind_classes in zip(space.kinds, classes):
                 outcome = bounds.catalog_bound(kind, k, H, zero_in)
                 if outcome.applicable:
-                    caps = _prefix_caps(kind, k, h_combo, outcome.value, zero_in)
-                    hs = h_combo[-1:] if zero_in and kind is SumsetKind.ORDINARY else h_combo
-                    kind_rows.setdefault((hs, caps), []).append(len(rows))
+                    key, offset, walked = _row_class(kind, k, h_combo, outcome.value, zero_in)
+                    kind_classes.setdefault(key, []).append((len(rows), offset, walked))
                     rows.append((h_text, kind, outcome, H))
-    open_rows = [[(ids, *key) for key, ids in kind_rows.items()] for kind_rows in walk_rows]
+    # A class whose key is {1} has size k plus each member's offset on every
+    # A, and a restricted {k} has size 1: such a constant class is compared
+    # with its bound here, once, and never walked. Any other class is one
+    # walk row, headed by its member of least h_r, under that member's caps
+    open_rows, fixed = [], []
+    for kind, kind_classes in zip(space.kinds, classes):
+        kind_rows = []
+        for (base, limit), members in kind_classes.items():
+            if base == (1,) or (base == (k,) and kind is SumsetKind.RESTRICTED):
+                size = k if base == (1,) else 1
+                if size <= limit:
+                    fixed += [(index, size + offset) for index, offset, _ in members]
+                continue
+            _, head_offset, hs = min(members, key=lambda member: member[2][-1])
+            caps = _prefix_caps(kind, k, hs, limit + head_offset, zero_in)
+            pairs = [(index, offset - head_offset) for index, offset, _ in members]
+            kind_rows.append((pairs, hs, caps))
+        open_rows.append(kind_rows)
+    fixed.sort()
     # An equality case's size is its row's bound, so its record less "a"
     # depends on the row and A's half only. tables[i] is row i's H half and
     # templates, from its first equality case on: by_a maps A's half to a
@@ -467,7 +517,7 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
     a_sets = islice(_combinations_from(universe, pick, start), end - start)
     if zero_in:
         a_sets = map((0,).__add__, a_sets)
-    for elements, hits in _walk(a_sets, k, space.kinds, open_rows, space.h_max):
+    for elements, hits in _walk(a_sets, k, space.kinds, open_rows, space.h_max, fixed):
         acc.pairs += row_count
         if not hits:
             continue
@@ -653,6 +703,10 @@ def verify(
     case_cap: int = DEFAULT_CASE_CAP,
 ) -> VerificationReport:
     """Check every pair in the space; see VerificationReport for semantics."""
+    require_int("case cap", case_cap)
+    require_int("pair cap", pair_cap)
+    if workers is not None:
+        require_int("worker count", workers)
     if case_cap < 0:
         raise ValueError(f"case cap must be nonnegative, got {case_cap}")
     if workers is not None and workers < 1:

@@ -452,3 +452,52 @@ def test_catalog_bound_checks_each_input_once(monkeypatch):
                     restricted += kind is RES
     assert counts["_require_k"] == calls
     assert counts["_cap_breach"] <= restricted
+
+
+def test_catalog_agrees_with_the_row_class_identities():
+    # the restricted catalog keeps both identities of README "Row classes":
+    # bound(k - H) = bound(H) for H ⊆ [1, k-1] in both zero modes, and
+    # bound(H ∪ {k}) = bound(H) + 1 without 0
+    complements = tops = 0
+    for k in range(1, 13):
+        for r in range(1, k):
+            for hs in combinations(range(1, k), r):
+                mirror = HSet(tuple(k - h for h in reversed(hs)))
+                for zero_in in (False, True):
+                    outcome = catalog_bound(RES, k, HSet(hs), zero_in)
+                    assert outcome.applicable
+                    assert catalog_bound(RES, k, mirror, zero_in).value == outcome.value
+                    complements += 1
+                topped = catalog_bound(RES, k, HSet(hs + (k,)), False)
+                assert topped.value == catalog_bound(RES, k, HSet(hs), False).value + 1
+                tops += 1
+    assert (complements, tops) == (8166, 4083)
+
+
+def test_row_class_identities_on_unions():
+    # complement: h^A = ΣA - (k-h)^A, so |H^A| = |(k-H)^A| for H ⊆ [1, k-1].
+    # Top multiplicity: k^A = {ΣA}, above every other restricted sum of an
+    # all-positive A, so |H^A| = |(H - {k})^A| + 1 for k ∈ H ≠ {k}. With 0
+    # in A, ΣA is also a sum of k-1 elements, so k adds nothing to k-1 ∈ H
+    h_sets = [hs for r in range(1, 7) for hs in combinations(range(1, 7), r)]
+    complements = tops = absorbed = 0
+    for k in range(1, 12):
+        for elements in combinations(range(11), k):
+            A, sizes = IntSet(elements), {}
+
+            def size(hs):
+                if hs not in sizes:
+                    sizes[hs] = len(union_bitmap(A, HSet(hs), RES))
+                return sizes[hs]
+
+            for hs in h_sets:
+                if hs[-1] < k:
+                    assert size(hs) == size(tuple(k - h for h in reversed(hs)))
+                    complements += 1
+                elif hs[-1] == k and len(hs) > 1 and elements[0] > 0:
+                    assert size(hs) == size(hs[:-1]) + 1
+                    tops += 1
+                elif hs[-1] == k and k - 1 in hs:
+                    assert size(hs) == size(hs[:-1])
+                    absorbed += 1
+    assert (complements, tops, absorbed) == (59518, 12165, 6292)

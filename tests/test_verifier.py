@@ -11,7 +11,7 @@ import weakref
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, astuple, fields, replace
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 from math import comb
 
 import pytest
@@ -472,6 +472,25 @@ def test_verify_rejects_negative_case_cap_and_workers():
             verify(space, workers=workers)
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("case_cap", True, "case cap True is not an integer"),
+        ("case_cap", 1.5, "case cap 1.5 is not an integer"),
+        ("pair_cap", 1e8, "pair cap 100000000.0 is not an integer"),
+        ("workers", 2.0, "worker count 2.0 is not an integer"),
+    ],
+)
+def test_verify_refuses_non_int_caps_and_workers(name, value, message):
+    # a bool cap would be written into the report as true, a float one
+    # fails in the middle of a run: both are refused before any chunk runs
+    space = SearchSpace(4, (2, 2), 2, (1, 2))
+    for run in (verify, find_extremal):
+        with pytest.raises(TypeError) as exc:
+            run(space, **{name: value})
+        assert str(exc.value) == message
+
+
 def test_pool_size_clamps_to_chunk_count(monkeypatch):
     _pin_cpus(monkeypatch, 64)
     assert _pool_size(8, 3) == 3
@@ -639,37 +658,137 @@ def test_prefix_caps_chain_g():
     assert _prefix_caps(RES, 3, (3,), 1) == (None, None, None, 1)
 
 
-def test_sweep_matches_brute_force_near_the_bound(monkeypatch):
+def _brute_force_sizes(space):
+    """(A, H, kind, size) for every pair of the space that the catalog
+    covers, each size from union_bitmap: the walk's reference."""
+    sizes = []
+    for A, H, kind in enumerate_pairs(space):
+        if bounds.catalog_bound(kind, len(A), H, A.elements[0] == 0).applicable:
+            sizes.append((A, H, kind, len(union_bitmap(A, H, kind))))
+    return sizes
+
+
+def _assert_sweep_matches(space, sizes):
+    """verify's counts and uncapped case lists against the brute-force
+    sizes, each compared with bounds.catalog_bound as it stands, patched or
+    not; returns the report."""
+    values, equality, below = {}, [], []
+    for A, H, kind, size in sizes:
+        key = (kind, len(A), H, A.elements[0] == 0)
+        if key not in values:
+            values[key] = bounds.catalog_bound(*key).value
+        case = (format_elements(A.elements), format_elements(H.elements), kind.value)
+        if size == values[key]:
+            equality.append(case)
+        elif size < values[key]:
+            below.append(case + (size,))
+    report = verify(space, workers=1, case_cap=len(sizes))
+    assert report.equality_case_count == len(report.equality_cases) == len(equality)
+    assert report.bound_violation_count == len(report.bound_violations) == len(below)
+    assert [(c["a"], c["h"], c["kind"]) for c in report.equality_cases] == equality
+    assert [(c["a"], c["h"], c["kind"], c["size"]) for c in report.bound_violations] == below
+    return report
+
+
+def _raise_catalog(monkeypatch, raise_by):
+    real = bounds.catalog_bound
+
+    def raised(*args):
+        outcome = real(*args)
+        return replace(outcome, value=outcome.value + raise_by)
+
+    monkeypatch.setattr(bounds, "catalog_bound", raised)
+
+
+def _sweep_counts_near_the_bound(monkeypatch, space, sizes):
+    """(equality, violation) counts with the catalog's value raised by 0, 1
+    and 2, each run checked against the brute-force sizes."""
+    counts = []
+    for raise_by in (0, 1, 2):
+        _raise_catalog(monkeypatch, raise_by)
+        report = _assert_sweep_matches(space, sizes)
+        counts.append((report.equality_case_count, report.bound_violation_count))
+        monkeypatch.undo()  # else the next raise would wrap this one
+    return counts
+
+
+# k 1..6 in both zero modes and H ⊆ [1, 5]: every row class of k <= 5 has
+# all of its members here
+_NEAR_SPACE = SearchSpace(9, (1, 6), 5, (1, 5), zero_mode=ZeroMode.BOTH)
+
+
+@pytest.fixture(scope="module")
+def near_sizes():
+    return _brute_force_sizes(_NEAR_SPACE)
+
+
+def test_sweep_matches_brute_force_near_the_bound(monkeypatch, near_sizes):
     # every pair's size from union_bitmap against verify's counts and case
     # lists, with the catalog's value raised by 0, 1 and 2: a walk that
     # closes a row too soon (a prefix cap too low) loses cases near the bound
-    space = SearchSpace(9, (1, 6), 5, (1, 5), zero_mode=ZeroMode.BOTH)
-    assert space.enumeration_count() == 42408
-    sizes, real = [], bounds.catalog_bound
-    for A, H, kind in enumerate_pairs(space):
-        outcome = real(kind, len(A), H, A.elements[0] == 0)
-        if outcome.applicable:
-            size = len(union_bitmap(A, H, kind))
-            sizes.append((size, outcome.value, format_elements(A.elements), H, kind))
-    counts = []
-    for raise_by in (0, 1, 2):
-
-        def raised(*args, raise_by=raise_by):
-            outcome = real(*args)
-            return replace(outcome, value=outcome.value + raise_by)
-
-        monkeypatch.setattr(bounds, "catalog_bound", raised)
-        report = verify(space, workers=1)
-        equality = [(a, H, kind) for size, bound, a, H, kind in sizes if size == bound + raise_by]
-        below = [(a, H, kind, size) for size, bound, a, H, kind in sizes if size < bound + raise_by]
-        assert report.equality_case_count == len(equality)
-        assert report.bound_violation_count == len(below)
-        assert [(c["a"], HSet(parse_elements(c["h"])), SumsetKind(c["kind"]))
-                for c in report.equality_cases] == equality
-        assert [(c["a"], HSet(parse_elements(c["h"])), SumsetKind(c["kind"]), c["size"])
-                for c in report.bound_violations] == below
-        counts.append((len(equality), len(below)))
+    assert _NEAR_SPACE.enumeration_count() == 42408
+    counts = _sweep_counts_near_the_bound(monkeypatch, _NEAR_SPACE, near_sizes)
     assert counts == [(4602, 0), (2049, 4602), (2007, 6651)]
+
+
+@pytest.mark.parametrize(
+    "k, target, counts",
+    [
+        (5, (1, 2), (4623, 3)),  # the head of its class
+        (5, (3, 4), (4623, 3)),  # its complement
+        (5, (1, 2, 5), (4605, 1)),  # a top-k member, offset 1
+        (4, (1, 3, 4), (4714, 7)),  # the top-k member of a self-complementary H'
+        (5, (3,), (4660, 8)),  # {2} and {3} share a class at k = 5
+    ],
+)
+def test_patched_class_member_is_walked_apart(monkeypatch, near_sizes, k, target, counts):
+    # a formula inflated for one member of a row class breaks the class's
+    # symmetry: that row's key no longer matches, so the walk tests it
+    # apart, and the report still equals brute force under the patch
+    real = bounds._restricted_value
+
+    def inflated(kk, hs, zero_in_A):
+        return real(kk, hs, zero_in_A) + (kk == k and hs == target)
+
+    monkeypatch.setattr(bounds, "_restricted_value", inflated)
+    report = _assert_sweep_matches(_NEAR_SPACE, near_sizes)
+    patched = {(c["h"], c["kind"]) for c in report.bound_violations}
+    assert patched == {(format_elements(target), "restricted")}
+    assert (report.equality_case_count, report.bound_violation_count) == counts
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_patched_constant_row_matches_brute_force(monkeypatch, near_sizes, shift):
+    # restricted {1} is A itself, of size k on every A, so its class is
+    # compared with its bound once per block and never walked. Raised by 1,
+    # every A is a violation of it; lowered by 1, no A reaches it
+    real = bounds._restricted_value
+    monkeypatch.setattr(
+        bounds, "_restricted_value", lambda k, hs, z: real(k, hs, z) + shift * (hs == (1,))
+    )
+    report = _assert_sweep_matches(_NEAR_SPACE, near_sizes)
+    a_sets = [A for A, H, kind, _ in near_sizes if H.elements == (1,) and kind is RES]
+    hits = [
+        (c["a"], c["size"])
+        for c in chain(report.equality_cases, report.bound_violations)
+        if (c["h"], c["kind"]) == ("1", "restricted")
+    ]
+    if shift > 0:
+        assert hits == [(format_elements(A.elements), len(A)) for A in a_sets]
+        assert report.bound_violation_count == len(hits) == 683
+    else:
+        assert hits == []
+
+
+@pytest.mark.deep
+def test_deep_acceptance_space_matches_brute_force(monkeypatch):
+    # the walk pair by pair on the whole acceptance space, near the bound:
+    # row classes, constant rows and every prefix cap against union_bitmap
+    space = SearchSpace(12, (2, 6), 6, (1, 6), zero_mode=ZeroMode.BOTH)
+    sizes = _brute_force_sizes(space)
+    assert len(sizes) == 334290
+    counts = _sweep_counts_near_the_bound(monkeypatch, space, sizes)
+    assert counts == [(21027, 0), (8689, 21027), (7142, 29716)]
 
 
 def _count_calls(monkeypatch, owner, name, calls):
