@@ -219,6 +219,10 @@ def _plain(value):
     return value
 
 
+# verdict_a_half of every set that is not a progression
+NON_PROGRESSION_A_HALF = (False, None, None, False)
+
+
 def verdict_a_half(
     elements: tuple[int, ...], zero_in: bool
 ) -> tuple[bool, int | None, int | None, bool]:
@@ -227,6 +231,8 @@ def verdict_a_half(
     element beside a difference (else None), is it a dilated interval. In
     one row, equal tuples give equal verdicts to equality cases."""
     ad = _progression(elements)
+    if not ad.is_ap:
+        return NON_PROGRESSION_A_HALF
     first = ad.first if ad.difference else None
     return ad.is_ap, ad.difference, first, _dilation(ad, zero_in) is not None
 

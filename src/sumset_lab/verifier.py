@@ -20,20 +20,28 @@ class of fixed size (H = {1}, or a restricted {k}) is compared with its
 bound once per chunk and never enters the walk. A leaf is never pushed:
 the walk rows still open at its parent are tested once against their
 bounds, and a walk row's hit of size s is each member's hit at s plus its
-offset. Only pairs that reach their bound go further, and the A half of the
-verdict (A's progression and dilation, structure.verdict_a_half) is built
-once per A that has an equality case. An equality case's size is its row's
-bound, so its record less "a" depends on the row and A's half only: each
-chunk builds that template once per (row, observed facts) that occurs, as
-a plain dict laid out from structure.judge without any verdict dataclass,
-and derives a row's H half (rule, hypotheses, H's progression and run) at
-the row's first equality case. A case finds its template in its row's
-table, keyed by A's half; a violation is its own template. Every kept case
-is a (template, A text) pair, so a repeat costs its A text and one tuple,
-and chunk results cross the worker pool as plain tuples. Each report list
-is a CaseList over its pairs, read as the list of their records (a plain
-dict per read, "a" first), and encode_json writes a case as '{"a":', its A
-text and its template's JSON less its "{", encoded once per call. A case
+offset. Only pairs that reach their bound go further. The A half of the
+verdict (A's progression and dilation, structure.verdict_a_half) is taken
+once per A that has a hit, and a set of k >= 3 whose span is not (k-1)
+times its first gap is no progression: it takes the non-progression half
+without the call. An equality case's size is its row's bound, so its
+record less "a" depends on the row and A's half only: each chunk builds
+that template once per (row, observed facts) that occurs, laid out from
+structure.judge without any verdict dataclass, as the JSON text that
+follows '{"a":' and A's text. That text is the row's prefix (H, the kind,
+0 in A, the size and the bound), encoded at the row's first equality case,
+where its H half (rule, hypotheses, H's progression and run) is derived,
+then a suffix (flags, rule, observed facts) encoded once per chunk. A case
+finds its template in its row's table, keyed by A's half; a violation is
+its own template. The constant rows' (template, lists) entries are
+resolved once per chunk and A half, so an A with no walk hit, as most are,
+goes straight to the keep loop, and any other merges its walk hits with
+them in row order. Every kept case is a (template, A text) pair, so a
+repeat costs its A text and one tuple, and chunk results cross the worker
+pool as plain tuples. Each report list is a CaseList over its pairs, read
+as the list of their records (a plain dict per read, "a" first, each
+template decoded once per pass), and encode_json writes a case as
+'{"a":', its A text and its template, encoding no template. A case
 that no list keeps, all of them being at the case cap, is only counted,
 and A's text is formatted once per A, only for a kept case. Each block is
 cut into contiguous chunks of at most 512 of its A-sets by combinatorial
@@ -71,6 +79,7 @@ from .intset import HSet, IntSet, format_elements, parse_elements, require_int
 from .structure import (
     FACT_NAMES,
     FLAG_NAMES,
+    NON_PROGRESSION_A_HALF,
     judge,
     plain_fields,
     verdict_a_half,
@@ -295,17 +304,19 @@ def _merged(parts: Iterable[_Partial], case_cap: int) -> _Partial:
 
 class CaseList(Sequence):
     """A report's case list, read-only: (template, A text) pairs, read as
-    the list of their records. A pair's record is "a", its A text, then its
-    template's keys in order, built as a plain dict on each read, so no read
-    can change the list. Every case of one (row, A's facts) in a chunk
-    shares one template, and a violation is its own template. A CaseList
-    equals a list of dicts that equals its records, and encode_json writes
-    it from the pairs, encoding each template once per call. It pickles and
+    the list of their records. A template is the JSON text of a record
+    after '{"a":' and its A text (see _template). A pair's record is "a",
+    its A text, then its template's keys in order, decoded into a plain
+    dict on each read, so no read can change the list; a pass over the list
+    decodes each distinct template once. Every case of one (row, A's facts)
+    in a chunk shares one template, and a violation is its own template. A
+    CaseList equals a list of dicts that equals its records, and
+    encode_json writes it by splicing its pairs' text. It pickles and
     copies as its pairs."""
 
     __slots__ = ("_pairs",)
 
-    def __init__(self, pairs: Iterable[tuple[dict, str]] = ()):
+    def __init__(self, pairs: Iterable[tuple[str, str]] = ()):
         self._pairs = tuple(pairs)
 
     def __len__(self) -> int:
@@ -315,11 +326,15 @@ class CaseList(Sequence):
         if isinstance(index, slice):
             return CaseList(self._pairs[index])
         template, a_text = self._pairs[index]
-        return {"a": a_text, **template}
+        return {"a": a_text, **_fields(template)}
 
     def __iter__(self) -> Iterator[dict]:
+        decoded = {}
         for template, a_text in self._pairs:
-            yield {"a": a_text, **template}
+            fields = decoded.get(template)
+            if fields is None:
+                fields = decoded[template] = _fields(template)
+            yield {"a": a_text, **fields}
 
     def __eq__(self, other):
         if not isinstance(other, (CaseList, list)):
@@ -330,18 +345,47 @@ class CaseList(Sequence):
         return f"CaseList({list(self)!r})"
 
 
-def case_record(
-    h_text: str, kind: SumsetKind, zero_in: bool, size: int, bound: int, rule: str,
-    flags: tuple[bool, bool, bool, bool], observed: tuple,
-) -> dict:
-    """An equality case's template: H and the kind, the comparison, judge's
-    flags and the rule, then the observed structure's fields in
-    StructureFacts' order. A case's record is "a", its A text, then these."""
-    record = {"h": h_text, "kind": kind.value, "zero_in_a": zero_in, "size": size,
+# records are flat and reports and groups are trees: no cycle to check
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
+def _template(fields: dict) -> str:
+    """The template of a record whose keys after "a" are fields: the JSON
+    text that follows '{"a":' and its A text, so "}" when fields is empty."""
+    return "," + _ENCODER.encode(fields)[1:] if fields else "}"
+
+
+def _fields(template: str) -> dict:
+    """A template's keys and values, in order: the record less "a"."""
+    return json.loads("{" + template.removeprefix(","))
+
+
+def row_prefix(h_text: str, kind: SumsetKind, zero_in: bool, bound: int) -> str:
+    """The text that every equality template of a row starts with: H, the
+    kind, 0 in A, then the size and the bound, an equality case's size
+    being its row's bound."""
+    fields = {"h": h_text, "kind": kind.value, "zero_in_a": zero_in, "size": bound,
               "bound": bound}
-    record.update(zip(FLAG_NAMES, flags), rule=rule)
-    record.update(zip(FACT_NAMES, observed))
-    return record
+    return _template(fields)[:-1]
+
+
+def case_record(
+    prefix: str, rule: str, flags: tuple[bool, bool, bool, bool], observed: tuple,
+    suffixes: dict,
+) -> str:
+    """An equality case's template: its row's prefix (row_prefix), then
+    judge's flags and the rule, then the observed structure's fields in
+    StructureFacts' order. A case's record is "a", its A text, then these.
+    The text after the prefix depends on (flags, rule, observed) alone and
+    is encoded once per such key into suffixes, which a chunk shares
+    between its rows."""
+    key = (flags, rule, observed)
+    suffix = suffixes.get(key)
+    if suffix is None:
+        fields = dict(zip(FLAG_NAMES, flags), rule=rule)
+        fields.update(zip(FACT_NAMES, observed))
+        suffix = suffixes[key] = _template(fields)
+    return prefix + suffix
 
 
 def _prefix_caps(
@@ -393,16 +437,15 @@ def _row_class(
 
 def _walk(
     a_sets: Iterable[tuple[int, ...]], k: int, kinds: tuple[SumsetKind, ...],
-    open_rows: list[list[tuple]], h_max: int, fixed: list[tuple[int, int]],
+    open_rows: list[list[tuple]], h_max: int,
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
     """(A, hits) for each A-set of a k-block, in the given order: hits are
-    (row index, size) for the rows whose union of A is at most their bound,
-    in row order. fixed holds the hits that every A has, those of the
-    constant rows, which never enter the walk. open_rows holds each kind's
-    walk rows (members, rungs ORed, caps): a walk row is the head of a
-    class, and its members are (row index, size offset) pairs; a member's
-    size is the head's plus its offset, and it hits exactly when the head
-    does.
+    (row index, size) for the walk rows' members whose union of A is at
+    most their bound, in no set order. The constant rows never enter the walk,
+    and their hits are not among these. open_rows holds each kind's walk
+    rows (members, rungs ORed, caps): a walk row is the head of a class,
+    and its members are (row index, size offset) pairs; a member's size is
+    the head's plus its offset, and it hits exactly when the head does.
 
     The sets come in lex order, so consecutive ones share a prefix. A stack
     holds, per prefix length below k, each kind's rungs of that prefix as
@@ -423,7 +466,7 @@ def _walk(
         while m < depth and a[m] == prev[m]:
             m += 1
         del stack[m + 1 :]
-        prev, state, hits = a, stack[m], fixed.copy()
+        prev, state, hits = a, stack[m], []
         while m < k - 1 and any(rows for _, rows in state):
             x, m = a[m], m + 1
             pushed = []
@@ -459,8 +502,17 @@ def _walk(
                         if size <= caps[k]:
                             for index, offset in members:
                                 hits.append((index, size + offset))
-            hits.sort()
         yield a, hits
+
+
+def _a_half(elements: tuple[int, ...], zero_in: bool) -> tuple:
+    """structure.verdict_a_half of A's elements. A set of k >= 3 elements
+    whose span is not (k-1) times its first gap is not a progression: it
+    takes the non-progression half without the call."""
+    k = len(elements)
+    if k > 2 and elements[-1] - elements[0] != (k - 1) * (elements[1] - elements[0]):
+        return NON_PROGRESSION_A_HALF
+    return verdict_a_half(elements, zero_in)
 
 
 def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
@@ -491,70 +543,84 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
     # A, and a restricted {k} has size 1: such a constant class is compared
     # with its bound here, once, and never walked. Any other class is one
     # walk row, headed by its member of least h_r, under that member's caps
-    open_rows, fixed = [], []
+    open_rows, constant = [], []
     for kind, kind_classes in zip(space.kinds, classes):
         kind_rows = []
         for (base, limit), members in kind_classes.items():
             if base == (1,) or (base == (k,) and kind is SumsetKind.RESTRICTED):
                 size = k if base == (1,) else 1
                 if size <= limit:
-                    fixed += [(index, size + offset) for index, offset, _ in members]
+                    constant += [(index, size + offset) for index, offset, _ in members]
                 continue
             _, head_offset, hs = min(members, key=lambda member: member[2][-1])
             caps = _prefix_caps(kind, k, hs, limit + head_offset, zero_in)
             pairs = [(index, offset - head_offset) for index, offset, _ in members]
             kind_rows.append((pairs, hs, caps))
         open_rows.append(kind_rows)
-    fixed.sort()
+    constant.sort()
     # An equality case's size is its row's bound, so its record less "a"
-    # depends on the row and A's half only. tables[i] is row i's H half and
-    # templates, from its first equality case on: by_a maps A's half to a
-    # (template, lists its cases go to) pair, and by_facts holds each one
-    # once per judge's observed facts. A violation is its own template. A
-    # kept case is the pair (template, A text)
+    # depends on the row and A's half only. tables[i] is row i's H half,
+    # template prefix and templates, from its first equality case on: by_a
+    # maps A's half to a (template, lists its cases go to) pair, and
+    # by_facts holds each one once per judge's observed facts. suffixes
+    # holds each template's text after its prefix, once per chunk. A
+    # violation is its own template. A kept case is the pair (template, A
+    # text)
     tables = [None] * len(rows)
+    suffixes = {}
+
+    def resolved(i: int, size: int, a_half: tuple) -> tuple[int, str, tuple]:
+        """(i, template, lists) for row i's hit of the given size on an A of
+        the given half."""
+        h_text, kind, outcome, H = rows[i]
+        if size < outcome.value:
+            fields = {"h": h_text, "kind": kind.value, "zero_in_a": zero_in, "size": size,
+                      "bound": outcome.value, "formula": outcome.formula.identifier}
+            return i, _template(fields), (acc.violations,)
+        table = tables[i]
+        if table is None:
+            h_half = verdict_h_half(kind, zero_in, k, H, outcome)
+            prefix = row_prefix(h_text, kind, zero_in, outcome.value)
+            table = tables[i] = (h_half, prefix, {}, {})
+        h_half, prefix, by_a, by_facts = table
+        entry = by_a.get(a_half)
+        if entry is None:
+            _, flags, observed = judge(size, outcome, h_half, a_half)
+            entry = by_facts.get(observed)
+            if entry is None:
+                template = case_record(prefix, h_half[0], flags, observed, suffixes)
+                _, _, consistent, nonstructured = flags
+                lists = (acc.equality,)
+                if nonstructured:
+                    lists += (acc.nonstructured,)
+                if not consistent:
+                    lists += (acc.inconsistencies,)
+                entry = by_facts[observed] = (template, lists)
+            by_a[a_half] = entry
+        return (i, *entry)
+
+    # the constant rows' hits, resolved once per A's half: every A that is
+    # not a progression shares one half, and most A-sets have no walk hit
+    constants = {}
     row_count = space.h_subset_count() * len(space.kinds)
     a_sets = islice(_combinations_from(universe, pick, start), end - start)
     if zero_in:
         a_sets = map((0,).__add__, a_sets)
-    for elements, hits in _walk(a_sets, k, space.kinds, open_rows, space.h_max, fixed):
+    for elements, hits in _walk(a_sets, k, space.kinds, open_rows, space.h_max):
         acc.pairs += row_count
-        if not hits:
+        if not (hits or constant):
             continue
+        a_half = _a_half(elements, zero_in)
+        entries = constants.get(a_half)
+        if entries is None:
+            entries = constants[a_half] = [resolved(i, size, a_half) for i, size in constant]
+        if hits:  # in row order, with the constant rows'
+            entries = sorted(
+                entries + [resolved(i, size, a_half) for i, size in hits], key=operator.itemgetter(0)
+            )
         # A's text once per A, and only for a kept case
-        a_text = a_half = None
-        for i, size in hits:
-            h_text, kind, outcome, H = rows[i]
-            if size < outcome.value:
-                template = {"h": h_text, "kind": kind.value, "zero_in_a": zero_in,
-                            "size": size, "bound": outcome.value,
-                            "formula": outcome.formula.identifier}
-                lists = (acc.violations,)
-            else:
-                if a_half is None:
-                    a_half = verdict_a_half(elements, zero_in)
-                table = tables[i]
-                if table is None:
-                    table = tables[i] = (verdict_h_half(kind, zero_in, k, H, outcome), {}, {})
-                h_half, by_a, by_facts = table
-                entry = by_a.get(a_half)
-                if entry is None:
-                    _, flags, observed = judge(size, outcome, h_half, a_half)
-                    entry = by_facts.get(observed)
-                    if entry is None:
-                        template = case_record(
-                            h_text, kind, zero_in, size, outcome.value, h_half[0], flags,
-                            observed,
-                        )
-                        _, _, consistent, nonstructured = flags
-                        lists = (acc.equality,)
-                        if nonstructured:
-                            lists += (acc.nonstructured,)
-                        if not consistent:
-                            lists += (acc.inconsistencies,)
-                        entry = by_facts[observed] = (template, lists)
-                    by_a[a_half] = entry
-                template, lists = entry
+        a_text = None
+        for _, template, lists in entries:
             pair = None  # one tuple for every list the case is kept in
             for cases in lists:
                 cases.count += 1
@@ -624,9 +690,9 @@ class VerificationReport:
         values["space"] = SearchSpace.from_dict(data["space"])
         for name, value in values.items():
             if type(value) is list:
-                # each record its own template: a copy without "a"
+                # each record its own template: its text without "a"
                 values[name] = CaseList(
-                    ({key: item for key, item in r.items() if key != "a"}, r["a"])
+                    (_template({key: item for key, item in r.items() if key != "a"}), r["a"])
                     for r in value
                 )
         return cls(**values)
@@ -636,47 +702,38 @@ class VerificationReport:
         return cls.from_dict(json.loads(text))
 
 
-# records are flat and reports and groups are trees: no cycle to check
-_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
-
-
 def encode_json(value) -> str:
     """json.dumps(value, separators=(",", ":")) for data with string keys in
     which a CaseList stands for the list of its records, built as one list
     of pieces joined once. A case is written as '{"a":', its A text and its
-    template's JSON less its "{", after a comma unless the template is
-    empty, encoded once per call; dicts and lists are walked, and any other
-    value is encoded whole."""
+    template, which is already that record's remaining text, so no template
+    is encoded here; dicts and lists are walked, and any other value is
+    encoded whole."""
     pieces = []
-    _encode(value, pieces, {})
+    _encode(value, pieces)
     return "".join(pieces)
 
 
-def _encode(value, pieces: list, tails: dict) -> None:
-    """Append value's JSON pieces to pieces. tails maps the id of a template
-    (which its pairs keep alive) to the text written after its cases' A."""
+def _encode(value, pieces: list) -> None:
+    """Append value's JSON pieces to pieces."""
     if type(value) is CaseList:
         sep = "["
         for template, a_text in value._pairs:
-            tail = tails.get(id(template))
-            if tail is None:
-                tail = _ENCODER.encode(template)[1:]
-                tail = tails[id(template)] = "," + tail if template else tail
-            pieces += (sep, '{"a":', encode_basestring_ascii(a_text), tail)
+            pieces += (sep, '{"a":', encode_basestring_ascii(a_text), template)
             sep = ","
         pieces.append("]" if value._pairs else "[]")
     elif type(value) is dict:
         sep = "{"
         for key, item in value.items():
             pieces += (sep, encode_basestring_ascii(key), ":")
-            _encode(item, pieces, tails)
+            _encode(item, pieces)
             sep = ","
         pieces.append("}" if value else "{}")
     elif type(value) is list:
         sep = "["
         for item in value:
             pieces.append(sep)
-            _encode(item, pieces, tails)
+            _encode(item, pieces)
             sep = ","
         pieces.append("]" if value else "[]")
     else:
@@ -787,8 +844,9 @@ def find_extremal(
     for pair in report.equality_cases._pairs:
         template, a_text = pair
         if id(template) not in keys:
-            k, r = len(parse_elements(a_text)), len(parse_elements(template["h"]))
-            keys[id(template)] = (k, r, template["kind"])
+            fields = _fields(template)
+            k, r = len(parse_elements(a_text)), len(parse_elements(fields["h"]))
+            keys[id(template)] = (k, r, fields["kind"])
         groups.setdefault(keys[id(template)], []).append(pair)
     return [
         {"k": k, "r": r, "kind": kind, "cases": CaseList(pairs)}

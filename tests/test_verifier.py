@@ -29,6 +29,7 @@ from sumset_lab.verifier import (
     VerificationReport,
     ZeroMode,
     _combinations_from,
+    _fields,
     _pool_size,
     _prefix_caps,
     _run_chunk,
@@ -36,6 +37,7 @@ from sumset_lab.verifier import (
     encode_json,
     enumerate_pairs,
     find_extremal,
+    row_prefix,
     verify,
 )
 
@@ -840,11 +842,11 @@ def test_equality_templates_built_once_per_row_and_a_facts(monkeypatch):
     assert len(built) == len(keys) < len(half_keys) < equalities
     assert len(derived) == len(rows) < len(keys)
     assert dataclasses_made == []
-    # every case is a pair whose template is one of those built: the
-    # record's keys after "a"
+    # every case is a pair whose template is one of those built: the text
+    # of the record's keys after "a"
     templates = {id(template): template for template, _ in chunk.equality.kept}
     assert len(templates) == len(built)
-    assert all(list(template) == _RECORD_KEYS[1:] for template in templates.values())
+    assert all(list(_fields(template)) == _RECORD_KEYS[1:] for template in templates.values())
 
 
 @pytest.mark.parametrize("raised", [False, True])
@@ -989,11 +991,12 @@ def test_to_json_equals_json_dumps_on_every_report_kind(monkeypatch, same_json):
         equality_cases=list(full.equality_cases),
         allowed_nonstructured_equalities=list(full.allowed_nonstructured_equalities),
     )
-    # a record that holds only "a": its template is empty
+    # a record that holds only "a": its template is the text of no keys
     bare = full.to_dict()
     bare["equality_cases"] = [{"a": "1..3"}, *bare["equality_cases"][:2], {"a": "0,5"}]
     reports["only a"] = VerificationReport.from_dict(bare)
-    assert reports["only a"].equality_cases._pairs[0] == ({}, "1..3")
+    assert reports["only a"].equality_cases._pairs[0] == ("}", "1..3")
+    assert _fields("}") == {}
     real = bounds.catalog_bound
 
     def raised(kind, *args):
@@ -1025,7 +1028,7 @@ def test_case_records_are_read_only(same_json):
     # templates shared by several cases of a (row, A's facts), none holding "a"
     shares = Counter(id(template) for template, _ in cases._pairs)
     assert 0 < sum(n > 1 for n in shares.values()) < len(shares)
-    assert not any("a" in template for template, _ in cases._pairs)
+    assert not any("a" in _fields(template) for template, _ in cases._pairs)
     before, blob = list(cases), report.to_json()
     # a case list has no mutators
     mutations = [
@@ -1103,6 +1106,127 @@ def test_acceptance_space_builds_one_template_per_row_and_facts(monkeypatch):
     assert len({id(template) for template, _ in pairs}) == 2536
 
 
+def test_chunk_a_half_equals_verdict_a_half():
+    # a set of k >= 3 whose span is not (k-1) times its first gap is no
+    # progression and takes the non-progression half without the call; every
+    # k-subset of [1, 14] and every {0} plus a (k-1)-subset of [1, 13]
+    sets = [c for k in range(1, 8) for c in combinations(range(1, 15), k)]
+    sets += [(0, *c) for k in range(1, 8) for c in combinations(range(1, 14), k - 1)]
+    assert len(sets) == 9907 + 4096
+    for elements in sets:
+        zero_in = elements[0] == 0
+        assert verifier._a_half(elements, zero_in) == structure.verdict_a_half(elements, zero_in)
+    # span 6 = 3 * (3 - 1), yet no progression: the span test lets it through
+    # to verdict_a_half, which finds the non-progression half
+    assert verifier._a_half((1, 3, 4, 7), False) == structure.NON_PROGRESSION_A_HALF
+
+
+def test_chunks_call_verdict_a_half_only_past_the_span_test(monkeypatch):
+    # every A of the acceptance space has a constant row's hit, so each one
+    # takes its half; only the sets of k <= 2 and those whose span is k-1
+    # times their first gap call verdict_a_half
+    calls = []
+    _count_calls(monkeypatch, verifier, "verdict_a_half", calls)
+    report = verify(_ACCEPTANCE, workers=1)
+    assert report.equality_case_count == 21027
+    passing = []
+    for mode, k, universe, pick, _ in _ACCEPTANCE.a_blocks():
+        zero = (0,) if mode is ZeroMode.WITH else ()
+        for c in combinations(universe, pick):
+            a = zero + c
+            if k <= 2 or a[-1] - a[0] == (k - 1) * (a[1] - a[0]):
+                passing.append((a, mode is ZeroMode.WITH))
+    assert calls == passing and len(calls) == 335
+
+
+class _CountingEncoder:
+    """Stands in for verifier._ENCODER and keeps every value it encodes."""
+
+    def __init__(self, real, calls):
+        self._real, self._calls = real, calls
+
+    def encode(self, value):
+        self._calls.append(value)
+        return self._real.encode(value)
+
+
+def test_templates_are_encoded_per_row_and_suffix_and_to_json_encodes_none(monkeypatch):
+    # a chunk encodes one prefix per row that reaches an equality case and
+    # one suffix per distinct (flags, rule, observed facts); a case repeats
+    # no encode, and to_json splices the templates' text
+    encoded = []
+    monkeypatch.setattr(verifier, "_ENCODER", _CountingEncoder(verifier._ENCODER, encoded))
+    built = []
+    _count_calls(monkeypatch, verifier, "case_record", built)
+    per_chunk = []
+    for block in _ACCEPTANCE.a_blocks():
+        for start in range(0, block[4], verifier._CHUNK_A_TASKS):
+            encoded.clear()
+            end = min(start + verifier._CHUNK_A_TASKS, block[4])
+            chunk = _run_chunk((_ACCEPTANCE, block, start, end, 10**9))
+            prefixes = [value for value in encoded if "h" in value]
+            suffixes = [value for value in encoded if "rule" in value]
+            assert len(prefixes) + len(suffixes) == len(encoded)
+            records = [_fields(template) for template, _ in chunk.equality.kept]
+            rows = {(record["h"], record["kind"]) for record in records}
+            tails = {tuple(record.items())[5:] for record in records}
+            assert (len(prefixes), len(suffixes)) == (len(rows), len(tails))
+            per_chunk.append((len(prefixes), len(suffixes)))
+    assert per_chunk == [
+        (36, 85), (40, 60), (45, 52), (50, 39), (15, 18), (58, 32), (52, 23),
+        (64, 99), (66, 53), (69, 33), (73, 22), (78, 22),
+    ]
+    assert len(built) == 2536
+    report = verify(_ACCEPTANCE, workers=1)
+    encoded.clear()
+    blob = report.to_json()
+    # the version, the space's 9 values and the 7 counts and cap: no template
+    assert len(encoded) == 17 and all(type(value) in (str, int) for value in encoded)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "0fcdb494f7a7e2c8c6df509d55f223524852b21ae2c8fccde55515c4dec2c3f1"
+    )
+
+
+def test_case_list_pass_decodes_each_template_once(monkeypatch, capsys):
+    # extremal's text mode reads every case of every group: a pass decodes
+    # each distinct template once, and each record is its own dict, "a" then
+    # the template's keys in order
+    groups = find_extremal(_ACCEPTANCE, workers=1)
+    plains = json.loads(encode_json(groups))
+    decoded, decodes = [], 0
+    _count_calls(monkeypatch, verifier, "_fields", decoded)
+    for group, plain in zip(groups, plains):
+        cases = group["cases"]
+        distinct = len({template for template, _ in cases._pairs})
+        decodes += distinct
+        for _ in range(2):
+            decoded.clear()
+            records = list(cases)
+            assert len(decoded) == distinct
+            assert records == plain["cases"]
+            assert all(list(record) == _RECORD_KEYS for record in records)
+        # a record changed after it is read changes no other record of its
+        # template
+        records[0]["size"] = -1
+        assert all(record["size"] != -1 for record in records[1:])
+    # far fewer decodes than the 21,027 cases
+    assert decodes < 21027 // 4
+    # the whole text mode: find_extremal reads each template's H and kind
+    # once to group it, and the printing pass decodes it once more
+    argv = ["extremal", "--universe", "8", "--k", "2..4", "--hmax", "3", "--r", "1..3",
+            "--kind", "both", "--zero-mode", "both"]
+    small = SearchSpace(8, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
+    expected = sum(
+        len({template for template, _ in group["cases"]._pairs})
+        for group in find_extremal(small, workers=1)
+    )
+    decoded.clear()
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(decoded) == 2 * expected
+    assert expected < sum(line.startswith("  A=") for line in lines)
+
+
 def test_every_read_path_of_a_case_record_matches_its_dict():
     # the groups are every equality case, byte for byte as before cases were
     # kept as pairs, so their text is the plain records to match
@@ -1120,7 +1244,7 @@ def test_every_read_path_of_a_case_record_matches_its_dict():
     # holding "a"
     shares = Counter(id(template) for template, _ in pairs)
     assert 0 < sum(n > 1 for n in shares.values()) < len(shares)
-    assert not any("a" in template for template, _ in pairs)
+    assert not any("a" in _fields(template) for template, _ in pairs)
     # every read path of each group's list, against the plain list
     for cases, plain in zip(lists, plains):
         n = len(cases)
@@ -1153,9 +1277,10 @@ def test_every_read_path_of_a_case_record_matches_its_dict():
 
 
 def test_sweep_templates_equal_check_inverse_records():
-    # every equality pair of a small space in both zero modes: the record the
-    # sweep lays out from judge, without a verdict, is case_record of the
-    # verdict check_inverse builds for the pair itself
+    # every equality pair of a small space in both zero modes: the template
+    # the sweep lays out from judge, without a verdict, is the text that
+    # case_record writes for the verdict check_inverse builds for the pair
+    # itself, and it reads back as that record
     space = SearchSpace(7, (1, 5), 4, (1, 4), zero_mode=ZeroMode.BOTH)
     equal = set()
     for A, H, kind in enumerate_pairs(space):
@@ -1166,16 +1291,19 @@ def test_sweep_templates_equal_check_inverse_records():
     assert len(pairs) == len(equal) > 100
     seen, facts = set(), set()
     for template, a_text in pairs:
-        sweep = {"a": a_text, **template}
-        A, H = IntSet(parse_elements(a_text)), HSet(parse_elements(template["h"]))
-        v = structure.check_inverse(A, H, SumsetKind(template["kind"]))
+        sweep = {"a": a_text, **_fields(template)}
+        A, H = IntSet(parse_elements(a_text)), HSet(parse_elements(sweep["h"]))
+        v = structure.check_inverse(A, H, SumsetKind(sweep["kind"]))
+        # an equality case's size is its bound, which the row's prefix holds
+        assert sweep["size"] == v.computed_size == v.bound_value
         expected = case_record(
-            template["h"], v.kind, A.elements[0] == 0, v.computed_size, v.bound_value, v.rule,
+            row_prefix(sweep["h"], v.kind, A.elements[0] == 0, v.bound_value), v.rule,
             (v.hypotheses_hold, v.structure_matches, v.consistent, v.is_nonstructured_equality),
-            astuple(v.structure_observed),
+            astuple(v.structure_observed), {},
         )
-        assert list(sweep.items()) == list({"a": a_text, **expected}.items())
-        seen.add((a_text, template["h"], template["kind"]))
+        assert template == expected
+        assert list(sweep.items()) == list({"a": a_text, **_fields(expected)}.items())
+        seen.add((a_text, sweep["h"], sweep["kind"]))
         facts.add((sweep["hypotheses_hold"], sweep["structure_matches"], sweep["nonstructured"]))
     assert seen == equal
     # both hypotheses met and unmet, structured and not
