@@ -229,7 +229,12 @@ def verdict_a_half(
     """The verdict inputs that look at A alone, from the increasing elements
     of a sign-reduced set: is it a progression, its difference, its first
     element beside a difference (else None), is it a dilated interval. In
-    one row, equal tuples give equal verdicts to equality cases."""
+    one row, equal tuples give equal verdicts to equality cases. A set of
+    k >= 3 whose span is not (k-1) times its first gap is no progression:
+    it takes the non-progression half before any gap is walked."""
+    k = len(elements)
+    if k > 2 and elements[-1] - elements[0] != (k - 1) * (elements[1] - elements[0]):
+        return NON_PROGRESSION_A_HALF
     ad = _progression(elements)
     if not ad.is_ap:
         return NON_PROGRESSION_A_HALF

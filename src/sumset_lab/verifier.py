@@ -21,10 +21,9 @@ bound once per chunk and never enters the walk. A leaf is never pushed:
 the walk rows still open at its parent are tested once against their
 bounds, and a walk row's hit of size s is each member's hit at s plus its
 offset. Only pairs that reach their bound go further. The A half of the
-verdict (A's progression and dilation, structure.verdict_a_half) is taken
-once per A that has a hit, and a set of k >= 3 whose span is not (k-1)
-times its first gap is no progression: it takes the non-progression half
-without the call. An equality case's size is its row's bound, so its
+verdict (A's progression and dilation, structure.verdict_a_half, whose
+span test turns most sets away before any gap is walked) is taken once per
+A that has a hit. An equality case's size is its row's bound, so its
 record less "a" depends on the row and A's half only: each chunk builds
 that template once per (row, observed facts) that occurs, laid out from
 structure.judge without any verdict dataclass, as the JSON text that
@@ -32,21 +31,23 @@ follows '{"a":' and A's text. That text is the row's prefix (H, the kind,
 0 in A, the size and the bound), encoded at the row's first equality case,
 where its H half (rule, hypotheses, H's progression and run) is derived,
 then a suffix (flags, rule, observed facts) encoded once per chunk. A case
-finds its template in its row's table, keyed by A's half; a violation is
-its own template. The constant rows' (template, lists) entries are
-resolved once per chunk and A half, so an A with no walk hit, as most are,
-goes straight to the keep loop, and any other merges its walk hits with
-them in row order. Every kept case is a (template, A text) pair, so a
-repeat costs its A text and one tuple, and chunk results cross the worker
-pool as plain tuples. Each report list is a CaseList over its pairs, read
-as the list of their records (a plain dict per read, "a" first, each
-template decoded once per pass), and encode_json writes a case as
-'{"a":', its A text and its template, encoding no template. A case
-that no list keeps, all of them being at the case cap, is only counted,
-and A's text is formatted once per A, only for a kept case. Each block is
-cut into contiguous chunks of at most 512 of its A-sets by combinatorial
-rank within the block, and each chunk resumes at its rank with
-itertools.combinations. The chunk is the one unit of work: it sets up
+finds its template in its row's table, keyed by judge's observed facts; a
+violation's is the row's prefix at its size, then its formula. The
+constant rows' (template, lists) entries are resolved once per chunk and A
+half, so an A with no walk hit, as most are, goes straight to the keep
+loop, and any other merges its walk hits with them in row order. Every
+kept case is a (template, A text) pair, so a repeat costs its A text and
+one tuple, and chunk results cross the worker pool as plain tuples. Each
+report list is a CaseList over its pairs, read as the list of their
+records (a plain dict per read, "a" first, each template decoded once per
+pass), and encode_json writes a case as '{"a":', its A text and its
+template, encoding no template. A case that no list keeps, all of them
+being at the case cap, is only counted, and A's text is formatted once per
+A, only for a kept case. A block is the k-subsets of [1, N], or the first
+C(N-1, k-1) k-subsets of [0, N-1] in lex order, which are those that hold
+0. Each block is cut into contiguous chunks of at most 512 of its A-sets
+by combinatorial rank within the block, and each chunk resumes at its rank
+with itertools.combinations. The chunk is the one unit of work: it sets up
 its block's rows and templates once and is one pool message. Chunk
 boundaries are independent of the worker count and chunk results merge in
 rank order as they finish, so the report is byte-identical no matter how
@@ -79,7 +80,6 @@ from .intset import HSet, IntSet, format_elements, parse_elements, require_int
 from .structure import (
     FACT_NAMES,
     FLAG_NAMES,
-    NON_PROGRESSION_A_HALF,
     judge,
     plain_fields,
     verdict_a_half,
@@ -99,9 +99,10 @@ _CHUNK_A_TASKS = 512
 class ZeroMode(Enum):
     """Whether enumerated sets are all-positive, contain 0, or both.
 
-    Without zero, A ranges over k-subsets of [1, N]; with zero, A is {0}
-    plus a (k-1)-subset of [1, N-1], so both modes draw from an N-element
-    universe and k always counts every element of A.
+    Without zero, A ranges over k-subsets of [1, N]; with zero, over the
+    k-subsets of [0, N-1] that hold 0 ({0} plus a (k-1)-subset of [1, N-1]),
+    so both modes draw from an N-element universe and k always counts every
+    element of A.
     """
 
     WITHOUT = "without-zero"
@@ -118,7 +119,8 @@ class ZeroMode(Enum):
 class SearchSpace:
     """Every (A, H, kind): A a k-subset of [1, universe_max] (see ZeroMode for
     0), H an r-subset of [1, h_max], k in k_range and r in r_range (inclusive).
-    A nonempty k_range must start at 1 or above and a nonempty r_range must lie
+    universe_max, h_max and each range end must be ints (else TypeError). A
+    nonempty k_range must start at 1 or above and a nonempty r_range must lie
     in 1..h_max (else ValueError); an empty range (lo > hi) gives an empty space."""
 
     universe_max: int
@@ -132,6 +134,12 @@ class SearchSpace:
         # stored as tuples, so that a space built from lists hashes and serializes
         for name in ("k_range", "r_range", "kinds"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        # a bool would be written into the report as true, a float fails mid-run
+        for name in ("universe_max", "h_max"):
+            require_int(name, getattr(self, name))
+        for name in ("k_range", "r_range"):
+            for end in getattr(self, name):
+                require_int(name, end)
         if self.universe_max < 1:
             raise ValueError("universe_max must be at least 1")
         if self.h_max < 1:
@@ -154,22 +162,25 @@ class SearchSpace:
     def r_values(self) -> range:
         return range(self.r_range[0], self.r_range[1] + 1)
 
-    def a_blocks(self) -> list[tuple[ZeroMode, int, range, int, int]]:
-        """(mode, k, positive universe, pick count, block size) per k-block."""
+    def a_blocks(self) -> list[tuple[ZeroMode, int, range, int]]:
+        """(mode, k, universe, block size) per k-block: the block is the
+        first size k-subsets of the universe in lex order. Without 0 the
+        universe is [1, N] and the block all of its k-subsets; with 0 it is
+        [0, N-1], whose first C(N-1, k-1) k-subsets are those that hold 0."""
         blocks = []
+        ks = self.k_values()
         for mode in self.zero_mode.modes():
             if mode is ZeroMode.WITHOUT:
                 universe = range(1, self.universe_max + 1)
+                sizes = _binomials(self.universe_max, ks)
             else:
-                universe = range(1, self.universe_max)
-            ks = self.k_values()
-            picks = ks if mode is ZeroMode.WITHOUT else range(ks.start - 1, ks.stop - 1)
-            for k, pick, count in zip(ks, picks, _binomials(len(universe), picks)):
-                blocks.append((mode, k, universe, pick, count))
+                universe = range(self.universe_max)
+                sizes = _binomials(self.universe_max - 1, range(ks.start - 1, ks.stop - 1))
+            blocks += [(mode, k, universe, size) for k, size in zip(ks, sizes)]
         return blocks
 
     def a_task_count(self) -> int:
-        return sum(block[4] for block in self.a_blocks())
+        return sum(block[-1] for block in self.a_blocks())
 
     def h_subset_count(self) -> int:
         return sum(_binomials(self.h_max, self.r_values()))
@@ -226,6 +237,7 @@ def _combinations_from(
 
 def _capped_count(space: SearchSpace, pair_cap: int) -> int:
     """The space's pair count; raises when it is above the cap."""
+    require_int("pair cap", pair_cap)
     count = space.enumeration_count()
     if count > pair_cap:
         raise SpaceTooLargeError(
@@ -257,10 +269,9 @@ def enumerate_pairs(
         for r in space.r_values()
         for h_combo in combinations(range(1, space.h_max + 1), r)
     ]
-    for mode, _k, universe, pick, _count in space.a_blocks():
-        zero = (0,) if mode is ZeroMode.WITH else ()
-        for elements in _combinations_from(universe, pick, 0):
-            A = IntSet(zero + elements)
+    for _mode, k, universe, size in space.a_blocks():
+        for elements in islice(combinations(universe, k), size):
+            A = IntSet(elements)
             for H in h_sets:
                 for kind in space.kinds:
                     yield A, H, kind
@@ -360,11 +371,11 @@ def _fields(template: str) -> dict:
     return json.loads("{" + template.removeprefix(","))
 
 
-def row_prefix(h_text: str, kind: SumsetKind, zero_in: bool, bound: int) -> str:
-    """The text that every equality template of a row starts with: H, the
-    kind, 0 in A, then the size and the bound, an equality case's size
-    being its row's bound."""
-    fields = {"h": h_text, "kind": kind.value, "zero_in_a": zero_in, "size": bound,
+def row_prefix(h_text: str, kind: SumsetKind, zero_in: bool, size: int, bound: int) -> str:
+    """The text that every template of a row and size starts with: H, the
+    kind, 0 in A, the size and the bound. An equality case's size is its
+    row's bound, and a violation's template goes on with its formula."""
+    fields = {"h": h_text, "kind": kind.value, "zero_in_a": zero_in, "size": size,
               "bound": bound}
     return _template(fields)[:-1]
 
@@ -389,7 +400,7 @@ def case_record(
 
 
 def _prefix_caps(
-    kind: SumsetKind, k: int, hs: tuple[int, ...], limit: int, zero_in: bool = False
+    kind: SumsetKind, k: int, hs: tuple[int, ...], limit: int, zero_in: bool
 ) -> tuple:
     """A row's cap at each prefix size m = 0..k, or None where the prefix
     lemmas (README) are not used: an ordinary row needs a nonempty prefix, a
@@ -505,25 +516,14 @@ def _walk(
         yield a, hits
 
 
-def _a_half(elements: tuple[int, ...], zero_in: bool) -> tuple:
-    """structure.verdict_a_half of A's elements. A set of k >= 3 elements
-    whose span is not (k-1) times its first gap is not a progression: it
-    takes the non-progression half without the call."""
-    k = len(elements)
-    if k > 2 and elements[-1] - elements[0] != (k - 1) * (elements[1] - elements[0]):
-        return NON_PROGRESSION_A_HALF
-    return verdict_a_half(elements, zero_in)
-
-
 def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
     """The A-sets of rank start..end-1, in lex order, of one a_blocks() block."""
-    space, (mode, k, universe, pick, _count), start, end, case_cap = args
+    space, (mode, k, universe, _size), start, end, case_cap = args
     zero_in = mode is ZeroMode.WITH
     acc = _Partial()
     # every sum the walk forms lies in [0, h_max*top], top the largest
     # element of the block's universe: one guard per chunk
-    top = space.universe_max - zero_in
-    sumset_ladder(IntSet((top,)), space.h_max, SumsetKind.ORDINARY)
+    sumset_ladder(IntSet((universe[-1],)), space.h_max, SumsetKind.ORDINARY)
     # the block's applicable (H, kind) rows, built per call (not cached):
     # patched formulas show, since a class key holds its row's bound, and a
     # row whose bound breaks its class's symmetry is walked apart. Each
@@ -560,12 +560,11 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
     constant.sort()
     # An equality case's size is its row's bound, so its record less "a"
     # depends on the row and A's half only. tables[i] is row i's H half,
-    # template prefix and templates, from its first equality case on: by_a
-    # maps A's half to a (template, lists its cases go to) pair, and
-    # by_facts holds each one once per judge's observed facts. suffixes
-    # holds each template's text after its prefix, once per chunk. A
-    # violation is its own template. A kept case is the pair (template, A
-    # text)
+    # template prefix and templates, from its first equality case on:
+    # by_facts maps judge's observed facts to a (template, lists its cases
+    # go to) pair. suffixes holds each template's text after its prefix,
+    # once per chunk. A violation's template is its row's prefix at its
+    # size, then its formula. A kept case is the pair (template, A text)
     tables = [None] * len(rows)
     suffixes = {}
 
@@ -574,43 +573,37 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
         the given half."""
         h_text, kind, outcome, H = rows[i]
         if size < outcome.value:
-            fields = {"h": h_text, "kind": kind.value, "zero_in_a": zero_in, "size": size,
-                      "bound": outcome.value, "formula": outcome.formula.identifier}
-            return i, _template(fields), (acc.violations,)
+            prefix = row_prefix(h_text, kind, zero_in, size, outcome.value)
+            formula = _template({"formula": outcome.formula.identifier})
+            return i, prefix + formula, (acc.violations,)
         table = tables[i]
         if table is None:
             h_half = verdict_h_half(kind, zero_in, k, H, outcome)
-            prefix = row_prefix(h_text, kind, zero_in, outcome.value)
-            table = tables[i] = (h_half, prefix, {}, {})
-        h_half, prefix, by_a, by_facts = table
-        entry = by_a.get(a_half)
+            prefix = row_prefix(h_text, kind, zero_in, outcome.value, outcome.value)
+            table = tables[i] = (h_half, prefix, {})
+        h_half, prefix, by_facts = table
+        _, flags, observed = judge(size, outcome, h_half, a_half)
+        entry = by_facts.get(observed)
         if entry is None:
-            _, flags, observed = judge(size, outcome, h_half, a_half)
-            entry = by_facts.get(observed)
-            if entry is None:
-                template = case_record(prefix, h_half[0], flags, observed, suffixes)
-                _, _, consistent, nonstructured = flags
-                lists = (acc.equality,)
-                if nonstructured:
-                    lists += (acc.nonstructured,)
-                if not consistent:
-                    lists += (acc.inconsistencies,)
-                entry = by_facts[observed] = (template, lists)
-            by_a[a_half] = entry
+            template = case_record(prefix, h_half[0], flags, observed, suffixes)
+            _, _, consistent, nonstructured = flags
+            lists = (acc.equality,)
+            if nonstructured:
+                lists += (acc.nonstructured,)
+            if not consistent:
+                lists += (acc.inconsistencies,)
+            entry = by_facts[observed] = (template, lists)
         return (i, *entry)
 
     # the constant rows' hits, resolved once per A's half: every A that is
     # not a progression shares one half, and most A-sets have no walk hit
     constants = {}
-    row_count = space.h_subset_count() * len(space.kinds)
-    a_sets = islice(_combinations_from(universe, pick, start), end - start)
-    if zero_in:
-        a_sets = map((0,).__add__, a_sets)
+    acc.pairs = (end - start) * space.h_subset_count() * len(space.kinds)
+    a_sets = islice(_combinations_from(universe, k, start), end - start)
     for elements, hits in _walk(a_sets, k, space.kinds, open_rows, space.h_max):
-        acc.pairs += row_count
         if not (hits or constant):
             continue
-        a_half = _a_half(elements, zero_in)
+        a_half = verdict_a_half(elements, zero_in)
         entries = constants.get(a_half)
         if entries is None:
             entries = constants[a_half] = [resolved(i, size, a_half) for i, size in constant]
@@ -761,7 +754,6 @@ def verify(
 ) -> VerificationReport:
     """Check every pair in the space; see VerificationReport for semantics."""
     require_int("case cap", case_cap)
-    require_int("pair cap", pair_cap)
     if workers is not None:
         require_int("worker count", workers)
     if case_cap < 0:
@@ -771,9 +763,9 @@ def verify(
     started = time.perf_counter()
     expected = _capped_count(space, pair_cap)
     chunk_args = [
-        (space, block, start, min(start + _CHUNK_A_TASKS, block[4]), case_cap)
+        (space, block, start, min(start + _CHUNK_A_TASKS, block[-1]), case_cap)
         for block in space.a_blocks()
-        for start in range(0, block[4], _CHUNK_A_TASKS)
+        for start in range(0, block[-1], _CHUNK_A_TASKS)
     ]
     # one process per _CHUNK_A_TASKS A-sets, not per chunk: a small space cut
     # into many small blocks still runs in process

@@ -64,6 +64,30 @@ def test_dilated_interval_matches_literal_definition():
             assert verdict_a_half(elements, zero_in) == half
 
 
+def test_verdict_a_half_span_test_agrees_with_the_gap_walk():
+    # a set of k >= 3 whose span is not (k-1) times its first gap is no
+    # progression and takes the non-progression half before any gap is
+    # walked; the reference walks every gap. Every k-subset of [1, 14] and
+    # every {0} plus a (k-1)-subset of [1, 13]
+    def reference(elements, zero_in):
+        ad = structure._progression(elements)
+        if not ad.is_ap:
+            return structure.NON_PROGRESSION_A_HALF
+        first = ad.first if ad.difference else None
+        return True, ad.difference, first, structure._dilation(ad, zero_in) is not None
+
+    sets = [c for k in range(1, 8) for c in combinations(range(1, 15), k)]
+    sets += [(0, *c) for k in range(1, 8) for c in combinations(range(1, 14), k - 1)]
+    assert len(sets) == 9907 + 4096
+    for elements in sets:
+        zero_in = elements[0] == 0
+        assert verdict_a_half(elements, zero_in) == reference(elements, zero_in)
+    # span 6 = 3 * (3 - 1), yet no progression: the span test lets it through
+    # to the gap walk, which finds the non-progression half
+    assert verdict_a_half((1, 3, 4, 7), False) == structure.NON_PROGRESSION_A_HALF
+    assert reference((1, 3, 4, 7), False) == structure.NON_PROGRESSION_A_HALF
+
+
 def test_h_shifted_interval():
     assert h_shifted_interval(HSet((3, 4, 5))) == (3, 3)
     assert h_shifted_interval(HSet((1, 3))) is None

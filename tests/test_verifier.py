@@ -6,6 +6,7 @@ import json
 import os
 import pickle
 import signal
+import sys
 import time
 import weakref
 from collections import Counter
@@ -76,6 +77,35 @@ def test_space_refuses_out_of_range_k_and_r(k_range, r_range, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"universe_max": True}, "universe_max True is not an integer"),
+        ({"universe_max": 6.0}, "universe_max 6.0 is not an integer"),
+        ({"h_max": 2.0}, "h_max 2.0 is not an integer"),
+        ({"k_range": (True, 2)}, "k_range True is not an integer"),
+        ({"k_range": (1, 2.5)}, "k_range 2.5 is not an integer"),
+        ({"r_range": (1, True)}, "r_range True is not an integer"),
+    ],
+)
+def test_space_refuses_non_int_bounds(fields, message):
+    # a bool bound would be written into the report as true, and a float
+    # one fails inside a_blocks: both are refused when the space is built
+    with pytest.raises(TypeError) as exc:
+        SearchSpace(**{"universe_max": 6, "k_range": (1, 2), "h_max": 2, "r_range": (1, 2),
+                       **fields})
+    assert str(exc.value) == message
+
+
+def test_enumerate_pairs_refuses_a_non_int_pair_cap():
+    # the pair cap is refused by the count both entry points share
+    space = SearchSpace(4, (2, 2), 2, (1, 2))
+    for run in (enumerate_pairs, verify):
+        with pytest.raises(TypeError) as exc:
+            list(run(space, pair_cap=True))
+        assert str(exc.value) == "pair cap True is not an integer"
+
+
 def test_enumeration_count_formula():
     space = SearchSpace(2, (1, 2), 2, (1, 2), kinds=(ORD,))
     assert space.enumeration_count() == 9
@@ -106,8 +136,7 @@ def test_enumeration_order_is_deterministic():
 
 
 def test_combinations_from_any_start():
-    # k > n and an empty universe included: the with-zero N=1 block picks
-    # 0 elements of an empty universe
+    # k > n and an empty universe included
     for n in range(8):
         universe = tuple(range(1, n + 1))
         for k in range(n + 2):
@@ -126,6 +155,23 @@ def test_combinations_from_any_start():
         assert next(resumed) == (universe[i], universe[j])
         following = islice(combinations(universe[i:], 2), j - i, j - i + 2)
         assert list(islice(resumed, 2)) == list(following)
+
+
+def test_with_zero_blocks_are_zero_and_the_subsets_of_one_less():
+    # a with-zero block is the first C(N-1, k-1) k-subsets of [0, N-1] in lex
+    # order: {0} plus each (k-1)-subset of [1, N-1], in lex order, and a
+    # chunk resumed at any rank below the block's size stays inside it
+    for n in range(1, 10):
+        blocks = SearchSpace(n, (1, n + 1), 1, (1, 1), zero_mode=ZeroMode.WITH).a_blocks()
+        assert [block[1] for block in blocks] == list(range(1, n + 2))
+        for mode, k, universe, size in blocks:
+            assert mode is ZeroMode.WITH and tuple(universe) == tuple(range(n))
+            block = [(0, *c) for c in combinations(range(1, n), k - 1)]
+            assert size == len(block)
+            assert list(islice(combinations(universe, k), size)) == block
+            for rank in range(size):
+                resumed = islice(_combinations_from(universe, k, rank), size - rank)
+                assert list(resumed) == block[rank:]
 
 
 def test_space_cap():
@@ -313,7 +359,7 @@ def _pin_cpus(monkeypatch, count):
 
 def _chunk_count(space):
     """The chunks verify runs: each block cut into runs of _CHUNK_A_TASKS."""
-    return sum(-(-block[4] // verifier._CHUNK_A_TASKS) for block in space.a_blocks())
+    return sum(-(-block[-1] // verifier._CHUNK_A_TASKS) for block in space.a_blocks())
 
 
 def _pool_cap(space):
@@ -324,7 +370,7 @@ def _pool_cap(space):
 def _run_blocks(space, case_cap):
     """Each block of the space run as one chunk, merged in rank order."""
     return verifier._merged(
-        (_run_chunk((space, block, 0, block[4], case_cap)) for block in space.a_blocks()),
+        (_run_chunk((space, block, 0, block[-1], case_cap)) for block in space.a_blocks()),
         case_cap,
     )
 
@@ -347,7 +393,7 @@ def test_report_bytes_do_not_depend_on_chunk_size(monkeypatch, same_json):
     _pin_cpus(monkeypatch, 2)
     space = SearchSpace(9, (1, 5), 4, (1, 4), zero_mode=ZeroMode.BOTH)
     total = space.a_task_count()
-    blocks, largest = len(space.a_blocks()), max(block[4] for block in space.a_blocks())
+    blocks, largest = len(space.a_blocks()), max(block[-1] for block in space.a_blocks())
     expected = verify(space, workers=1, case_cap=50).to_json()
     for size, workers in product((1, 7, 64, 512, total), (1, 2)):
         monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", size)
@@ -426,7 +472,7 @@ def test_equality_case_cap_truncates_lists_not_counts(monkeypatch):
     assert _pool_size(2, _pool_cap(space)) == 2
     # the first chunk in rank order: the head of the first block
     block = space.a_blocks()[0]
-    first = _run_chunk((space, block, 0, min(chunk_size, block[4]), 10**9))
+    first = _run_chunk((space, block, 0, min(chunk_size, block[-1]), 10**9))
     first_counts = [
         first.violations.count,
         first.equality.count,
@@ -550,7 +596,7 @@ def test_bound_violations_capped_per_chunk_counts_complete(monkeypatch, same_jso
     assert full.bound_violation_count == report.bound_violation_count
     assert full.bound_violations[:1] == report.bound_violations
     (block,) = space.a_blocks()
-    chunk = _run_chunk((space, block, 0, block[4], 1))
+    chunk = _run_chunk((space, block, 0, block[-1], 1))
     assert chunk.violations.count == report.bound_violation_count
     assert len(chunk.violations.kept) == 1  # capped before the merge
 
@@ -650,14 +696,14 @@ def test_prefix_caps_chain_g():
     # a restricted row is tested from m = h_1 = 2, below h_r
     assert bounds.catalog_bound(ORD, 6, HSet((2, 5)), False).value == 27
     assert bounds.catalog_bound(RES, 6, HSet((2, 5)), False).value == 13
-    assert _prefix_caps(ORD, 6, (2, 5), 27) == (None, 2, 7, 12, 17, 22, 27)
+    assert _prefix_caps(ORD, 6, (2, 5), 27, False) == (None, 2, 7, 12, 17, 22, 27)
     assert _prefix_caps(ORD, 6, (2, 5), 27, True) == (None, 2, 7, 12, 17, 22, 27)
-    assert _prefix_caps(RES, 6, (2, 5), 13) == (None, None, 1, 3, 5, 8, 13)
+    assert _prefix_caps(RES, 6, (2, 5), 13, False) == (None, None, 1, 3, 5, 8, 13)
     # H = {2, 3}: e(2) = 1 without 0, but not with 0 in A, where g(2) = 2
     assert _prefix_caps(RES, 4, (2, 3), 6, True) == (None, None, 1, 3, 6)
     assert _prefix_caps(RES, 4, (2, 3), 7, False) == (None, None, 1, 4, 7)
     # with h_1 = h_r = k the only cap is the bound
-    assert _prefix_caps(RES, 3, (3,), 1) == (None, None, None, 1)
+    assert _prefix_caps(RES, 3, (3,), 1, False) == (None, None, None, 1)
 
 
 def _brute_force_sizes(space):
@@ -1060,7 +1106,7 @@ def test_case_records_are_read_only(same_json):
     same_json(report.to_json(), blob)
     # the pool path: a chunk's pairs cross as pickles of plain tuples, and
     # every case of a template still shares it
-    chunk = _run_chunk((space, space.a_blocks()[2], 0, space.a_blocks()[2][4], 10**9))
+    chunk = _run_chunk((space, space.a_blocks()[2], 0, space.a_blocks()[2][-1], 10**9))
     twin = pickle.loads(pickle.dumps(chunk))
     for part in (chunk, twin):
         assert all(type(pair) is tuple for pair in part.equality.kept)
@@ -1106,37 +1152,32 @@ def test_acceptance_space_builds_one_template_per_row_and_facts(monkeypatch):
     assert len({id(template) for template, _ in pairs}) == 2536
 
 
-def test_chunk_a_half_equals_verdict_a_half():
-    # a set of k >= 3 whose span is not (k-1) times its first gap is no
-    # progression and takes the non-progression half without the call; every
-    # k-subset of [1, 14] and every {0} plus a (k-1)-subset of [1, 13]
-    sets = [c for k in range(1, 8) for c in combinations(range(1, 15), k)]
-    sets += [(0, *c) for k in range(1, 8) for c in combinations(range(1, 14), k - 1)]
-    assert len(sets) == 9907 + 4096
-    for elements in sets:
-        zero_in = elements[0] == 0
-        assert verifier._a_half(elements, zero_in) == structure.verdict_a_half(elements, zero_in)
-    # span 6 = 3 * (3 - 1), yet no progression: the span test lets it through
-    # to verdict_a_half, which finds the non-progression half
-    assert verifier._a_half((1, 3, 4, 7), False) == structure.NON_PROGRESSION_A_HALF
-
-
-def test_chunks_call_verdict_a_half_only_past_the_span_test(monkeypatch):
+def test_chunks_call_verdict_a_half_once_per_a_and_walk_gaps_past_the_span_test(monkeypatch):
     # every A of the acceptance space has a constant row's hit, so each one
-    # takes its half; only the sets of k <= 2 and those whose span is k-1
-    # times their first gap call verdict_a_half
-    calls = []
+    # takes its half from one verdict_a_half call; only the sets of k <= 2
+    # and those whose span is k-1 times their first gap reach _progression
+    calls, walked = [], []
     _count_calls(monkeypatch, verifier, "verdict_a_half", calls)
+    progression = structure._progression
+
+    def counted(elements):
+        walked.append((sys._getframe(1).f_code.co_name, elements))
+        return progression(elements)
+
+    monkeypatch.setattr(structure, "_progression", counted)
     report = verify(_ACCEPTANCE, workers=1)
     assert report.equality_case_count == 21027
-    passing = []
-    for mode, k, universe, pick, _ in _ACCEPTANCE.a_blocks():
-        zero = (0,) if mode is ZeroMode.WITH else ()
-        for c in combinations(universe, pick):
-            a = zero + c
+    every, passing = [], []
+    for mode, k, universe, size in _ACCEPTANCE.a_blocks():
+        for a in islice(combinations(universe, k), size):
+            every.append((a, mode is ZeroMode.WITH))
             if k <= 2 or a[-1] - a[0] == (k - 1) * (a[1] - a[0]):
-                passing.append((a, mode is ZeroMode.WITH))
-    assert calls == passing and len(calls) == 335
+                passing.append(a)
+    assert calls == every and len(calls) == 3520
+    # verdict_h_half walks each row's H through ap_descriptor: leave those out
+    a_walks = [elements for caller, elements in walked if caller == "verdict_a_half"]
+    assert {caller for caller, _ in walked} == {"verdict_a_half", "ap_descriptor"}
+    assert a_walks == passing and len(a_walks) == 335
 
 
 class _CountingEncoder:
@@ -1160,9 +1201,9 @@ def test_templates_are_encoded_per_row_and_suffix_and_to_json_encodes_none(monke
     _count_calls(monkeypatch, verifier, "case_record", built)
     per_chunk = []
     for block in _ACCEPTANCE.a_blocks():
-        for start in range(0, block[4], verifier._CHUNK_A_TASKS):
+        for start in range(0, block[-1], verifier._CHUNK_A_TASKS):
             encoded.clear()
-            end = min(start + verifier._CHUNK_A_TASKS, block[4])
+            end = min(start + verifier._CHUNK_A_TASKS, block[-1])
             chunk = _run_chunk((_ACCEPTANCE, block, start, end, 10**9))
             prefixes = [value for value in encoded if "h" in value]
             suffixes = [value for value in encoded if "rule" in value]
@@ -1297,7 +1338,8 @@ def test_sweep_templates_equal_check_inverse_records():
         # an equality case's size is its bound, which the row's prefix holds
         assert sweep["size"] == v.computed_size == v.bound_value
         expected = case_record(
-            row_prefix(sweep["h"], v.kind, A.elements[0] == 0, v.bound_value), v.rule,
+            row_prefix(sweep["h"], v.kind, A.elements[0] == 0, v.bound_value, v.bound_value),
+            v.rule,
             (v.hypotheses_hold, v.structure_matches, v.consistent, v.is_nonstructured_equality),
             astuple(v.structure_observed), {},
         )
