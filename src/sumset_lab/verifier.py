@@ -14,16 +14,17 @@ restricted one g(j) = max(H ∩ [1, j]), plus 1 when j+1 is in H unless 0 is
 in A and g(j) = j. Rows of one kind whose sizes differ by a fixed offset
 on every A and whose bounds differ by the same offset form a class (the
 README's "Row classes": a restricted H, k - H and H plus a top k, and with
-0 in A the ordinary rows of one h_r), and a class is one walk row, headed
-by its member of least h_r: it carries (row index, size offset) pairs. A
-class of fixed size (H = {1}, or a restricted {k}) is compared with its
-bound once per chunk and never enters the walk. A leaf is never pushed:
-the walk rows still open at its parent are tested once against their
-bounds, and a walk row's hit of size s is each member's hit at s plus its
-offset. Only pairs that reach their bound go further. The A half of the
-verdict (A's progression and dilation, structure.verdict_a_half, whose
-span test turns most sets away before any gap is walked) is taken once per
-A that has a hit. An equality case's size is its row's bound, so its
+0 in A the ordinary rows of one h_r). A class is its key (H walked, limit)
+and one walk row, built in one pass in row order: the key's H, of least
+h_r in the class, under its own caps, carrying each member's (row index,
+size offset). A class of fixed size (H = {1}, or a restricted {k}) is
+compared with its bound once per chunk and never enters the walk. A leaf
+is never pushed: the walk rows still open at its parent are tested once
+against their bounds, and a walk row's hit of size s is each member's hit
+at s plus its offset. Only pairs that reach their bound go further. The A
+half of the verdict (A's progression and dilation, structure.verdict_a_half,
+whose span test turns most sets away before any gap is walked) is taken
+once per A that has a hit. An equality case's size is its row's bound, so its
 record less "a" depends on the row and A's half only: each chunk builds
 that template once per (row, observed facts) that occurs, laid out from
 structure.judge without any verdict dataclass, as the JSON text that
@@ -32,10 +33,10 @@ follows '{"a":' and A's text. That text is the row's prefix (H, the kind,
 where its H half (rule, hypotheses, H's progression and run) is derived,
 then a suffix (flags, rule, observed facts) encoded once per chunk. A case
 finds its template in its row's table, keyed by judge's observed facts; a
-violation's is the row's prefix at its size, then its formula. The
-constant rows' (template, lists) entries are resolved once per chunk and A
-half, so an A with no walk hit, as most are, goes straight to the keep
-loop, and any other merges its walk hits with them in row order. Every
+violation's is the row's prefix at its size, then its formula. An A's
+(template, lists) entries, its constant and walk hits in row order, depend
+on its half and walk hits alone, so each chunk resolves them once per
+(half, hits): an A with no walk hit, as most are, shares its half's. Every
 kept case is a (template, A text) pair, so a repeat costs its A text and
 one tuple, and chunk results cross the worker pool as plain tuples. Each
 report list is a CaseList over its pairs, read as the list of their
@@ -120,8 +121,9 @@ class SearchSpace:
     """Every (A, H, kind): A a k-subset of [1, universe_max] (see ZeroMode for
     0), H an r-subset of [1, h_max], k in k_range and r in r_range (inclusive).
     universe_max, h_max and each range end must be ints (else TypeError). A
-    nonempty k_range must start at 1 or above and a nonempty r_range must lie
-    in 1..h_max (else ValueError); an empty range (lo > hi) gives an empty space."""
+    range must be two values (lo, hi), a nonempty k_range must start at 1 or
+    above and a nonempty r_range lie in 1..h_max (else ValueError); an empty
+    range (lo > hi) gives an empty space."""
 
     universe_max: int
     k_range: tuple[int, int]
@@ -131,14 +133,18 @@ class SearchSpace:
     zero_mode: ZeroMode = ZeroMode.WITHOUT
 
     def __post_init__(self) -> None:
-        # stored as tuples, so that a space built from lists hashes and serializes
-        for name in ("k_range", "r_range", "kinds"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        # a bool would be written into the report as true, a float fails mid-run
+        # stored as tuples, so that a space built from lists hashes and
+        # serializes; a bool would be written into the report as true, and a
+        # float fails mid-run
+        object.__setattr__(self, "kinds", tuple(self.kinds))
         for name in ("universe_max", "h_max"):
             require_int(name, getattr(self, name))
         for name in ("k_range", "r_range"):
-            for end in getattr(self, name):
+            ends = getattr(self, name)
+            if not isinstance(ends, (tuple, list)) or len(ends) != 2:
+                raise ValueError(f"{name} must be two ints (lo, hi), got {ends!r}")
+            object.__setattr__(self, name, tuple(ends))
+            for end in ends:
                 require_int(name, end)
         if self.universe_max < 1:
             raise ValueError("universe_max must be at least 1")
@@ -182,6 +188,11 @@ class SearchSpace:
     def a_task_count(self) -> int:
         return sum(block[-1] for block in self.a_blocks())
 
+    def h_combos(self) -> Iterator[tuple[int, ...]]:
+        """Every H as an increasing tuple, by size and then lex (report order)."""
+        multiplicities = range(1, self.h_max + 1)
+        return chain.from_iterable(combinations(multiplicities, r) for r in self.r_values())
+
     def h_subset_count(self) -> int:
         return sum(_binomials(self.h_max, self.r_values()))
 
@@ -195,9 +206,9 @@ class SearchSpace:
     def from_dict(cls, data: dict) -> SearchSpace:
         return cls(
             universe_max=data["universe_max"],
-            k_range=tuple(data["k_range"]),
+            k_range=data["k_range"],
             h_max=data["h_max"],
-            r_range=tuple(data["r_range"]),
+            r_range=data["r_range"],
             kinds=tuple(SumsetKind(v) for v in data["kinds"]),
             zero_mode=ZeroMode(data["zero_mode"]),
         )
@@ -264,11 +275,7 @@ def enumerate_pairs(
 ) -> Iterator[tuple[IntSet, HSet, SumsetKind]]:
     """Every pair exactly once, ordered by (zero mode, k, A, r, H, kind)."""
     _capped_count(space, pair_cap)
-    h_sets = [
-        HSet(h_combo)
-        for r in space.r_values()
-        for h_combo in combinations(range(1, space.h_max + 1), r)
-    ]
+    h_sets = [HSet(h_combo) for h_combo in space.h_combos()]
     for _mode, k, universe, size in space.a_blocks():
         for elements in islice(combinations(universe, k), size):
             A = IntSet(elements)
@@ -423,27 +430,25 @@ def _prefix_caps(
 
 def _row_class(
     kind: SumsetKind, k: int, hs: tuple[int, ...], value: int, zero_in: bool
-) -> tuple[tuple, int, tuple[int, ...]]:
-    """A row's class key, its size offset and the rungs it ORs. Rows of one
-    key have sizes that differ by their offsets alone, on every A, and the
-    same bound less offset, so they hit on the same A-sets (README "Row
-    classes"). An ordinary row's key is (rungs ORed, bound), its offset 0:
-    with 0 in A it ORs its top rung, and its caps follow from h_r and the
-    bound. A restricted row is keyed by H' and its bound less its offset.
-    Without 0 in A, an H other than {k} that holds k is one larger than
-    H' = H less k, its offset 1 (k^A = {ΣA} lies above every other
-    restricted sum); otherwise H' = H and the offset is 0. H' is then
-    replaced by the lesser of H' and k - H' when max H' < k, since
-    h^A = ΣA - (k-h)^A."""
+) -> tuple[tuple[tuple[int, ...], int], int]:
+    """A row's class key (H walked, limit) and its size offset. On every A a
+    row's size is the walked H's plus its offset, and its bound is the limit
+    plus the same offset, so the rows of one key hit on the same A-sets
+    (README "Row classes"). An ordinary row walks its H, or with 0 in A its
+    top rung alone, under its bound, offset 0. A restricted row walks H'
+    under its bound less its offset. Without 0 in A, an H other than {k}
+    that holds k is one larger than H' = H less k, its offset 1 (k^A = {ΣA}
+    lies above every other restricted sum); otherwise H' = H and the offset
+    is 0. H' is then replaced by the lesser of H' and k - H' when max H' < k,
+    since h^A = ΣA - (k-h)^A: the lesser has the least h_r of its class."""
     if kind is SumsetKind.ORDINARY:
-        walked = hs[-1:] if zero_in else hs
-        return (walked, value), 0, walked
+        return (hs[-1:] if zero_in else hs, value), 0
     offset, rest = 0, hs
     if not zero_in and hs[-1] == k and len(hs) > 1:
         offset, rest = 1, hs[:-1]
     if rest[-1] < k:
         rest = min(rest, tuple(k - h for h in reversed(rest)))
-    return (rest, value - offset), offset, hs
+    return (rest, value - offset), offset
 
 
 def _walk(
@@ -454,9 +459,10 @@ def _walk(
     (row index, size) for the walk rows' members whose union of A is at
     most their bound, in no set order. The constant rows never enter the walk,
     and their hits are not among these. open_rows holds each kind's walk
-    rows (members, rungs ORed, caps): a walk row is the head of a class,
-    and its members are (row index, size offset) pairs; a member's size is
-    the head's plus its offset, and it hits exactly when the head does.
+    rows (members, rungs ORed, caps): a walk row is a class key's H under
+    its caps, and its members are (row index, size offset) pairs; a
+    member's size is the walk row's plus its offset, and it hits exactly
+    when the walk row does.
 
     The sets come in lex order, so consecutive ones share a prefix. A stack
     holds, per prefix length below k, each kind's rungs of that prefix as
@@ -524,40 +530,33 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
     # every sum the walk forms lies in [0, h_max*top], top the largest
     # element of the block's universe: one guard per chunk
     sumset_ladder(IntSet((universe[-1],)), space.h_max, SumsetKind.ORDINARY)
-    # the block's applicable (H, kind) rows, built per call (not cached):
-    # patched formulas show, since a class key holds its row's bound, and a
-    # row whose bound breaks its class's symmetry is walked apart. Each
-    # kind's rows are grouped by _row_class
-    rows, classes = [], [{} for _ in space.kinds]
-    for r in space.r_values():
-        for h_combo in combinations(range(1, space.h_max + 1), r):
-            H = HSet(h_combo)
-            h_text = format_elements(h_combo)
-            for kind, kind_classes in zip(space.kinds, classes):
-                outcome = bounds.catalog_bound(kind, k, H, zero_in)
-                if outcome.applicable:
-                    key, offset, walked = _row_class(kind, k, h_combo, outcome.value, zero_in)
-                    kind_classes.setdefault(key, []).append((len(rows), offset, walked))
-                    rows.append((h_text, kind, outcome, H))
-    # A class whose key is {1} has size k plus each member's offset on every
-    # A, and a restricted {k} has size 1: such a constant class is compared
-    # with its bound here, once, and never walked. Any other class is one
-    # walk row, headed by its member of least h_r, under that member's caps
-    open_rows, constant = [], []
-    for kind, kind_classes in zip(space.kinds, classes):
-        kind_rows = []
-        for (base, limit), members in kind_classes.items():
-            if base == (1,) or (base == (k,) and kind is SumsetKind.RESTRICTED):
-                size = k if base == (1,) else 1
-                if size <= limit:
-                    constant += [(index, size + offset) for index, offset, _ in members]
+    # the block's applicable (H, kind) rows in one pass, built per call (not
+    # cached): patched formulas show, since a class key holds its row's
+    # bound, and a row whose bound breaks its class's symmetry is walked
+    # apart. A key H of {1} has size k on every A and a restricted {k} size
+    # 1: such a constant row is compared with its bound here, once. Any
+    # other key is one walk row, made at its first member, under its caps
+    rows, constant, open_rows, walk_rows = [], [], [[] for _ in space.kinds], {}
+    for h_combo in space.h_combos():
+        H = HSet(h_combo)
+        h_text = format_elements(h_combo)
+        for kind, kind_rows in zip(space.kinds, open_rows):
+            outcome = bounds.catalog_bound(kind, k, H, zero_in)
+            if not outcome.applicable:
                 continue
-            _, head_offset, hs = min(members, key=lambda member: member[2][-1])
-            caps = _prefix_caps(kind, k, hs, limit + head_offset, zero_in)
-            pairs = [(index, offset - head_offset) for index, offset, _ in members]
-            kind_rows.append((pairs, hs, caps))
-        open_rows.append(kind_rows)
-    constant.sort()
+            (walked, limit), offset = _row_class(kind, k, h_combo, outcome.value, zero_in)
+            if walked == (1,) or (walked == (k,) and kind is SumsetKind.RESTRICTED):
+                size = k if walked == (1,) else 1
+                if size <= limit:
+                    constant.append((len(rows), size + offset))
+            else:
+                members = walk_rows.get((kind, walked, limit))
+                if members is None:
+                    members = walk_rows[kind, walked, limit] = []
+                    caps = _prefix_caps(kind, k, walked, limit, zero_in)
+                    kind_rows.append((members, walked, caps))
+                members.append((len(rows), offset))
+            rows.append((h_text, kind, outcome, H))
     # An equality case's size is its row's bound, so its record less "a"
     # depends on the row and A's half only. tables[i] is row i's H half,
     # template prefix and templates, from its first equality case on:
@@ -568,14 +567,14 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
     tables = [None] * len(rows)
     suffixes = {}
 
-    def resolved(i: int, size: int, a_half: tuple) -> tuple[int, str, tuple]:
-        """(i, template, lists) for row i's hit of the given size on an A of
+    def resolved(i: int, size: int, a_half: tuple) -> tuple[str, tuple]:
+        """(template, lists) for row i's hit of the given size on an A of
         the given half."""
         h_text, kind, outcome, H = rows[i]
         if size < outcome.value:
             prefix = row_prefix(h_text, kind, zero_in, size, outcome.value)
             formula = _template({"formula": outcome.formula.identifier})
-            return i, prefix + formula, (acc.violations,)
+            return prefix + formula, (acc.violations,)
         table = tables[i]
         if table is None:
             h_half = verdict_h_half(kind, zero_in, k, H, outcome)
@@ -593,27 +592,26 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
             if not consistent:
                 lists += (acc.inconsistencies,)
             entry = by_facts[observed] = (template, lists)
-        return (i, *entry)
+        return entry
 
-    # the constant rows' hits, resolved once per A's half: every A that is
-    # not a progression shares one half, and most A-sets have no walk hit
-    constants = {}
+    # an A's entries in row order follow from its half and walk hits (the
+    # constant rows' hits are every A's): resolved once per (half, hits).
+    # Every A that is not a progression shares one half; most have no hit
+    entries_by = {}
     acc.pairs = (end - start) * space.h_subset_count() * len(space.kinds)
     a_sets = islice(_combinations_from(universe, k, start), end - start)
     for elements, hits in _walk(a_sets, k, space.kinds, open_rows, space.h_max):
         if not (hits or constant):
             continue
         a_half = verdict_a_half(elements, zero_in)
-        entries = constants.get(a_half)
+        hits.sort()
+        key = (a_half, *hits)
+        entries = entries_by.get(key)
         if entries is None:
-            entries = constants[a_half] = [resolved(i, size, a_half) for i, size in constant]
-        if hits:  # in row order, with the constant rows'
-            entries = sorted(
-                entries + [resolved(i, size, a_half) for i, size in hits], key=operator.itemgetter(0)
-            )
+            entries = entries_by[key] = [resolved(i, s, a_half) for i, s in sorted(constant + hits)]
         # A's text once per A, and only for a kept case
         a_text = None
-        for _, template, lists in entries:
+        for template, lists in entries:
             pair = None  # one tuple for every list the case is kept in
             for cases in lists:
                 cases.count += 1

@@ -77,6 +77,33 @@ def test_space_refuses_out_of_range_k_and_r(k_range, r_range, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("name", ["k_range", "r_range"])
+@pytest.mark.parametrize("ends", [(2,), 6, (1, 2, 3), None])
+def test_space_refuses_a_range_that_is_not_two_ints(name, ends):
+    # (2,) used to fail on unpacking and 6 on iterating, neither naming the
+    # range; from a report, the same message
+    with pytest.raises(ValueError) as exc:
+        SearchSpace(**{"universe_max": 6, "k_range": (1, 2), "h_max": 2, "r_range": (1, 2),
+                       name: ends})
+    assert str(exc.value) == f"{name} must be two ints (lo, hi), got {ends!r}"
+    data = SearchSpace(6, (1, 2), 2, (1, 2)).to_dict()
+    data[name] = list(ends) if type(ends) is tuple else ends
+    with pytest.raises(ValueError, match=f"^{name} must be two ints"):
+        SearchSpace.from_dict(data)
+
+
+def test_h_combos_is_the_report_h_order():
+    # by size, then lex: the order of enumerate_pairs and of a chunk's rows
+    space = SearchSpace(4, (2, 2), 4, (2, 3), kinds=(ORD,))
+    combos = list(space.h_combos())
+    assert combos == sorted(combos, key=lambda hs: (len(hs), hs))
+    assert combos[:3] == [(1, 2), (1, 3), (1, 4)] and combos[-1] == (2, 3, 4)
+    assert len(combos) == space.h_subset_count() == 10
+    pairs = list(enumerate_pairs(space))
+    assert [H.elements for _, H, _ in pairs[: len(combos)]] == combos
+    assert list(SearchSpace(4, (2, 2), 4, (3, 2)).h_combos()) == []
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
@@ -828,6 +855,27 @@ def test_patched_constant_row_matches_brute_force(monkeypatch, near_sizes, shift
         assert hits == []
 
 
+# restricted H of size 3 alone: a row H' ∪ {k} is walked as its key H' (or
+# k - H'), of size 2, which is no row of the space
+_TOP_K_SPACE = SearchSpace(9, (3, 6), 6, (3, 3), kinds=(RES,))
+
+
+def test_walk_row_that_is_no_row_matches_brute_force(monkeypatch):
+    # the key's H, under its own caps, decides each of its members
+    rows, keys = set(), set()
+    for k in _TOP_K_SPACE.k_values():
+        for hs in _TOP_K_SPACE.h_combos():
+            outcome = bounds.catalog_bound(RES, k, HSet(hs), False)
+            if outcome.applicable:
+                (walked, _), _ = verifier._row_class(RES, k, hs, outcome.value, False)
+                rows.add((k, hs))
+                keys.add((k, walked))
+    assert len(keys - rows) == 13 and (5, (1, 2)) in keys - rows
+    sizes = _brute_force_sizes(_TOP_K_SPACE)
+    counts = _sweep_counts_near_the_bound(monkeypatch, _TOP_K_SPACE, sizes)
+    assert counts == [(41, 0), (490, 41), (364, 531)]
+
+
 @pytest.mark.deep
 def test_deep_acceptance_space_matches_brute_force(monkeypatch):
     # the walk pair by pair on the whole acceptance space, near the bound:
@@ -1140,13 +1188,15 @@ _ACCEPTANCE = SearchSpace(12, (2, 6), 6, (1, 6), zero_mode=ZeroMode.BOTH)
 
 def test_acceptance_space_builds_one_template_per_row_and_facts(monkeypatch):
     # a template per (row, A's observed facts) and one pair per case: a
-    # per-row table that rebuilt templates would raise the first count
-    built, verdicts = [], []
+    # per-row table that rebuilt templates would raise the first count. A
+    # chunk judges each equality hit once per (A's half, walk hits) it meets
+    built, verdicts, judged = [], [], []
     _count_calls(monkeypatch, verifier, "case_record", built)
     _count_calls(monkeypatch, structure, "build_verdict", verdicts)
+    _count_calls(monkeypatch, verifier, "judge", judged)
     report = verify(_ACCEPTANCE, workers=1)
     assert report.equality_case_count == len(report.equality_cases) == 21027
-    assert len(built) == 2536 and verdicts == []
+    assert len(built) == 2536 and verdicts == [] and len(judged) == 3545
     pairs = report.equality_cases._pairs
     assert len(pairs) == 21027
     assert len({id(template) for template, _ in pairs}) == 2536
