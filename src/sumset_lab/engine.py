@@ -219,7 +219,7 @@ def sumset_ladder(A: IntSet, h_max: int, kind: SumsetKind) -> list[int]:
 
     Rungs may carry dead low bits below the true minimum; entries beyond |A|
     in restricted mode are empty. Its one caller in the package is the
-    sweep's per-chunk int64 guard, which builds the ladder of {top} only to
+    sweep's per-block int64 guard, which builds the ladder of {top} only to
     run this guard.
     """
     _require_nonempty(A)

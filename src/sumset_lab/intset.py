@@ -109,10 +109,6 @@ class HSet(IntSet):
             raise ValueError("multiplicities must be nonnegative")
 
     @property
-    def r(self) -> int:
-        return len(self.elements)
-
-    @property
     def all_positive(self) -> bool:
         return bool(self.elements) and self.elements[0] >= 1
 

@@ -3,9 +3,9 @@
 Enumerates every (A, H, kind) pair in a search space, checks each computed
 size against its catalog bound, runs the inverse check on every equality
 case, and folds everything into a machine-readable report. A bound depends
-on (kind, k, H, 0 in A) only, and a chunk's A-sets all lie in one (k,
-zero-mode) block, so each chunk looks it up once and reads that table for
-every A. A block's sets come in lex order and are walked as a prefix tree:
+on (kind, k, H, 0 in A) only, and a chunk is one (k, zero-mode) block, so
+each chunk looks it up once and reads that table for every A. A block's
+sets come in lex order and are walked as a prefix tree:
 each prefix extends its parent's rungs by one element, and a row whose
 union of a prefix is above the row's prefix cap is closed for the whole
 subtree. The cap is the bound less the sums each missing element j is sure
@@ -46,17 +46,18 @@ template, encoding no template. A case that no list keeps, all of them
 being at the case cap, is only counted, and A's text is formatted once per
 A, only for a kept case. A block is the k-subsets of [1, N], or the first
 C(N-1, k-1) k-subsets of [0, N-1] in lex order, which are those that hold
-0. Each block is cut into contiguous chunks of at most 512 of its A-sets
-by combinatorial rank within the block, and each chunk resumes at its rank
-with itertools.combinations. The chunk is the one unit of work: it sets up
-its block's rows and templates once and is one pool message. Chunk
-boundaries are independent of the worker count and chunk results merge in
-rank order as they finish, so the report is byte-identical no matter how
+0. Each nonempty block is one chunk, the one unit of work: it runs the
+int64 guard, sets up its rows and templates once, walks its sets with
+itertools.combinations and is one pool message. Chunk results merge in
+block order as they finish, so the report is byte-identical no matter how
 many workers ran. Chunks run in process or on a ProcessPoolExecutor of at
-most one process per 512 A-sets of the space, where a worker that dies
-fails the run with WorkerLostError instead of leaving it waiting. Each
-case list stops at the case cap, in a chunk and in the merge alike, so
-memory follows the cap rather than the number of cases.
+most one process per 512 A-sets of the space and per block, where a
+worker that dies fails the run with WorkerLostError instead of leaving it
+waiting. A block is never split across processes, so a space of one block
+runs in process at any worker count: that costs wall time on a large
+single-block space, and saves the set-up that every split would repeat.
+Each case list stops at the case cap, in a chunk and in the merge alike,
+so memory follows the cap rather than the number of cases.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ REPORT_VERSION = "sumset-lab-report/1"
 DEFAULT_PAIR_CAP = 10**8
 DEFAULT_CASE_CAP = 10**5
 
-# A-sets per work chunk; fixed so that chunking never depends on worker count
-_CHUNK_A_TASKS = 512
+# the pool's clamp: at most one worker process per this many A-sets
+_A_SETS_PER_PROCESS = 512
 
 
 class ZeroMode(Enum):
@@ -135,7 +136,10 @@ class SearchSpace:
     def __post_init__(self) -> None:
         # stored as tuples, so that a space built from lists hashes and
         # serializes; a bool would be written into the report as true, and a
-        # float fails mid-run
+        # float fails mid-run. A lone kind or a string is refused by name
+        # rather than iterated
+        if not isinstance(self.kinds, (tuple, list)):
+            raise TypeError(f"kinds must be a tuple or list of SumsetKind, got {self.kinds!r}")
         object.__setattr__(self, "kinds", tuple(self.kinds))
         for name in ("universe_max", "h_max"):
             require_int(name, getattr(self, name))
@@ -223,27 +227,10 @@ def _binomials(n: int, picks: range) -> list[int]:
     return counts
 
 
-def _combinations_from(
-    universe: Sequence[int], k: int, rank: int
-) -> Iterator[tuple[int, ...]]:
-    """k-subsets of universe in lex order, starting at the given rank. Lex
-    order finishes the subsets that start with the rank-th one's first
-    element, then goes on with every k-subset of the elements after it;
-    applied to each element of the rank-th subset in turn, behind the ones
-    before it, that leaves one combinations() tail per element. The first
-    element is found by bisection: C(n, k) - C(n - i, k) subsets start
-    before universe[i], so a resume costs O(k log n) comb calls."""
-    if rank >= comb(len(universe), k):
-        return iter(())
-    prefix, tails = (), []
-    while rank:
-        n, total = len(universe), comb(len(universe), k)
-        i = bisect_right(range(n), rank, key=lambda i: total - comb(n - i, k)) - 1
-        rank -= total - comb(n - i, k)
-        rest = universe[i + 1 :]
-        tails.append(map(prefix.__add__, combinations(rest, k)))
-        prefix, universe, k = prefix + (universe[i],), rest, k - 1
-    return chain(map(prefix.__add__, combinations(universe, k)), *reversed(tails))
+def _block_sets(block: tuple[ZeroMode, int, range, int]) -> Iterator[tuple[int, ...]]:
+    """An a_blocks() block's A-sets as increasing tuples, in lex order."""
+    _mode, k, universe, size = block
+    return islice(combinations(universe, k), size)
 
 
 def _capped_count(space: SearchSpace, pair_cap: int) -> int:
@@ -276,8 +263,8 @@ def enumerate_pairs(
     """Every pair exactly once, ordered by (zero mode, k, A, r, H, kind)."""
     _capped_count(space, pair_cap)
     h_sets = [HSet(h_combo) for h_combo in space.h_combos()]
-    for _mode, k, universe, size in space.a_blocks():
-        for elements in islice(combinations(universe, k), size):
+    for block in space.a_blocks():
+        for elements in _block_sets(block):
             A = IntSet(elements)
             for H in h_sets:
                 for kind in space.kinds:
@@ -307,7 +294,7 @@ class _Partial:
 
 
 def _merged(parts: Iterable[_Partial], case_cap: int) -> _Partial:
-    """Fold chunk results in rank order as they arrive. Each list stops at
+    """Fold chunk results in block order as they arrive. Each list stops at
     the cap, so the merge never holds more than case_cap pairs per list and
     a chunk's result is dropped once it is folded in."""
     merged = _Partial()
@@ -453,7 +440,7 @@ def _row_class(
 
 def _walk(
     a_sets: Iterable[tuple[int, ...]], k: int, kinds: tuple[SumsetKind, ...],
-    open_rows: list[list[tuple]], h_max: int,
+    open_rows: list[list[tuple]],
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
     """(A, hits) for each A-set of a k-block, in the given order: hits are
     (row index, size) for the walk rows' members whose union of A is at
@@ -474,9 +461,13 @@ def _walk(
     below that prefix: it closes for the whole subtree, and a prefix with no
     row open is not extended. A itself, the prefix of size k, is never
     pushed: the rows still open at its parent are tested against their
-    bounds (caps[k]) once, and those within are A's hits.
+    bounds (caps[k]) once, and those within are A's hits. Each kind's ladder
+    stops at the highest rung its walk rows read: a rung depends only on
+    the rungs below it, so the ones above would never be ORed.
     """
-    stack = [[([1] + [0] * h_max, rows) for rows in open_rows]]
+    stack = [
+        [([1] + [0] * max((hs[-1] for _, hs, _ in rows), default=0), rows) for rows in open_rows]
+    ]
     prev = ()
     for a in a_sets:
         m, depth = 0, len(stack) - 1
@@ -522,13 +513,14 @@ def _walk(
         yield a, hits
 
 
-def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
-    """The A-sets of rank start..end-1, in lex order, of one a_blocks() block."""
-    space, (mode, k, universe, _size), start, end, case_cap = args
+def _run_chunk(args: tuple[SearchSpace, tuple, int]) -> _Partial:
+    """Every A-set, in lex order, of one a_blocks() block."""
+    space, block, case_cap = args
+    mode, k, universe, _ = block
     zero_in = mode is ZeroMode.WITH
     acc = _Partial()
     # every sum the walk forms lies in [0, h_max*top], top the largest
-    # element of the block's universe: one guard per chunk
+    # element of the block's universe: one guard per block
     sumset_ladder(IntSet((universe[-1],)), space.h_max, SumsetKind.ORDINARY)
     # the block's applicable (H, kind) rows in one pass, built per call (not
     # cached): patched formulas show, since a class key holds its row's
@@ -562,7 +554,7 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
     # template prefix and templates, from its first equality case on:
     # by_facts maps judge's observed facts to a (template, lists its cases
     # go to) pair. suffixes holds each template's text after its prefix,
-    # once per chunk. A violation's template is its row's prefix at its
+    # once per block. A violation's template is its row's prefix at its
     # size, then its formula. A kept case is the pair (template, A text)
     tables = [None] * len(rows)
     suffixes = {}
@@ -598,9 +590,8 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int, int, int]) -> _Partial:
     # constant rows' hits are every A's): resolved once per (half, hits).
     # Every A that is not a progression shares one half; most have no hit
     entries_by = {}
-    acc.pairs = (end - start) * space.h_subset_count() * len(space.kinds)
-    a_sets = islice(_combinations_from(universe, k, start), end - start)
-    for elements, hits in _walk(a_sets, k, space.kinds, open_rows, space.h_max):
+    acc.pairs = block[-1] * space.h_subset_count() * len(space.kinds)
+    for elements, hits in _walk(_block_sets(block), k, space.kinds, open_rows):
         if not (hits or constant):
             continue
         a_half = verdict_a_half(elements, zero_in)
@@ -760,14 +751,12 @@ def verify(
         raise ValueError(f"worker count must be at least 1, got {workers}")
     started = time.perf_counter()
     expected = _capped_count(space, pair_cap)
-    chunk_args = [
-        (space, block, start, min(start + _CHUNK_A_TASKS, block[-1]), case_cap)
-        for block in space.a_blocks()
-        for start in range(0, block[-1], _CHUNK_A_TASKS)
-    ]
-    # one process per _CHUNK_A_TASKS A-sets, not per chunk: a small space cut
-    # into many small blocks still runs in process
-    processes = _pool_size(workers, -(-space.a_task_count() // _CHUNK_A_TASKS))
+    # one message per nonempty block, merged in block order
+    chunk_args = [(space, block, case_cap) for block in space.a_blocks() if block[-1]]
+    # one process per _A_SETS_PER_PROCESS A-sets and per block: a small space
+    # of many small blocks, or a space of one block, runs in process
+    most = min(-(-space.a_task_count() // _A_SETS_PER_PROCESS), len(chunk_args))
+    processes = _pool_size(workers, most)
     if processes == 1:
         merged = _merged(map(_run_chunk, chunk_args), case_cap)
     else:
@@ -780,13 +769,13 @@ def verify(
             ctx = multiprocessing.get_context("fork")
         else:
             ctx = multiprocessing.get_context()
-        # an error drops the chunks not yet started
+        # an error drops the blocks not yet started
         pool = ProcessPoolExecutor(processes, mp_context=ctx)
         try:
             merged = _merged(pool.map(_run_chunk, chunk_args), case_cap)
         except BrokenProcessPool as exc:
             raise WorkerLostError(
-                "a worker process died before returning its chunks; the run is incomplete"
+                "a worker process died before returning its blocks; the run is incomplete"
             ) from exc
         finally:
             pool.shutdown(cancel_futures=True)

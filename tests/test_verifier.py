@@ -12,7 +12,7 @@ import weakref
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, astuple, fields, replace
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, product
 from math import comb
 
 import pytest
@@ -29,7 +29,6 @@ from sumset_lab.verifier import (
     SearchSpace,
     VerificationReport,
     ZeroMode,
-    _combinations_from,
     _fields,
     _pool_size,
     _prefix_caps,
@@ -124,6 +123,15 @@ def test_space_refuses_non_int_bounds(fields, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("kinds", ["ordinary", ORD, None, {ORD}])
+def test_space_refuses_kinds_that_are_not_a_tuple_or_list(kinds):
+    # a string was iterated letter by letter and a lone kind failed as not
+    # iterable, neither error naming kinds; a set has no fixed report order
+    with pytest.raises(TypeError) as exc:
+        SearchSpace(6, (1, 2), 2, (1, 2), kinds=kinds)
+    assert str(exc.value) == f"kinds must be a tuple or list of SumsetKind, got {kinds!r}"
+
+
 def test_enumerate_pairs_refuses_a_non_int_pair_cap():
     # the pair cap is refused by the count both entry points share
     space = SearchSpace(4, (2, 2), 2, (1, 2))
@@ -162,43 +170,18 @@ def test_enumeration_order_is_deterministic():
     assert len(first) == len(set(first))  # each pair exactly once
 
 
-def test_combinations_from_any_start():
-    # k > n and an empty universe included
-    for n in range(8):
-        universe = tuple(range(1, n + 1))
-        for k in range(n + 2):
-            full = list(combinations(universe, k))
-            for start in range(comb(n, k) + 1):
-                assert list(_combinations_from(universe, k, start)) == full[start:]
-    # late ranks in a long universe, against the closed form of lex rank:
-    # C(n, 2) - C(n - i, 2) pairs start before universe[i]
-    n = 40_000
-    universe = tuple(range(1, n + 1))
-    for i in (0, 1, n - 100, n - 2, n - 1):
-        assert next(_combinations_from(universe, 1, i)) == (universe[i],)
-    for i, j in ((0, 1), (1, n - 1), (n - 1000, n - 999), (n - 3, n - 1), (n - 2, n - 1)):
-        rank = comb(n, 2) - comb(n - i, 2) + j - i - 1
-        resumed = _combinations_from(universe, 2, rank)
-        assert next(resumed) == (universe[i], universe[j])
-        following = islice(combinations(universe[i:], 2), j - i, j - i + 2)
-        assert list(islice(resumed, 2)) == list(following)
-
-
 def test_with_zero_blocks_are_zero_and_the_subsets_of_one_less():
     # a with-zero block is the first C(N-1, k-1) k-subsets of [0, N-1] in lex
-    # order: {0} plus each (k-1)-subset of [1, N-1], in lex order, and a
-    # chunk resumed at any rank below the block's size stays inside it
+    # order: {0} plus each (k-1)-subset of [1, N-1], in lex order
     for n in range(1, 10):
         blocks = SearchSpace(n, (1, n + 1), 1, (1, 1), zero_mode=ZeroMode.WITH).a_blocks()
         assert [block[1] for block in blocks] == list(range(1, n + 2))
-        for mode, k, universe, size in blocks:
+        for block in blocks:
+            mode, k, universe, size = block
             assert mode is ZeroMode.WITH and tuple(universe) == tuple(range(n))
-            block = [(0, *c) for c in combinations(range(1, n), k - 1)]
-            assert size == len(block)
-            assert list(islice(combinations(universe, k), size)) == block
-            for rank in range(size):
-                resumed = islice(_combinations_from(universe, k, rank), size - rank)
-                assert list(resumed) == block[rank:]
+            sets = [(0, *c) for c in combinations(range(1, n), k - 1)]
+            assert size == len(sets)
+            assert list(verifier._block_sets(block)) == sets
 
 
 def test_space_cap():
@@ -316,7 +299,7 @@ def test_deep_campaign_n18():
 @pytest.mark.deep
 def test_deep_campaign_n20():
     # N=20, k 2..10, hmax 9, both kinds, both zero modes: 898,121,336 pairs,
-    # the walk's ladder steps at scale (about a minute at 2 workers)
+    # the walk's ladder steps at scale (about 3 s at 2 workers on 2 vCPUs)
     space = SearchSpace(20, (2, 10), 9, (1, 9), zero_mode=ZeroMode.BOTH)
     report = verify(space, workers=2, pair_cap=10**9, case_cap=0)
     assert report.pairs_checked == space.enumeration_count() == 898_121_336
@@ -385,28 +368,29 @@ def _pin_cpus(monkeypatch, count):
 
 
 def _chunk_count(space):
-    """The chunks verify runs: each block cut into runs of _CHUNK_A_TASKS."""
-    return sum(-(-block[-1] // verifier._CHUNK_A_TASKS) for block in space.a_blocks())
+    """The chunks verify runs: one per nonempty block."""
+    return sum(block[-1] > 0 for block in space.a_blocks())
 
 
 def _pool_cap(space):
-    """verify's clamp on the pool: one process per _CHUNK_A_TASKS A-sets."""
-    return -(-space.a_task_count() // verifier._CHUNK_A_TASKS)
+    """verify's clamp on the pool: one process per _A_SETS_PER_PROCESS A-sets
+    and per chunk."""
+    per_a_sets = -(-space.a_task_count() // verifier._A_SETS_PER_PROCESS)
+    return min(per_a_sets, _chunk_count(space))
 
 
 def _run_blocks(space, case_cap):
-    """Each block of the space run as one chunk, merged in rank order."""
+    """Each block of the space run as one chunk, merged in block order."""
     return verifier._merged(
-        (_run_chunk((space, block, 0, block[-1], case_cap)) for block in space.a_blocks()),
-        case_cap,
+        (_run_chunk((space, block, case_cap)) for block in space.a_blocks()), case_cap
     )
 
 
 def test_worker_determinism_small_space(monkeypatch, same_json):
-    # more CPUs than the machine may have, and small chunks, so that 3
+    # more CPUs than the machine may have, and a low pool clamp, so that 3
     # processes really start
     _pin_cpus(monkeypatch, 8)
-    monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 64)
+    monkeypatch.setattr(verifier, "_A_SETS_PER_PROCESS", 64)
     space = SearchSpace(8, (2, 4), 4, (1, 3), zero_mode=ZeroMode.BOTH)
     assert _pool_size(3, _pool_cap(space)) == 3
     blobs = {w: verify(space, workers=w).to_json() for w in (1, 2, 3)}
@@ -415,22 +399,20 @@ def test_worker_determinism_small_space(monkeypatch, same_json):
 
 
 def test_report_bytes_do_not_depend_on_chunk_size(monkeypatch, same_json):
-    # chunks merge in rank order and each list keeps its first case_cap
-    # records, so neither the chunk size nor the worker count shows
+    # a chunk is a block, chunks merge in block order and each list keeps its
+    # first case_cap records, so neither the pool clamp nor the worker count
+    # shows
     _pin_cpus(monkeypatch, 2)
     space = SearchSpace(9, (1, 5), 4, (1, 4), zero_mode=ZeroMode.BOTH)
     total = space.a_task_count()
-    blocks, largest = len(space.a_blocks()), max(block[-1] for block in space.a_blocks())
     expected = verify(space, workers=1, case_cap=50).to_json()
     for size, workers in product((1, 7, 64, 512, total), (1, 2)):
-        monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", size)
+        monkeypatch.setattr(verifier, "_A_SETS_PER_PROCESS", size)
         report = verify(space, workers=workers, case_cap=50)
         # more equality cases than the cap, so every run truncates that list
         assert report.equality_case_count > 50
-        # a chunk never crosses a block: one chunk per block once no block is cut
-        assert (_chunk_count(space) == blocks) == (size >= largest)
         assert (_pool_cap(space) == 1) == (size == total)
-        same_json(report.to_json(), expected, f"chunk={size} workers={workers}")
+        same_json(report.to_json(), expected, f"clamp={size} workers={workers}")
 
 
 def test_dead_worker_fails_the_run(monkeypatch, capsys):
@@ -450,7 +432,7 @@ def test_dead_worker_fails_the_run(monkeypatch, capsys):
 
     monkeypatch.setattr(bounds, "catalog_bound", dying)
     _pin_cpus(monkeypatch, 2)
-    monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 64)
+    monkeypatch.setattr(verifier, "_A_SETS_PER_PROCESS", 64)
     space = SearchSpace(10, (2, 3), 2, (1, 2))
     assert _pool_size(2, _pool_cap(space)) == 2  # so 2 workers start
     previous = signal.signal(signal.SIGALRM, hung)
@@ -492,14 +474,12 @@ def test_equality_case_cap_truncates_lists_not_counts(monkeypatch):
         return outcome
 
     monkeypatch.setattr(bounds, "catalog_bound", raised)
-    monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 64)
+    monkeypatch.setattr(verifier, "_A_SETS_PER_PROCESS", 64)
     space = SearchSpace(10, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
-    chunk_size = verifier._CHUNK_A_TASKS
-    assert space.a_task_count() > 4 * chunk_size
+    assert _chunk_count(space) == 6
     assert _pool_size(2, _pool_cap(space)) == 2
-    # the first chunk in rank order: the head of the first block
-    block = space.a_blocks()[0]
-    first = _run_chunk((space, block, 0, min(chunk_size, block[-1]), 10**9))
+    # the first chunk in block order: the first block
+    first = _run_chunk((space, space.a_blocks()[0], 10**9))
     first_counts = [
         first.violations.count,
         first.equality.count,
@@ -531,7 +511,6 @@ def test_in_process_merge_keeps_one_chunk_result_at_a_time(monkeypatch):
         return result
 
     monkeypatch.setattr(verifier, "_run_chunk", tracked)
-    monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 64)
     space = SearchSpace(10, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
     verify(space, workers=1, case_cap=10)
     assert len(alive) == _chunk_count(space) > 4
@@ -611,8 +590,8 @@ def test_bound_violations_capped_per_chunk_counts_complete(monkeypatch, same_jso
     monkeypatch.setattr(bounds, "_union_value", lambda k, hs, z: real(k, hs, z) + 1)
     # more than one chunk, so the cap is applied before the merge
     _pin_cpus(monkeypatch, 2)
-    monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 64)
-    space = SearchSpace(10, (3, 3), 2, (1, 2), kinds=(ORD,))
+    monkeypatch.setattr(verifier, "_A_SETS_PER_PROCESS", 64)
+    space = SearchSpace(10, (3, 4), 2, (1, 2), kinds=(ORD,))
     assert _pool_size(2, _pool_cap(space)) == 2
     reports = {w: verify(space, workers=w, case_cap=1) for w in (1, 2)}
     report = reports[1]
@@ -622,10 +601,10 @@ def test_bound_violations_capped_per_chunk_counts_complete(monkeypatch, same_jso
     full = verify(space, workers=1)
     assert full.bound_violation_count == report.bound_violation_count
     assert full.bound_violations[:1] == report.bound_violations
-    (block,) = space.a_blocks()
-    chunk = _run_chunk((space, block, 0, block[-1], 1))
-    assert chunk.violations.count == report.bound_violation_count
-    assert len(chunk.violations.kept) == 1  # capped before the merge
+    chunks = [_run_chunk((space, block, 1)) for block in space.a_blocks()]
+    assert sum(chunk.violations.count for chunk in chunks) == report.bound_violation_count
+    # capped before the merge
+    assert [len(chunk.violations.kept) for chunk in chunks] == [1, 1]
 
 
 def test_bounds_looked_up_once_per_block(monkeypatch):
@@ -645,33 +624,50 @@ def test_bounds_looked_up_once_per_block(monkeypatch):
 
 
 def test_bounds_looked_up_once_per_chunk_through_verify(monkeypatch):
-    # a chunk is a slice of one block, so it sets up exactly that block's rows
+    # a chunk is one block, so it sets up exactly that block's rows; a block
+    # with no A-set (k above N) is no chunk
     calls = []
     _count_calls(monkeypatch, bounds, "catalog_bound", calls)
-    monkeypatch.setattr(verifier, "_CHUNK_A_TASKS", 16)
-    space = SearchSpace(7, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
-    # blocks of 21, 35 and 35 A-sets without 0 and 6, 15 and 20 with it
-    assert _chunk_count(space) == 2 + 3 + 3 + 1 + 1 + 2
+    space = SearchSpace(7, (2, 8), 3, (1, 3), zero_mode=ZeroMode.BOTH)
+    # 6 blocks each of k = 2..7 without 0 and with it
+    assert len(space.a_blocks()) == 14 and _chunk_count(space) == 12
     report = verify(space, workers=1)
     assert report.pairs_checked == space.enumeration_count()
     assert len(calls) == _chunk_count(space) * space.h_subset_count() * len(space.kinds)
 
 
-def test_small_space_of_many_blocks_runs_in_process(monkeypatch):
-    # the pool is clamped by A-sets, not by chunks: a space of at most
-    # _CHUNK_A_TASKS A-sets starts no process however many blocks cut it
+def _refuse_pools(monkeypatch):
     import concurrent.futures
 
     def refused(*args, **kwargs):
         raise AssertionError("a ProcessPoolExecutor was constructed")
 
-    _pin_cpus(monkeypatch, 8)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
+
+
+def test_small_space_of_many_blocks_runs_in_process(monkeypatch):
+    # the pool is clamped by A-sets as well as by chunks: a space of at most
+    # _A_SETS_PER_PROCESS A-sets starts no process however many blocks cut it
+    _pin_cpus(monkeypatch, 8)
+    _refuse_pools(monkeypatch)
     space = SearchSpace(8, (1, 5), 3, (1, 3), zero_mode=ZeroMode.BOTH)
     assert _chunk_count(space) == len(space.a_blocks()) == 10
-    assert space.a_task_count() == 317 <= verifier._CHUNK_A_TASKS
+    assert space.a_task_count() == 317 <= verifier._A_SETS_PER_PROCESS
     report = verify(space, workers=8)
     assert report.pairs_checked == space.enumeration_count()
+
+
+def test_space_of_one_block_runs_in_process(monkeypatch):
+    # a block is never split across processes, so one block of more than
+    # _A_SETS_PER_PROCESS A-sets still runs in process at any worker count
+    _pin_cpus(monkeypatch, 8)
+    _refuse_pools(monkeypatch)
+    space = SearchSpace(16, (6, 6), 5, (2, 5), kinds=(RES,))
+    assert _chunk_count(space) == 1
+    assert space.a_task_count() == comb(16, 6) == 8008
+    for workers in (2, 8):
+        report = verify(space, workers=workers)
+        assert report.pairs_checked == space.enumeration_count()
 
 
 def test_sweep_matches_single_pair_path(monkeypatch):
@@ -1154,7 +1150,7 @@ def test_case_records_are_read_only(same_json):
     same_json(report.to_json(), blob)
     # the pool path: a chunk's pairs cross as pickles of plain tuples, and
     # every case of a template still shares it
-    chunk = _run_chunk((space, space.a_blocks()[2], 0, space.a_blocks()[2][-1], 10**9))
+    chunk = _run_chunk((space, space.a_blocks()[2], 10**9))
     twin = pickle.loads(pickle.dumps(chunk))
     for part in (chunk, twin):
         assert all(type(pair) is tuple for pair in part.equality.kept)
@@ -1196,10 +1192,10 @@ def test_acceptance_space_builds_one_template_per_row_and_facts(monkeypatch):
     _count_calls(monkeypatch, verifier, "judge", judged)
     report = verify(_ACCEPTANCE, workers=1)
     assert report.equality_case_count == len(report.equality_cases) == 21027
-    assert len(built) == 2536 and verdicts == [] and len(judged) == 3545
+    assert len(built) == 2478 and verdicts == [] and len(judged) == 3533
     pairs = report.equality_cases._pairs
     assert len(pairs) == 21027
-    assert len({id(template) for template, _ in pairs}) == 2536
+    assert len({id(template) for template, _ in pairs}) == 2478
 
 
 def test_chunks_call_verdict_a_half_once_per_a_and_walk_gaps_past_the_span_test(monkeypatch):
@@ -1218,8 +1214,9 @@ def test_chunks_call_verdict_a_half_once_per_a_and_walk_gaps_past_the_span_test(
     report = verify(_ACCEPTANCE, workers=1)
     assert report.equality_case_count == 21027
     every, passing = [], []
-    for mode, k, universe, size in _ACCEPTANCE.a_blocks():
-        for a in islice(combinations(universe, k), size):
+    for block in _ACCEPTANCE.a_blocks():
+        mode, k = block[:2]
+        for a in verifier._block_sets(block):
             every.append((a, mode is ZeroMode.WITH))
             if k <= 2 or a[-1] - a[0] == (k - 1) * (a[1] - a[0]):
                 passing.append(a)
@@ -1251,23 +1248,21 @@ def test_templates_are_encoded_per_row_and_suffix_and_to_json_encodes_none(monke
     _count_calls(monkeypatch, verifier, "case_record", built)
     per_chunk = []
     for block in _ACCEPTANCE.a_blocks():
-        for start in range(0, block[-1], verifier._CHUNK_A_TASKS):
-            encoded.clear()
-            end = min(start + verifier._CHUNK_A_TASKS, block[-1])
-            chunk = _run_chunk((_ACCEPTANCE, block, start, end, 10**9))
-            prefixes = [value for value in encoded if "h" in value]
-            suffixes = [value for value in encoded if "rule" in value]
-            assert len(prefixes) + len(suffixes) == len(encoded)
-            records = [_fields(template) for template, _ in chunk.equality.kept]
-            rows = {(record["h"], record["kind"]) for record in records}
-            tails = {tuple(record.items())[5:] for record in records}
-            assert (len(prefixes), len(suffixes)) == (len(rows), len(tails))
-            per_chunk.append((len(prefixes), len(suffixes)))
+        encoded.clear()
+        chunk = _run_chunk((_ACCEPTANCE, block, 10**9))
+        prefixes = [value for value in encoded if "h" in value]
+        suffixes = [value for value in encoded if "rule" in value]
+        assert len(prefixes) + len(suffixes) == len(encoded)
+        records = [_fields(template) for template, _ in chunk.equality.kept]
+        rows = {(record["h"], record["kind"]) for record in records}
+        tails = {tuple(record.items())[5:] for record in records}
+        assert (len(prefixes), len(suffixes)) == (len(rows), len(tails))
+        per_chunk.append((len(prefixes), len(suffixes)))
     assert per_chunk == [
-        (36, 85), (40, 60), (45, 52), (50, 39), (15, 18), (58, 32), (52, 23),
+        (36, 85), (40, 60), (45, 52), (50, 40), (58, 43),
         (64, 99), (66, 53), (69, 33), (73, 22), (78, 22),
     ]
-    assert len(built) == 2536
+    assert len(built) == 2478
     report = verify(_ACCEPTANCE, workers=1)
     encoded.clear()
     blob = report.to_json()
