@@ -152,8 +152,8 @@ def check_rungs(A: IntSet, hs: Sequence[int], kind: SumsetKind) -> None:
     bisection finds its first. Restricted rungs above |A| are empty, so
     only the prefix of hs up to |A|, found by bisection, is checked: their
     extremes come off one ascending and one descending prefix sum of A, and
-    only on failure are those rungs walked in order. Either way the error
-    names the same sum as a per-rung check.
+    each rung's smallest sum, then its largest, is checked in rung order.
+    Either way the error names the same sum as a per-rung check.
     """
     require_kind(kind)
     if not hs:
@@ -174,11 +174,9 @@ def check_rungs(A: IntSet, hs: Sequence[int], kind: SumsetKind) -> None:
     top = hs[n - 1]
     low = list(accumulate(e[:top], initial=0))
     high = list(accumulate(reversed(e[k - top :]), initial=0))
-    # the h smallest sum to at most the h largest
-    if all(INT64_MIN <= low[h] and high[h] <= INT64_MAX for h in islice(hs, n)):
-        return
     for h in islice(hs, n):
-        _check_restricted_range(A, h)
+        checked_int64(low[h])
+        checked_int64(high[h])
 
 
 def extend_ladder(rungs: list[int], x: int, kind: SumsetKind) -> None:

@@ -5,59 +5,59 @@ size against its catalog bound, runs the inverse check on every equality
 case, and folds everything into a machine-readable report. A bound depends
 on (kind, k, H, 0 in A) only, and a chunk is one (k, zero-mode) block, so
 each chunk looks it up once and reads that table for every A. A block's
-sets come in lex order and are walked as a prefix tree:
-each prefix extends its parent's rungs by one element, and a row whose
-union of a prefix is above the row's prefix cap is closed for the whole
-subtree. The cap is the bound less the sums each missing element j is sure
-to add (the README's prefix lemmas): h_r for an ordinary row, and for a
-restricted one g(j) = max(H ∩ [1, j]), plus 1 when j+1 is in H unless 0 is
-in A and g(j) = j. Rows of one kind whose sizes differ by a fixed offset
-on every A and whose bounds differ by the same offset form a class (the
-README's "Row classes": a restricted H, k - H and H plus a top k, and with
-0 in A the ordinary rows of one h_r). A class is its key (H walked, limit)
-and one walk row, built in one pass in row order: the key's H, of least
-h_r in the class, under its own caps, carrying each member's (row index,
-size offset). A class of fixed size (H = {1}, or a restricted {k}) is
-compared with its bound once per chunk and never enters the walk. A leaf
-is never pushed: the walk rows still open at its parent are tested once
-against their bounds, and a walk row's hit of size s is each member's hit
-at s plus its offset. Only pairs that reach their bound go further. The A
-half of the verdict (A's progression and dilation, structure.verdict_a_half,
-whose span test turns most sets away before any gap is walked) is taken
-once per A that has a hit. An equality case's size is its row's bound, so its
-record less "a" depends on the row and A's half only: each chunk builds
-that template once per (row, observed facts) that occurs, laid out from
-structure.judge without any verdict dataclass, as the JSON text that
-follows '{"a":' and A's text. That text is the row's prefix (H, the kind,
-0 in A, the size and the bound), encoded at the row's first equality case,
-where its H half (rule, hypotheses, H's progression and run) is derived,
-then a suffix (flags, rule, observed facts) encoded once per chunk. A case
-finds its template in its row's table, keyed by judge's observed facts; a
-violation's is the row's prefix at its size, then its formula. An A's
-(template, lists) entries, its constant and walk hits in row order, depend
-on its half and walk hits alone, so each chunk resolves them once per
-(half, hits): an A with no walk hit, as most are, shares its half's. Every
-kept case is a (template, A text) pair, so a repeat costs its A text and
-one tuple, and chunk results cross the worker pool as plain tuples. Each
-report list is a CaseList over its pairs, read as the list of their
-records (a plain dict per read, "a" first, each template decoded once per
-pass), and encode_json writes a case as '{"a":', its A text and its
-template, encoding no template. A case that no list keeps, all of them
-being at the case cap, is only counted, and A's text is formatted once per
-A, only for a kept case. A block is the k-subsets of [1, N], or the first
-C(N-1, k-1) k-subsets of [0, N-1] in lex order, which are those that hold
-0. Each nonempty block is one chunk, the one unit of work: it runs the
-int64 guard, sets up its rows and templates once, walks its sets with
-itertools.combinations and is one pool message. Chunk results merge in
-block order as they finish, so the report is byte-identical no matter how
-many workers ran. Chunks run in process or on a ProcessPoolExecutor of at
-most one process per 512 A-sets of the space and per block, where a
-worker that dies fails the run with WorkerLostError instead of leaving it
-waiting. A block is never split across processes, so a space of one block
-runs in process at any worker count: that costs wall time on a large
-single-block space, and saves the set-up that every split would repeat.
-Each case list stops at the case cap, in a chunk and in the merge alike,
-so memory follows the cap rather than the number of cases.
+sets come in lex order and are walked as a prefix tree: each prefix
+extends its parent's rungs by one element, and a row whose union of a
+prefix is above the row's prefix cap is closed for the whole subtree. The
+cap is the bound less the sums each missing element j is sure to add (the
+README's prefix lemmas): h_r for an ordinary row, and for a restricted one
+g(j) = max(H ∩ [1, j]), plus 1 when j+1 is in H unless 0 is in A and
+g(j) = j. A leaf is the walk's last step, whose cap is the bound. Rows of
+one kind whose sizes differ by a fixed offset on every A and whose bounds
+differ by the same offset form a class (the README's "Row classes": a
+restricted H, k - H and H plus a top k, and with 0 in A the ordinary rows
+of one h_r). A class is its key (H walked, limit). A key whose size on A
+is fixed, or fixed by f = (2 max A == ΣA) (the restricted {1, k-1}
+without 0), is compared with its limit once per chunk for each f and
+never walked. Any other key is one walk row, built in one pass in row
+order: the key's H, of least h_r in the class, under its own caps,
+carrying each member's (row index, size offset); its hit of size s is
+each member's hit at s plus its offset. Only pairs that reach their bound
+go further. The A half of the verdict (A's progression and dilation,
+structure.verdict_a_half, whose span test turns most sets away before any
+gap is walked) is taken once per A that has a hit. An equality case's size
+is its row's bound, so its record less "a" depends on the row and A's half
+only: each chunk builds that template once per (row, observed facts) that
+occurs, laid out from structure.judge without any verdict dataclass, as
+the JSON text that follows '{"a":' and A's text. That text is the row's
+prefix (H, the kind, 0 in A, the size and the bound), encoded at the row's
+first equality case, where its H half (rule, hypotheses, H's progression
+and run) is derived, then a suffix (flags, rule, observed facts) encoded
+once per chunk. A case finds its template in its row's table, keyed by
+judge's observed facts; a violation's is the row's prefix at its size,
+then its formula. An A's (template, lists) entries, its closed and walk
+hits in row order, depend on its half, f and walk hits alone, so each
+chunk resolves them once per (half, f, hits): an A with no walk hit, as
+most are, shares its (half, f)'s. Every kept case is a (template, A text)
+pair, so a repeat costs its A text and one tuple, and chunk results cross
+the worker pool as plain tuples. Each report list is a CaseList over its
+pairs, read as the list of their records (a plain dict per read, "a"
+first, each template decoded once per pass), and encode_json writes a case
+as '{"a":', its A text and its template, encoding no template. A case that
+no list keeps, all of them being at the case cap, is only counted, and A's
+text is formatted once per A, only for a kept case. A block is the
+k-subsets of [1, N], or the first C(N-1, k-1) k-subsets of [0, N-1] in lex
+order, which are those that hold 0. Each nonempty block is one chunk, the
+one unit of work: it runs the int64 guard, sets up its rows and templates
+once, walks its sets with itertools.combinations and is one pool message.
+Chunk results merge in block order as they finish, so the report is
+byte-identical no matter how many workers ran. Chunks run in process or on
+a ProcessPoolExecutor of at most one process per 512 A-sets of the space
+and per block, where a worker that dies fails the run with WorkerLostError
+instead of leaving it waiting. A block is never split across processes, so
+a space of one block runs in process at any worker count: that costs wall
+time on a large single-block space, and saves the set-up that every split
+would repeat. Each case list stops at the case cap, in a chunk and in the
+merge alike, so memory follows the cap rather than the number of cases.
 """
 
 from __future__ import annotations
@@ -444,26 +444,25 @@ def _walk(
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
     """(A, hits) for each A-set of a k-block, in the given order: hits are
     (row index, size) for the walk rows' members whose union of A is at
-    most their bound, in no set order. The constant rows never enter the walk,
-    and their hits are not among these. open_rows holds each kind's walk
-    rows (members, rungs ORed, caps): a walk row is a class key's H under
-    its caps, and its members are (row index, size offset) pairs; a
-    member's size is the walk row's plus its offset, and it hits exactly
-    when the walk row does.
+    most their bound, in no set order; the closed rows' hits are not among
+    these. open_rows holds each kind's walk rows (members, rungs ORed,
+    caps): a walk row is a class key's H under its caps, and its members
+    are (row index, size offset) pairs; a member's size is the walk row's
+    plus its offset, and it hits exactly when the walk row does.
 
     The sets come in lex order, so consecutive ones share a prefix. A stack
-    holds, per prefix length below k, each kind's rungs of that prefix as
-    absolute vectors (bit s is the sum s; every element is >= 0) and its
-    rows still open; a step extends a copy of its parent's rungs in place,
-    so the stack keeps them. Appending a new maximum adds at least the sums
-    that _prefix_caps counts (the README's prefix lemmas), so a row whose
-    union of a prefix exceeds its cap there exceeds its bound on every set
-    below that prefix: it closes for the whole subtree, and a prefix with no
-    row open is not extended. A itself, the prefix of size k, is never
-    pushed: the rows still open at its parent are tested against their
-    bounds (caps[k]) once, and those within are A's hits. Each kind's ladder
-    stops at the highest rung its walk rows read: a rung depends only on
-    the rungs below it, so the ones above would never be ORed.
+    holds, per prefix length, each kind's rungs of that prefix as absolute
+    vectors (bit s is the sum s; every element is >= 0) and its rows still
+    open; a step extends a copy of its parent's rungs in place, so the
+    stack keeps them. Appending a new maximum adds at least the sums that
+    _prefix_caps counts (the README's prefix lemmas), so a row whose union
+    of a prefix exceeds its cap there exceeds its bound on every set below
+    that prefix: it closes for the whole subtree, and a prefix with no row
+    open is not extended. A itself is the same step to size k, whose cap is
+    the bound: the rows within it there are A's hits, and that level is
+    never a parent. Each kind's ladder stops at the highest rung its walk
+    rows read: a rung depends only on the rungs below it, so the ones above
+    would never be ORed.
     """
     stack = [
         [([1] + [0] * max((hs[-1] for _, hs, _ in rows), default=0), rows) for rows in open_rows]
@@ -475,7 +474,7 @@ def _walk(
             m += 1
         del stack[m + 1 :]
         prev, state, hits = a, stack[m], []
-        while m < k - 1 and any(rows for _, rows in state):
+        while m < k and any(rows for _, rows in state):
             x, m = a[m], m + 1
             pushed = []
             for kind, (rungs, rows) in zip(kinds, state):
@@ -489,27 +488,16 @@ def _walk(
                             union = 0
                             for h in row[1]:
                                 union |= rungs[h]
-                            if union.bit_count() > cap:
+                            size = union.bit_count()
+                            if size > cap:
                                 continue
+                            if m == k:
+                                hits += [(index, size + offset) for index, offset in row[0]]
                         kept.append(row)
                     rows = kept
                 pushed.append((rungs, rows))
             stack.append(pushed)
             state = pushed
-        if m == k - 1:
-            x = a[m]
-            for kind, (rungs, rows) in zip(kinds, state):
-                if rows:
-                    rungs = rungs.copy()
-                    extend_ladder(rungs, x, kind)
-                    for members, hs, caps in rows:
-                        union = 0
-                        for h in hs:
-                            union |= rungs[h]
-                        size = union.bit_count()
-                        if size <= caps[k]:
-                            for index, offset in members:
-                                hits.append((index, size + offset))
         yield a, hits
 
 
@@ -525,10 +513,18 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int]) -> _Partial:
     # the block's applicable (H, kind) rows in one pass, built per call (not
     # cached): patched formulas show, since a class key holds its row's
     # bound, and a row whose bound breaks its class's symmetry is walked
-    # apart. A key H of {1} has size k on every A and a restricted {k} size
-    # 1: such a constant row is compared with its bound here, once. Any
-    # other key is one walk row, made at its first member, under its caps
-    rows, constant, open_rows, walk_rows = [], [], [[] for _ in space.kinds], {}
+    # apart. closed_sizes maps a (kind, key H) whose size on A is fixed by
+    # f = (2 max A == ΣA) to (size if not f, size if f): {1} is A, a
+    # restricted {k} is {ΣA}, and without 0 a restricted {1, k-1} has size
+    # 2k - f (README, "Restricted positive inverse rule at H = {1, k-1}").
+    # Such a key is compared with its limit here, once per f: closed[f]
+    # holds its members' hits on every A of that f. Any other key is one
+    # walk row, made at its first member, under its caps
+    closed_sizes = {(kind, (1,)): (k, k) for kind in space.kinds}
+    closed_sizes[SumsetKind.RESTRICTED, (k,)] = (1, 1)
+    if not zero_in:
+        closed_sizes[SumsetKind.RESTRICTED, (1, k - 1)] = (2 * k, 2 * k - 1)
+    rows, closed, open_rows, walk_rows = [], ([], []), [[] for _ in space.kinds], {}
     for h_combo in space.h_combos():
         H = HSet(h_combo)
         h_text = format_elements(h_combo)
@@ -537,10 +533,11 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int]) -> _Partial:
             if not outcome.applicable:
                 continue
             (walked, limit), offset = _row_class(kind, k, h_combo, outcome.value, zero_in)
-            if walked == (1,) or (walked == (k,) and kind is SumsetKind.RESTRICTED):
-                size = k if walked == (1,) else 1
-                if size <= limit:
-                    constant.append((len(rows), size + offset))
+            sizes = closed_sizes.get((kind, walked))
+            if sizes:
+                for hits, size in zip(closed, sizes):
+                    if size <= limit:
+                        hits.append((len(rows), size + offset))
             else:
                 members = walk_rows.get((kind, walked, limit))
                 if members is None:
@@ -586,20 +583,24 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int]) -> _Partial:
             entry = by_facts[observed] = (template, lists)
         return entry
 
-    # an A's entries in row order follow from its half and walk hits (the
-    # constant rows' hits are every A's): resolved once per (half, hits).
-    # Every A that is not a progression shares one half; most have no hit
+    # an A's entries in row order follow from its half, f and walk hits:
+    # resolved once per (half, f, hits). f is taken only where the closed
+    # rows' hits depend on it. Every A that is not a progression shares one
+    # half; most have no walk hit
     entries_by = {}
+    by_sum = closed[0] != closed[1]
     acc.pairs = block[-1] * space.h_subset_count() * len(space.kinds)
     for elements, hits in _walk(_block_sets(block), k, space.kinds, open_rows):
-        if not (hits or constant):
+        f = by_sum and 2 * elements[-1] == sum(elements)
+        if not (hits or closed[f]):
             continue
         a_half = verdict_a_half(elements, zero_in)
         hits.sort()
-        key = (a_half, *hits)
+        key = (a_half, f, *hits)
         entries = entries_by.get(key)
         if entries is None:
-            entries = entries_by[key] = [resolved(i, s, a_half) for i, s in sorted(constant + hits)]
+            hits = sorted(closed[f] + hits)
+            entries = entries_by[key] = [resolved(i, s, a_half) for i, s in hits]
         # A's text once per A, and only for a kept case
         a_text = None
         for template, lists in entries:

@@ -501,3 +501,17 @@ def test_row_class_identities_on_unions():
                     assert size(hs) == size(hs[:-1])
                     absorbed += 1
     assert (complements, tops, absorbed) == (59518, 12165, 6292)
+
+
+def test_first_and_last_multiplicity_size_is_decided_by_the_sum():
+    # the sweep's closed row: for all-positive A with k >= 3,
+    # |1^A ∪ (k-1)^A| = 2k - [2 max A = ΣA], and {1, k-1, k} is one more
+    sums = 0
+    for k in range(3, 9):
+        for elements in combinations(range(1, 15), k):
+            A, f = IntSet(elements), 2 * elements[-1] == sum(elements)
+            size = 2 * k - f
+            assert len(union_bitmap(A, HSet((1, k - 1)), RES)) == size
+            assert len(union_bitmap(A, HSet((1, k - 1, k)), RES)) == size + 1
+            sums += f
+    assert sums == 95

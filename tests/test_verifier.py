@@ -310,6 +310,20 @@ def test_deep_campaign_n20():
     assert report.clean
 
 
+@pytest.mark.deep
+def test_deep_campaign_n22():
+    # N=22, k 2..11, hmax 10, both kinds, both zero modes: 7,157,767,320
+    # pairs (about 10 s at 2 workers on 2 vCPUs)
+    space = SearchSpace(22, (2, 11), 10, (1, 10), zero_mode=ZeroMode.BOTH)
+    report = verify(space, workers=2, pair_cap=10**10, case_cap=0)
+    assert report.pairs_checked == space.enumeration_count() == 7_157_767_320
+    assert report.equality_case_count == 15_802_080
+    assert report.allowed_nonstructured_count == 15_731_726
+    assert report.bound_violation_count == 0
+    assert report.inverse_inconsistency_count == 0
+    assert report.clean
+
+
 def _sum_family(n, k):
     """Texts of the k-subsets of [1, n] whose largest element is the sum of
     the others."""
@@ -830,25 +844,70 @@ def test_patched_class_member_is_walked_apart(monkeypatch, near_sizes, k, target
 
 @pytest.mark.parametrize("shift", [1, -1])
 def test_patched_constant_row_matches_brute_force(monkeypatch, near_sizes, shift):
-    # restricted {1} is A itself, of size k on every A, so its class is
-    # compared with its bound once per block and never walked. Raised by 1,
-    # every A is a violation of it; lowered by 1, no A reaches it
+    # restricted {1} is A itself, of size k on every A, and without 0 the
+    # restricted {1, k-1} has size 2k - [2 max A = ΣA] and {1, k-1, k} one
+    # more: each such class is compared with its own limit once per block,
+    # not with the catalog's value, and never walked. Raised by 1 (at every
+    # k for {1}, at one k without 0 for the others), every A of the row hits
+    # it at the size the sum test gives; lowered by 1, no A reaches it. No
+    # 5-subset of [1, 9] has 2 max A = ΣA, so k = 3 covers that side
     real = bounds._restricted_value
-    monkeypatch.setattr(
-        bounds, "_restricted_value", lambda k, hs, z: real(k, hs, z) + shift * (hs == (1,))
-    )
-    report = _assert_sweep_matches(_NEAR_SPACE, near_sizes)
-    a_sets = [A for A, H, kind, _ in near_sizes if H.elements == (1,) and kind is RES]
-    hits = [
-        (c["a"], c["size"])
-        for c in chain(report.equality_cases, report.bound_violations)
-        if (c["h"], c["kind"]) == ("1", "restricted")
-    ]
-    if shift > 0:
-        assert hits == [(format_elements(A.elements), len(A)) for A in a_sets]
-        assert report.bound_violation_count == len(hits) == 683
-    else:
-        assert hits == []
+    targets = (((1,), None, 683), ((1, 4), 5, 126), ((1, 4, 5), 5, 126), ((1, 2), 3, 84))
+    for target, k, count in targets:
+
+        def patched(kk, hs, zero_in_A):
+            row = hs == target and (k is None or (kk, zero_in_A) == (k, False))
+            return real(kk, hs, zero_in_A) + shift * row
+
+        def closed(A):
+            # the patched row's size on A by the sum test, or None off the row
+            if k is None:
+                return len(A)
+            if len(A) == k and A.min > 0:
+                return 2 * k - (2 * A.max == sum(A.elements)) + (k in target)
+            return None
+
+        monkeypatch.setattr(bounds, "_restricted_value", patched)
+        report = _assert_sweep_matches(_NEAR_SPACE, near_sizes)
+        monkeypatch.undo()  # else the next target's patch would wrap this one
+        a_sets = [
+            A for A, H, kind, _ in near_sizes if H.elements == target and kind is RES and closed(A)
+        ]
+        hits = [
+            (c["a"], c["size"])
+            for c in chain(report.equality_cases, report.bound_violations)
+            if (c["h"], c["kind"]) == (format_elements(target), "restricted")
+            and closed(IntSet(parse_elements(c["a"])))
+        ]
+        assert len(a_sets) == count
+        if shift > 0:
+            assert sorted(hits) == sorted((format_elements(A.elements), closed(A)) for A in a_sets)
+            # the raised row is the only one below its bound
+            below = [A for A in a_sets if closed(A) < patched(len(A), target, A.min == 0)]
+            assert report.bound_violation_count == len(below)
+        else:
+            assert hits == []
+
+
+def test_first_and_last_multiplicity_key_never_reaches_the_walk(monkeypatch):
+    # without 0 and for k >= 3, the restricted key (1, k-1) is decided by
+    # the sum test in _run_chunk and never becomes a walk row; with 0 it is
+    # walked, since {0, a, b} has a + b = ΣA
+    space = SearchSpace(12, (2, 8), 7, (1, 7), zero_mode=ZeroMode.BOTH)
+    real, walked = verifier._walk, []
+
+    def spy(a_sets, k, kinds, open_rows):
+        walked.append({(kind, hs) for kind, rows in zip(kinds, open_rows) for _, hs, _ in rows})
+        return real(a_sets, k, kinds, open_rows)
+
+    monkeypatch.setattr(verifier, "_walk", spy)
+    for block in space.a_blocks():
+        mode, k = block[:2]
+        walked.clear()
+        _run_chunk((space, block, 0))
+        (keys,) = walked
+        if k >= 3:
+            assert ((RES, (1, k - 1)) in keys) == (mode is ZeroMode.WITH)
 
 
 # restricted H of size 3 alone: a row H' ∪ {k} is walked as its key H' (or
