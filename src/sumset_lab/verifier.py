@@ -34,17 +34,20 @@ first equality case, where its H half (rule, hypotheses, H's progression
 and run) is derived, then a suffix (flags, rule, observed facts) encoded
 once per chunk. A case finds its template in its row's table, keyed by
 judge's observed facts; a violation's is the row's prefix at its size,
-then its formula. An A's (template, lists) entries, its closed and walk
-hits in row order, depend on its half, f and walk hits alone, so each
-chunk resolves them once per (half, f, hits): an A with no walk hit, as
-most are, shares its (half, f)'s. Every kept case is a (template, A text)
-pair, so a repeat costs its A text and one tuple, and chunk results cross
-the worker pool as plain tuples. Each report list is a CaseList over its
-pairs, read as the list of their records (a plain dict per read, "a"
-first, each template decoded once per pass), and encode_json writes a case
-as '{"a":', its A text and its template, encoding no template. A case that
-no list keeps, all of them being at the case cap, is only counted, and A's
-text is formatted once per A, only for a kept case. A block is the
+then its formula. An A's cases in each report list, its closed and walk
+hits' templates in row order, depend on its half, f and walk hits alone,
+so each chunk resolves them once per (half, f, hits) into one tuple of
+templates per list: an A with no walk hit, as most are, shares its (half,
+f)'s. For each A and list the chunk adds the tuple's length to the list's
+count and keeps one run (templates, A text), cut at the room left under
+the case cap, so a repeat costs one tuple per list, and chunk results
+cross the worker pool as plain tuples. Each report list is a CaseList over
+its runs, read as the list of their cases' records (a plain dict per read,
+"a" first, each template decoded once per pass), and encode_json writes a
+case as '{"a":', its A text and its template, encoding no template and
+each run's A text once. A run that no list keeps, all of them being at the
+case cap, is only counted, and A's text is formatted once per A, only for
+a kept run. A block is the
 k-subsets of [1, N], or the first C(N-1, k-1) k-subsets of [0, N-1] in lex
 order, which are those that hold 0. Each nonempty block is one chunk, the
 one unit of work: it runs the int64 guard, sets up its rows and templates
@@ -57,7 +60,8 @@ instead of leaving it waiting. A block is never split across processes, so
 a space of one block runs in process at any worker count: that costs wall
 time on a large single-block space, and saves the set-up that every split
 would repeat. Each case list stops at the case cap, in a chunk and in the
-merge alike, so memory follows the cap rather than the number of cases.
+merge alike, the run that crosses it cut there, so memory follows the cap
+rather than the number of cases.
 """
 
 from __future__ import annotations
@@ -271,17 +275,29 @@ def enumerate_pairs(
                     yield A, H, kind
 
 
-@dataclass
+# eq=False: hashed by identity, a chunk keys each A's runs by their list
+@dataclass(eq=False)
 class _Cases:
-    """A complete count and the first case_cap cases behind it, kept as
-    (template, A text) pairs."""
+    """A complete count and the first case_cap cases behind it: held cases,
+    kept as runs (templates, A text), a run being one A's cases in a list,
+    A with each of its templates in row order."""
 
     count: int = 0
+    held: int = 0
     kept: list = field(default_factory=list)
+
+    def keep(self, templates: tuple[str, ...], a_text: str, case_cap: int) -> None:
+        """Keep a run, cut at the cap; held must be below it."""
+        templates = templates[: case_cap - self.held]
+        self.kept.append((templates, a_text))
+        self.held += len(templates)
 
     def extend(self, other: _Cases, case_cap: int) -> None:
         self.count += other.count
-        self.kept.extend(other.kept[: case_cap - len(self.kept)])
+        for templates, a_text in other.kept:
+            if self.held >= case_cap:
+                break
+            self.keep(templates, a_text, case_cap)
 
 
 @dataclass
@@ -295,7 +311,7 @@ class _Partial:
 
 def _merged(parts: Iterable[_Partial], case_cap: int) -> _Partial:
     """Fold chunk results in block order as they arrive. Each list stops at
-    the cap, so the merge never holds more than case_cap pairs per list and
+    the cap, so the merge never holds more than case_cap cases per list and
     a chunk's result is dropped once it is folded in."""
     merged = _Partial()
     for part in parts:
@@ -308,38 +324,55 @@ def _merged(parts: Iterable[_Partial], case_cap: int) -> _Partial:
 
 
 class CaseList(Sequence):
-    """A report's case list, read-only: (template, A text) pairs, read as
-    the list of their records. A template is the JSON text of a record
-    after '{"a":' and its A text (see _template). A pair's record is "a",
-    its A text, then its template's keys in order, decoded into a plain
-    dict on each read, so no read can change the list; a pass over the list
-    decodes each distinct template once. Every case of one (row, A's facts)
-    in a chunk shares one template, and a violation is its own template. A
-    CaseList equals a list of dicts that equals its records, and
-    encode_json writes it by splicing its pairs' text. It pickles and
-    copies as its pairs."""
+    """A report's case list, read-only: runs (templates, A text), read as
+    the list of their cases' records, a run's cases being A with each of its
+    templates in order. A template is the JSON text of a record after
+    '{"a":' and its A text (see _template). A case's record is "a", its A
+    text, then its template's keys in order, decoded into a plain dict on
+    each read, so no read can change the list; a pass over the list decodes
+    each distinct template once. Every case of one (row, A's facts) in a
+    chunk shares one template, and a violation is its own template. Index
+    and slice read the (template, A text) pairs, flattened at the first such
+    read. A CaseList equals a list of dicts that equals its records, and
+    encode_json writes it by splicing its runs' text. It pickles and copies
+    as its runs."""
 
-    __slots__ = ("_pairs",)
+    __slots__ = ("_runs", "_len", "_flat")
 
-    def __init__(self, pairs: Iterable[tuple[str, str]] = ()):
-        self._pairs = tuple(pairs)
+    def __init__(self, runs: Iterable[tuple[tuple[str, ...], str]] = ()):
+        self._runs = tuple(runs)
+        self._len = sum(len(templates) for templates, _ in self._runs)
+        self._flat = None
+
+    def __reduce__(self):
+        return CaseList, (self._runs,)
+
+    @property
+    def _pairs(self) -> tuple[tuple[str, str], ...]:
+        """(template, A text) per case, in order."""
+        if self._flat is None:
+            self._flat = tuple(
+                (template, a_text) for templates, a_text in self._runs for template in templates
+            )
+        return self._flat
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return self._len
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return CaseList(self._pairs[index])
+            return CaseList(((template,), a_text) for template, a_text in self._pairs[index])
         template, a_text = self._pairs[index]
         return {"a": a_text, **_fields(template)}
 
     def __iter__(self) -> Iterator[dict]:
         decoded = {}
-        for template, a_text in self._pairs:
-            fields = decoded.get(template)
-            if fields is None:
-                fields = decoded[template] = _fields(template)
-            yield {"a": a_text, **fields}
+        for templates, a_text in self._runs:
+            for template in templates:
+                fields = decoded.get(template)
+                if fields is None:
+                    fields = decoded[template] = _fields(template)
+                yield {"a": a_text, **fields}
 
     def __eq__(self, other):
         if not isinstance(other, (CaseList, list)):
@@ -552,7 +585,7 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int]) -> _Partial:
     # by_facts maps judge's observed facts to a (template, lists its cases
     # go to) pair. suffixes holds each template's text after its prefix,
     # once per block. A violation's template is its row's prefix at its
-    # size, then its formula. A kept case is the pair (template, A text)
+    # size, then its formula
     tables = [None] * len(rows)
     suffixes = {}
 
@@ -583,11 +616,11 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int]) -> _Partial:
             entry = by_facts[observed] = (template, lists)
         return entry
 
-    # an A's entries in row order follow from its half, f and walk hits:
-    # resolved once per (half, f, hits). f is taken only where the closed
-    # rows' hits depend on it. Every A that is not a progression shares one
-    # half; most have no walk hit
-    entries_by = {}
+    # an A's runs, each list's templates in row order, follow from its
+    # half, f and walk hits: resolved once per (half, f, hits). f is taken
+    # only where the closed rows' hits depend on it. Every A that is not a
+    # progression shares one half; most have no walk hit
+    runs_by = {}
     by_sum = closed[0] != closed[1]
     acc.pairs = block[-1] * space.h_subset_count() * len(space.kinds)
     for elements, hits in _walk(_block_sets(block), k, space.kinds, open_rows):
@@ -597,21 +630,21 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int]) -> _Partial:
         a_half = verdict_a_half(elements, zero_in)
         hits.sort()
         key = (a_half, f, *hits)
-        entries = entries_by.get(key)
-        if entries is None:
-            hits = sorted(closed[f] + hits)
-            entries = entries_by[key] = [resolved(i, s, a_half) for i, s in hits]
-        # A's text once per A, and only for a kept case
+        runs = runs_by.get(key)
+        if runs is None:
+            by_list = {}
+            for i, s in sorted(closed[f] + hits):
+                template, lists = resolved(i, s, a_half)
+                for cases in lists:
+                    by_list.setdefault(cases, []).append(template)
+            runs = runs_by[key] = [(cases, tuple(run)) for cases, run in by_list.items()]
+        # A's text once per A, and only for a kept run
         a_text = None
-        for template, lists in entries:
-            pair = None  # one tuple for every list the case is kept in
-            for cases in lists:
-                cases.count += 1
-                if len(cases.kept) < case_cap:
-                    if pair is None:
-                        a_text = a_text or format_elements(elements)
-                        pair = (template, a_text)
-                    cases.kept.append(pair)
+        for cases, templates in runs:
+            cases.count += len(templates)
+            if cases.held < case_cap:
+                a_text = a_text or format_elements(elements)
+                cases.keep(templates, a_text, case_cap)
     return acc
 
 
@@ -673,9 +706,9 @@ class VerificationReport:
         values["space"] = SearchSpace.from_dict(data["space"])
         for name, value in values.items():
             if type(value) is list:
-                # each record its own template: its text without "a"
+                # each record its own run of one template: its text without "a"
                 values[name] = CaseList(
-                    (_template({key: item for key, item in r.items() if key != "a"}), r["a"])
+                    ((_template({key: item for key, item in r.items() if key != "a"}),), r["a"])
                     for r in value
                 )
         return cls(**values)
@@ -690,8 +723,8 @@ def encode_json(value) -> str:
     which a CaseList stands for the list of its records, built as one list
     of pieces joined once. A case is written as '{"a":', its A text and its
     template, which is already that record's remaining text, so no template
-    is encoded here; dicts and lists are walked, and any other value is
-    encoded whole."""
+    is encoded here, and a run's A text is encoded once for all its cases;
+    dicts and lists are walked, and any other value is encoded whole."""
     pieces = []
     _encode(value, pieces)
     return "".join(pieces)
@@ -701,10 +734,13 @@ def _encode(value, pieces: list) -> None:
     """Append value's JSON pieces to pieces."""
     if type(value) is CaseList:
         sep = "["
-        for template, a_text in value._pairs:
-            pieces += (sep, '{"a":', encode_basestring_ascii(a_text), template)
-            sep = ","
-        pieces.append("]" if value._pairs else "[]")
+        # pieces are the shared strings, so the one join makes the only copy
+        for templates, a_text in value._runs:
+            head = '{"a":' + encode_basestring_ascii(a_text)
+            for template in templates:
+                pieces += (sep, head, template)
+                sep = ","
+        pieces.append("]" if value._runs else "[]")
     elif type(value) is dict:
         sep = "{"
         for key, item in value.items():
@@ -821,14 +857,13 @@ def find_extremal(
     # shares its row and its k: the key is read once per template
     groups: dict[tuple[int, int, str], list] = {}
     keys = {}
-    for pair in report.equality_cases._pairs:
-        template, a_text = pair
+    for template, a_text in report.equality_cases._pairs:
         if id(template) not in keys:
             fields = _fields(template)
             k, r = len(parse_elements(a_text)), len(parse_elements(fields["h"]))
             keys[id(template)] = (k, r, fields["kind"])
-        groups.setdefault(keys[id(template)], []).append(pair)
+        groups.setdefault(keys[id(template)], []).append(((template,), a_text))
     return [
-        {"k": k, "r": r, "kind": kind, "cases": CaseList(pairs)}
-        for (k, r, kind), pairs in sorted(groups.items())
+        {"k": k, "r": r, "kind": kind, "cases": CaseList(runs)}
+        for (k, r, kind), runs in sorted(groups.items())
     ]

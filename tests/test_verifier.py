@@ -514,6 +514,78 @@ def test_equality_case_cap_truncates_lists_not_counts(monkeypatch):
             assert len(getattr(capped, cases)) == min(cap, getattr(full, count))
 
 
+def test_cases_extend_cuts_the_run_that_crosses_the_cap():
+    ts = tuple(f',"t":{i}}}' for i in range(6))
+    merged = verifier._Cases(count=3, held=3, kept=[(ts[:3], "1")])
+    part = verifier._Cases(count=9, held=9, kept=[(ts[:2], "2"), (ts, "3"), (ts[:1], "4")])
+    merged.extend(part, 8)
+    # the first run fits, the second is cut to the 3 cases left, the third
+    # is dropped; the count is whole
+    assert merged.count == 12 and merged.held == 8
+    assert merged.kept == [(ts[:3], "1"), (ts[:2], "2"), (ts[:3], "3")]
+    assert list(CaseList(merged.kept)) == [
+        {"a": a, "t": t} for a, n in (("1", 3), ("2", 2), ("3", 3)) for t in range(n)
+    ]
+    # at the cap, a run adds its count and no case
+    merged.extend(verifier._Cases(count=1, held=1, kept=[(ts[:1], "5")]), 8)
+    assert (merged.count, merged.held, len(merged.kept)) == (13, 8, 3)
+
+
+def test_case_cap_cuts_inside_a_run_in_the_chunk_and_in_the_merge(monkeypatch):
+    # every cap in 0..40 and 180..200 on the acceptance space: each list is
+    # the uncapped list cut to the cap, and every count is whole. A chunk
+    # cuts its lists at the cap, and the merge cuts the run that crosses it.
+    # verify at 1 worker is _merged of the block results, kept here as they
+    # pass; lists compare as their (template, A text) pairs
+    _pin_cpus(monkeypatch, 2)
+    real = verifier._run_chunk
+    parts = []
+
+    def kept(args):
+        parts.append(real(args))
+        return parts[-1]
+
+    lists = ("violations", "equality", "nonstructured", "inconsistencies")
+    whole_parts = [real((_ACCEPTANCE, block, 10**9)) for block in _ACCEPTANCE.a_blocks()]
+    whole = verifier._merged(whole_parts, 10**9)
+    chunk_cuts, merge_cuts = set(), set()
+    for cap in (*range(41), *range(180, 201)):
+        parts.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(verifier, "_run_chunk", kept)
+            reports = [verify(_ACCEPTANCE, workers=1, case_cap=cap)]
+        reports.append(verify(_ACCEPTANCE, workers=2, case_cap=cap))
+        assert len(parts) == len(whole_parts)
+        for name, (count_field, list_field) in zip(lists, _COUNTS_AND_LISTS):
+            full = getattr(whole, name)
+            expected = CaseList(full.kept)._pairs[:cap]
+            for part, whole_part in zip(parts, whole_parts):
+                cases, uncut = getattr(part, name), getattr(whole_part, name)
+                assert cases.count == uncut.count
+                assert CaseList(cases.kept)._pairs == CaseList(uncut.kept)._pairs[:cap]
+                n = len(cases.kept)
+                if n and cases.kept[-1] != uncut.kept[n - 1]:
+                    chunk_cuts.add((cap, name))
+            # the merged runs are the parts' runs in block order, the last
+            # one cut at the cap
+            runs = [run for part in parts for run in getattr(part, name).kept]
+            merged = getattr(reports[0], list_field)._runs
+            n = len(merged)
+            assert merged[: n - 1] == tuple(runs[: n - 1])
+            if n and merged[-1] != runs[n - 1]:
+                merge_cuts.add((cap, name))
+            for report in reports:
+                assert getattr(report, count_field) == full.count
+                cases = getattr(report, list_field)
+                assert len(cases) == len(expected) == min(cap, full.count)
+                assert cases._pairs == expected
+    # the CI pin's cap: the equality list is cut inside a run of block 0,
+    # and the nonstructured list in the merge, inside a run of block 1
+    assert (190, "equality") in chunk_cuts
+    assert (190, "nonstructured") in merge_cuts
+    assert {name for _, name in chunk_cuts | merge_cuts} == {"equality", "nonstructured"}
+
+
 def test_in_process_merge_keeps_one_chunk_result_at_a_time(monkeypatch):
     real, results, alive = verifier._run_chunk, [], []
 
@@ -618,7 +690,7 @@ def test_bound_violations_capped_per_chunk_counts_complete(monkeypatch, same_jso
     chunks = [_run_chunk((space, block, 1)) for block in space.a_blocks()]
     assert sum(chunk.violations.count for chunk in chunks) == report.bound_violation_count
     # capped before the merge
-    assert [len(chunk.violations.kept) for chunk in chunks] == [1, 1]
+    assert [chunk.violations.held for chunk in chunks] == [1, 1]
 
 
 def test_bounds_looked_up_once_per_block(monkeypatch):
@@ -984,7 +1056,8 @@ def test_equality_templates_built_once_per_row_and_a_facts(monkeypatch):
     _count_calls(monkeypatch, structure, "InverseVerdict", dataclasses_made)
     _count_calls(monkeypatch, structure, "StructureFacts", dataclasses_made)
     chunk = _run_blocks(space, equalities)
-    assert chunk.equality.count == len(chunk.equality.kept) == equalities
+    pairs = CaseList(chunk.equality.kept)._pairs
+    assert chunk.equality.count == chunk.equality.held == len(pairs) == equalities
     # one record per (row, A's observed facts), A's first element aside, and
     # H's facts once per row that reaches an equality case; no verdict
     # dataclass on the way
@@ -993,7 +1066,7 @@ def test_equality_templates_built_once_per_row_and_a_facts(monkeypatch):
     assert dataclasses_made == []
     # every case is a pair whose template is one of those built: the text
     # of the record's keys after "a"
-    templates = {id(template): template for template, _ in chunk.equality.kept}
+    templates = {id(template): template for template, _ in pairs}
     assert len(templates) == len(built)
     assert all(list(_fields(template)) == _RECORD_KEYS[1:] for template in templates.values())
 
@@ -1036,9 +1109,10 @@ def test_full_case_lists_only_count(monkeypatch, raised):
     assert all(counts) if raised else counts[0] == counts[3] == 0 < counts[2]
     # uncapped: one pair per equality case, its template one of those
     # built, and one text per A that has a case
-    assert len(full.equality.kept) == counts[1] > len(built)
-    assert {id(template) for template, _ in full.equality.kept} == set(map(id, built))
-    a_texts = {a_text for name in lists for _, a_text in getattr(full, name).kept}
+    pairs = CaseList(full.equality.kept)._pairs
+    assert len(pairs) == full.equality.held == counts[1] > len(built)
+    assert {id(template) for template, _ in pairs} == set(map(id, built))
+    a_texts = {a_text for name in lists for _, a_text in CaseList(getattr(full, name).kept)._pairs}
     assert len(texts) == h_texts + len(a_texts)
     templates = len(built)
     uncapped = verify(space, workers=1, case_cap=10**9)
@@ -1207,16 +1281,20 @@ def test_case_records_are_read_only(same_json):
         assert cases[i] == before[i]
     assert list(cases) == before
     same_json(report.to_json(), blob)
-    # the pool path: a chunk's pairs cross as pickles of plain tuples, and
-    # every case of a template still shares it
+    # the pool path: a chunk's runs cross as pickles of plain tuples, the
+    # A-sets of one (half, f, walk hits) still share their runs' templates,
+    # and every case of a template still shares it
     chunk = _run_chunk((space, space.a_blocks()[2], 10**9))
     twin = pickle.loads(pickle.dumps(chunk))
     for part in (chunk, twin):
-        assert all(type(pair) is tuple for pair in part.equality.kept)
-    shared = [{id(template) for template, _ in part.equality.kept} for part in (chunk, twin)]
+        assert all(type(run) is type(run[0]) is tuple for run in part.equality.kept)
+    shared = [{id(templates) for templates, _ in part.equality.kept} for part in (chunk, twin)]
     assert len(shared[0]) == len(shared[1]) < len(chunk.equality.kept)
+    pairs = [CaseList(part.equality.kept)._pairs for part in (chunk, twin)]
+    shared = [{id(template) for template, _ in part} for part in pairs]
+    assert len(shared[0]) == len(shared[1]) < len(pairs[0])
     assert CaseList(twin.equality.kept) == CaseList(chunk.equality.kept)
-    # a report pickles and copies as its pairs
+    # a report pickles and copies as its runs
     restored = pickle.loads(pickle.dumps(report))
     assert restored == report and type(restored.equality_cases) is CaseList
     same_json(restored.to_json(), blob)
@@ -1312,7 +1390,7 @@ def test_templates_are_encoded_per_row_and_suffix_and_to_json_encodes_none(monke
         prefixes = [value for value in encoded if "h" in value]
         suffixes = [value for value in encoded if "rule" in value]
         assert len(prefixes) + len(suffixes) == len(encoded)
-        records = [_fields(template) for template, _ in chunk.equality.kept]
+        records = [_fields(template) for template, _ in CaseList(chunk.equality.kept)._pairs]
         rows = {(record["h"], record["kind"]) for record in records}
         tails = {tuple(record.items())[5:] for record in records}
         assert (len(prefixes), len(suffixes)) == (len(rows), len(tails))
@@ -1432,7 +1510,7 @@ def test_sweep_templates_equal_check_inverse_records():
         verdict = structure.check_inverse(A, H, kind)
         if verdict.equality_holds:
             equal.add((format_elements(A.elements), format_elements(H.elements), kind.value))
-    pairs = _run_blocks(space, 10**9).equality.kept
+    pairs = CaseList(_run_blocks(space, 10**9).equality.kept)._pairs
     assert len(pairs) == len(equal) > 100
     seen, facts = set(), set()
     for template, a_text in pairs:
