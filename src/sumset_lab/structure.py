@@ -227,9 +227,13 @@ def verdict_a_half(
     elements: tuple[int, ...], zero_in: bool
 ) -> tuple[bool, int | None, int | None, bool]:
     """The verdict inputs that look at A alone, from the increasing elements
-    of a sign-reduced set: is it a progression, its difference, its first
-    element beside a difference (else None), is it a dilated interval. In
-    one row, equal tuples give equal verdicts to equality cases. A set of
+    of a sign-reduced set: is it a progression, its difference d, its ratio,
+    is it a dilated interval. The ratio is d // first when the first element
+    divides d, 0 when it does not, and None when there is no difference;
+    since every H difference is at least 1, it equals H's difference d_H
+    exactly when d = d_H * first, the difference relation. So progressions
+    of one d and ratio share a tuple whatever their first element, and in
+    one row equal tuples give equal verdicts to equality cases. A set of
     k >= 3 whose span is not (k-1) times its first gap is no progression:
     it takes the non-progression half before any gap is walked."""
     k = len(elements)
@@ -238,8 +242,9 @@ def verdict_a_half(
     ad = _progression(elements)
     if not ad.is_ap:
         return NON_PROGRESSION_A_HALF
-    first = ad.first if ad.difference else None
-    return ad.is_ap, ad.difference, first, _dilation(ad, zero_in) is not None
+    d, first = ad.difference, ad.first
+    ratio = None if d is None else d // first if first and not d % first else 0
+    return ad.is_ap, d, ratio, _dilation(ad, zero_in) is not None
 
 
 # rule, predicted fact names, unmet hypotheses, H's progression, H is a run
@@ -314,12 +319,14 @@ def judge(
     """The inverse rule, from a union's size, its bound outcome, the row's
     half (verdict_h_half) and A's half (verdict_a_half): (equality, the
     FLAG_NAMES values, the FACT_NAMES values). build_verdict wraps them in
-    dataclasses; the exhaustive verifier builds none."""
+    dataclasses; the exhaustive verifier builds none. The difference
+    relation d_A = d_H * min A is A's ratio == d_H (see verdict_a_half)."""
     rule, predicted, reasons, hd, h_run = h_half
-    a_is_ap, a_difference, a_first, a_dilated = a_half
-    # a difference is None unless the set is a progression of 2+ elements
-    if hd.difference is not None and a_difference is not None:
-        relation = a_difference == hd.difference * a_first
+    a_is_ap, a_difference, a_ratio, a_dilated = a_half
+    # a difference, and so a ratio, is None unless the set is a progression
+    # of 2+ elements
+    if hd.difference is not None and a_ratio is not None:
+        relation = a_ratio == hd.difference
     else:
         relation = None
     observed = (hd.is_ap, hd.difference, h_run, a_is_ap, a_difference, a_dilated, relation)

@@ -22,32 +22,34 @@ never walked. Any other key is one walk row, built in one pass in row
 order: the key's H, of least h_r in the class, under its own caps,
 carrying each member's (row index, size offset); its hit of size s is
 each member's hit at s plus its offset. Only pairs that reach their bound
-go further. The A half of the verdict (A's progression and dilation,
-structure.verdict_a_half, whose span test turns most sets away before any
-gap is walked) is taken once per A that has a hit. An equality case's size
-is its row's bound, so its record less "a" depends on the row and A's half
-only: each chunk builds that template once per (row, observed facts) that
-occurs, laid out from structure.judge without any verdict dataclass, as
-the JSON text that follows '{"a":' and A's text. That text is the row's
-prefix (H, the kind, 0 in A, the size and the bound), encoded at the row's
-first equality case, where its H half (rule, hypotheses, H's progression
-and run) is derived, then a suffix (flags, rule, observed facts) encoded
-once per chunk. A case finds its template in its row's table, keyed by
-judge's observed facts; a violation's is the row's prefix at its size,
-then its formula. An A's cases in each report list, its closed and walk
-hits' templates in row order, depend on its half, f and walk hits alone,
-so each chunk resolves them once per (half, f, hits) into one tuple of
-templates per list: an A with no walk hit, as most are, shares its (half,
-f)'s. For each A and list the chunk adds the tuple's length to the list's
-count and keeps one run (templates, A text), cut at the room left under
-the case cap, so a repeat costs one tuple per list, and chunk results
-cross the worker pool as plain tuples. Each report list is a CaseList over
-its runs, read as the list of their cases' records (a plain dict per read,
-"a" first, each template decoded once per pass), and encode_json writes a
-case as '{"a":', its A text and its template, encoding no template and
-each run's A text once. A run that no list keeps, all of them being at the
-case cap, is only counted, and A's text is formatted once per A, only for
-a kept run. A block is the
+go further. The A half of the verdict (A's progression, its difference and
+ratio, and its dilation: structure.verdict_a_half, whose span test turns
+most sets away before any gap is walked) is taken once per A that has a
+hit; it holds no element of A, so progressions of one difference and ratio
+share it. An equality case's size is its row's bound, so its record less
+"a" depends on the row and A's half only: each chunk builds that template
+once per (row, observed facts) that occurs, laid out from structure.judge
+without any verdict dataclass, as the JSON text that follows '{"a":' and
+A's text. That text is the row's prefix (H, the kind, 0 in A, the size and
+the bound), written as text at the row's first equality case, where its H
+half (rule, hypotheses, H's progression and run) is derived, then a suffix
+(flags, rule, observed facts) encoded once per chunk. A case finds its
+template in its row's table, keyed by judge's observed facts; a
+violation's is the row's prefix at its size, then its formula. An A's
+cases in each report list, its closed and walk hits' templates in row
+order, depend on its half, f and walk hits alone, so each chunk resolves
+them once per (half, f, hits), a memo keyed on A's verdict inputs, into
+one tuple of templates per list: an A with no walk hit, as most are,
+shares its (half, f)'s. For each A and list the chunk adds the tuple's
+length to the list's count and keeps one run (templates, A text), cut at
+the room left under the case cap, so a repeat costs one tuple per list,
+and chunk results cross the worker pool as plain tuples. Each report list
+is a CaseList over its runs, read as the list of their cases' records (a
+plain dict per read, "a" first, each template decoded once per pass), and
+encode_json writes a case as '{"a":', its A text and its template,
+encoding no template and each run's A text once. A run that no list keeps,
+all of them being at the case cap, is only counted, and A's text is
+formatted once per A, only for a kept run. A block is the
 k-subsets of [1, N], or the first C(N-1, k-1) k-subsets of [0, N-1] in lex
 order, which are those that hold 0. Each nonempty block is one chunk, the
 one unit of work: it runs the int64 guard, sets up its rows and templates
@@ -61,7 +63,8 @@ a space of one block runs in process at any worker count: that costs wall
 time on a large single-block space, and saves the set-up that every split
 would repeat. Each case list stops at the case cap, in a chunk and in the
 merge alike, the run that crosses it cut there, so memory follows the cap
-rather than the number of cases.
+rather than the number of cases. A chunk's runs that all fit under the
+cap are merged whole, as the same tuples.
 """
 
 from __future__ import annotations
@@ -293,7 +296,14 @@ class _Cases:
         self.held += len(templates)
 
     def extend(self, other: _Cases, case_cap: int) -> None:
+        """Add other's count, and its runs up to the cap: whole, sharing its
+        run tuples, when they all fit, else run by run up to the one that
+        crosses the cap, cut there."""
         self.count += other.count
+        if self.held + other.held <= case_cap:
+            self.kept += other.kept
+            self.held += other.held
+            return
         for templates, a_text in other.kept:
             if self.held >= case_cap:
                 break
@@ -400,11 +410,14 @@ def _fields(template: str) -> dict:
 
 def row_prefix(h_text: str, kind: SumsetKind, zero_in: bool, size: int, bound: int) -> str:
     """The text that every template of a row and size starts with: H, the
-    kind, 0 in A, the size and the bound. An equality case's size is its
-    row's bound, and a violation's template goes on with its formula."""
-    fields = {"h": h_text, "kind": kind.value, "zero_in_a": zero_in, "size": size,
-              "bound": bound}
-    return _template(fields)[:-1]
+    kind, 0 in A, the size and the bound, written as _ENCODER would write
+    those five keys (the kind's value and the ints need no escaping). An
+    equality case's size is its row's bound, and a violation's template
+    goes on with its formula."""
+    return (
+        f',"h":{encode_basestring_ascii(h_text)},"kind":"{kind.value}"'
+        f',"zero_in_a":{"true" if zero_in else "false"},"size":{size},"bound":{bound}'
+    )
 
 
 def case_record(
@@ -484,21 +497,26 @@ def _walk(
     plus its offset, and it hits exactly when the walk row does.
 
     The sets come in lex order, so consecutive ones share a prefix. A stack
-    holds, per prefix length, each kind's rungs of that prefix as absolute
-    vectors (bit s is the sum s; every element is >= 0) and its rows still
-    open; a step extends a copy of its parent's rungs in place, so the
-    stack keeps them. Appending a new maximum adds at least the sums that
-    _prefix_caps counts (the README's prefix lemmas), so a row whose union
-    of a prefix exceeds its cap there exceeds its bound on every set below
-    that prefix: it closes for the whole subtree, and a prefix with no row
-    open is not extended. A itself is the same step to size k, whose cap is
-    the bound: the rows within it there are A's hits, and that level is
-    never a parent. Each kind's ladder stops at the highest rung its walk
-    rows read: a rung depends only on the rungs below it, so the ones above
-    would never be ORed.
+    holds, per prefix length, (kind, rungs, rows) for each kind that still
+    has a row open there: the rungs of that prefix as absolute vectors (bit
+    s is the sum s; every element is >= 0) and those open rows. A step
+    extends a copy of its parent's rungs in place, so the stack keeps them.
+    Appending a new maximum adds at least the sums that _prefix_caps counts
+    (the README's prefix lemmas), so a row whose union of a prefix exceeds
+    its cap there exceeds its bound on every set below that prefix: it
+    closes for the whole subtree, a kind whose last row closes leaves the
+    entry, and a prefix with an empty entry is not extended. A itself is the
+    same step to size k, whose cap is the bound: the rows within it there
+    are A's hits, and that level is never a parent. Each kind's ladder stops
+    at the highest rung its walk rows read: a rung depends only on the rungs
+    below it, so the ones above would never be ORed.
     """
     stack = [
-        [([1] + [0] * max((hs[-1] for _, hs, _ in rows), default=0), rows) for rows in open_rows]
+        [
+            (kind, [1] + [0] * max(hs[-1] for _, hs, _ in rows), rows)
+            for kind, rows in zip(kinds, open_rows)
+            if rows
+        ]
     ]
     prev = ()
     for a in a_sets:
@@ -507,28 +525,27 @@ def _walk(
             m += 1
         del stack[m + 1 :]
         prev, state, hits = a, stack[m], []
-        while m < k and any(rows for _, rows in state):
+        while m < k and state:
             x, m = a[m], m + 1
             pushed = []
-            for kind, (rungs, rows) in zip(kinds, state):
-                if rows:
-                    rungs = rungs.copy()
-                    extend_ladder(rungs, x, kind)
-                    kept = []
-                    for row in rows:
-                        cap = row[2][m]
-                        if cap is not None:
-                            union = 0
-                            for h in row[1]:
-                                union |= rungs[h]
-                            size = union.bit_count()
-                            if size > cap:
-                                continue
-                            if m == k:
-                                hits += [(index, size + offset) for index, offset in row[0]]
-                        kept.append(row)
-                    rows = kept
-                pushed.append((rungs, rows))
+            for kind, rungs, rows in state:
+                rungs = rungs.copy()
+                extend_ladder(rungs, x, kind)
+                kept = []
+                for row in rows:
+                    cap = row[2][m]
+                    if cap is not None:
+                        union = 0
+                        for h in row[1]:
+                            union |= rungs[h]
+                        size = union.bit_count()
+                        if size > cap:
+                            continue
+                        if m == k:
+                            hits += [(index, size + offset) for index, offset in row[0]]
+                    kept.append(row)
+                if kept:
+                    pushed.append((kind, rungs, kept))
             stack.append(pushed)
             state = pushed
         yield a, hits
@@ -619,7 +636,8 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int]) -> _Partial:
     # an A's runs, each list's templates in row order, follow from its
     # half, f and walk hits: resolved once per (half, f, hits). f is taken
     # only where the closed rows' hits depend on it. Every A that is not a
-    # progression shares one half; most have no walk hit
+    # progression shares one half, and progressions of one difference and
+    # ratio share one; most have no walk hit
     runs_by = {}
     by_sum = closed[0] != closed[1]
     acc.pairs = block[-1] * space.h_subset_count() * len(space.kinds)

@@ -43,6 +43,15 @@ def test_is_dilated_interval():
         is_dilated_interval(IntSet((1, 2, 3)), include_zero=True)
 
 
+def _ratio(ad):
+    """The literal ratio of verdict_a_half: the q with q * first = d, 0 when
+    there is none, None without a difference."""
+    d = ad.difference
+    if d is None:
+        return None
+    return next((q for q in range(1, d + 1) if q * ad.first == d), 0)
+
+
 def test_dilated_interval_matches_literal_definition():
     # every subset of [1,12], without and with 0, against A == d*[1,k] / d*[0,k-1]
     for mask in range(1 << 12):
@@ -58,9 +67,7 @@ def test_dilated_interval_matches_literal_definition():
             A = IntSet(elements)
             assert is_dilated_interval(A, zero_in) == expected, elements
             ad = ap_descriptor(A)
-            # the first element only beside a difference
-            first = ad.first if ad.difference is not None else None
-            half = (ad.is_ap, ad.difference, first, expected is not None)
+            half = (ad.is_ap, ad.difference, _ratio(ad), expected is not None)
             assert verdict_a_half(elements, zero_in) == half
 
 
@@ -73,8 +80,7 @@ def test_verdict_a_half_span_test_agrees_with_the_gap_walk():
         ad = structure._progression(elements)
         if not ad.is_ap:
             return structure.NON_PROGRESSION_A_HALF
-        first = ad.first if ad.difference else None
-        return True, ad.difference, first, structure._dilation(ad, zero_in) is not None
+        return True, ad.difference, _ratio(ad), structure._dilation(ad, zero_in) is not None
 
     sets = [c for k in range(1, 8) for c in combinations(range(1, 15), k)]
     sets += [(0, *c) for k in range(1, 8) for c in combinations(range(1, 14), k - 1)]
@@ -86,6 +92,35 @@ def test_verdict_a_half_span_test_agrees_with_the_gap_walk():
     # to the gap walk, which finds the non-progression half
     assert verdict_a_half((1, 3, 4, 7), False) == structure.NON_PROGRESSION_A_HALF
     assert reference((1, 3, 4, 7), False) == structure.NON_PROGRESSION_A_HALF
+
+
+def test_judge_difference_relation_is_d_equals_d_h_times_first():
+    # the relation judge reads off A's ratio is the literal d_A = d_H * min A,
+    # for every progression in [0, 30] (singletons have none) and every H
+    # difference d_H in 1..7
+    progressions = [(a,) for a in range(31)]
+    progressions += [
+        tuple(range(first, first + d * k, d))
+        for first in range(31)
+        for d in range(1, 31)
+        for k in range(2, (30 - first) // d + 2)
+    ]
+    # one of 2+ elements per span m = (k-1)d in 1..30, each d | m and each
+    # first in 0..30-m: the sum of tau(m) * (31 - m)
+    assert len(progressions) == 31 + 1492
+    for elements in progressions:
+        zero_in, k = elements[0] == 0, len(elements)
+        a_half = verdict_a_half(elements, zero_in)
+        for d_h in range(1, 8):
+            H = HSet((1, 1 + d_h))
+            outcome = catalog_bound(ORD, k, H, zero_in)
+            h_half = structure.verdict_h_half(ORD, zero_in, k, H, outcome)
+            _, _, observed = structure.judge(outcome.value, outcome, h_half, a_half)
+            if k == 1:
+                assert observed[-1] is None
+            else:
+                d = elements[1] - elements[0]
+                assert observed[-1] == (d == d_h * elements[0]), (elements, d_h)
 
 
 def test_h_shifted_interval():

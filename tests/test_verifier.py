@@ -529,6 +529,29 @@ def test_cases_extend_cuts_the_run_that_crosses_the_cap():
     # at the cap, a run adds its count and no case
     merged.extend(verifier._Cases(count=1, held=1, kept=[(ts[:1], "5")]), 8)
     assert (merged.count, merged.held, len(merged.kept)) == (13, 8, 3)
+    runs = [(ts[:2], "2"), (ts[:3], "3")]
+
+    def head():
+        return verifier._Cases(count=4, held=3, kept=[(ts[:3], "1")])
+
+    # a part that lands exactly on the cap is appended whole: its run tuples
+    # are the merge's, not copies
+    merged, part = head(), verifier._Cases(count=7, held=5, kept=list(runs))
+    merged.extend(part, 8)
+    assert (merged.count, merged.held) == (11, 8)
+    assert merged.kept == [(ts[:3], "1"), *runs]
+    assert all(mine is theirs for mine, theirs in zip(merged.kept[1:], part.kept))
+    # one case over the cap: the last run is cut to the room left
+    merged, part = head(), verifier._Cases(count=6, held=6, kept=[runs[0], (ts[:4], "3")])
+    merged.extend(part, 8)
+    assert (merged.count, merged.held) == (10, 8)
+    assert merged.kept == [(ts[:3], "1"), runs[0], (ts[:3], "3")]
+    # a merge already at the cap only adds counts, whatever the part holds
+    for held, kept in ((0, []), (5, list(runs))):
+        before = list(merged.kept)
+        merged.extend(verifier._Cases(count=9, held=held, kept=kept), 8)
+        assert merged.held == 8 and merged.kept == before
+    assert merged.count == 28
 
 
 def test_case_cap_cuts_inside_a_run_in_the_chunk_and_in_the_merge(monkeypatch):
@@ -1003,6 +1026,54 @@ def test_walk_row_that_is_no_row_matches_brute_force(monkeypatch):
     assert counts == [(41, 0), (490, 41), (364, 531)]
 
 
+# k 1..4 in both zero modes, H = {1}, {2} or {3}: at k = 1 the restricted
+# {1} is a closed row and {2} and {3} do not apply, so the restricted kind
+# has no walk row there while the ordinary one walks {2} and {3}; at k = 2
+# and 3 every restricted row is closed too, and at k = 4 {2} is walked
+_ONE_KIND_SPACE = SearchSpace(9, (1, 4), 3, (1, 1), zero_mode=ZeroMode.BOTH)
+
+
+def test_walk_with_a_kind_that_has_no_row_matches_brute_force(monkeypatch):
+    # a kind with no walk row is left out of the walk's entries from the
+    # first step: counts and lists equal check_inverse pair by pair
+    real, walked = verifier._walk, []
+
+    def spy(a_sets, k, kinds, open_rows):
+        walked.append((k, [bool(rows) for rows in open_rows]))
+        return real(a_sets, k, kinds, open_rows)
+
+    monkeypatch.setattr(verifier, "_walk", spy)
+    report = verify(_ONE_KIND_SPACE, workers=1, case_cap=10**6)
+    assert walked == [(k, [True, k == 4]) for k in (1, 2, 3, 4)] * 2
+    expected = ([], [], [], [])
+    for A, H, kind in enumerate_pairs(_ONE_KIND_SPACE):
+        v = structure.check_inverse(A, H, kind)
+        case = (format_elements(A.elements), format_elements(H.elements), kind.value, v.bound_value)
+        if v.bound_applicable and v.computed_size < v.bound_value:
+            expected[0].append(case[:3] + (v.computed_size,))
+        if v.equality_holds:
+            expected[1].append(case)
+            if v.is_nonstructured_equality:
+                expected[2].append(case)
+            if not v.consistent:
+                expected[3].append(case)
+    for cases, (count_field, list_field) in zip(expected, _COUNTS_AND_LISTS):
+        kept = getattr(report, list_field)
+        assert getattr(report, count_field) == len(kept) == len(cases)
+        assert [(c["a"], c["h"], c["kind"], c["size"]) for c in kept] == cases
+    assert [len(cases) for cases in expected] == [0, 1325, 1016, 0]
+
+
+def test_row_prefix_is_the_json_text_of_its_five_keys():
+    for h_text, kind, zero_in, size, bound in (
+        ("1", ORD, False, 3, 3), ("2,5", RES, True, 12, 13), ("1..3", ORD, True, 0, 7),
+    ):
+        record = {"h": h_text, "kind": kind.value, "zero_in_a": zero_in, "size": size,
+                  "bound": bound}
+        text = json.dumps(record, separators=(",", ":"))
+        assert "{" + row_prefix(h_text, kind, zero_in, size, bound)[1:] + "}" == text
+
+
 @pytest.mark.deep
 def test_deep_acceptance_space_matches_brute_force(monkeypatch):
     # the walk pair by pair on the whole acceptance space, near the bound:
@@ -1322,14 +1393,16 @@ _ACCEPTANCE = SearchSpace(12, (2, 6), 6, (1, 6), zero_mode=ZeroMode.BOTH)
 def test_acceptance_space_builds_one_template_per_row_and_facts(monkeypatch):
     # a template per (row, A's observed facts) and one pair per case: a
     # per-row table that rebuilt templates would raise the first count. A
-    # chunk judges each equality hit once per (A's half, walk hits) it meets
+    # chunk judges each equality hit once per (A's half, walk hits) it meets,
+    # and progressions of one difference and ratio share a half whatever
+    # their first element
     built, verdicts, judged = [], [], []
     _count_calls(monkeypatch, verifier, "case_record", built)
     _count_calls(monkeypatch, structure, "build_verdict", verdicts)
     _count_calls(monkeypatch, verifier, "judge", judged)
     report = verify(_ACCEPTANCE, workers=1)
     assert report.equality_case_count == len(report.equality_cases) == 21027
-    assert len(built) == 2478 and verdicts == [] and len(judged) == 3533
+    assert len(built) == 2478 and verdicts == [] and len(judged) == 2731
     pairs = report.equality_cases._pairs
     assert len(pairs) == 21027
     assert len({id(template) for template, _ in pairs}) == 2478
@@ -1376,20 +1449,22 @@ class _CountingEncoder:
 
 
 def test_templates_are_encoded_per_row_and_suffix_and_to_json_encodes_none(monkeypatch):
-    # a chunk encodes one prefix per row that reaches an equality case and
-    # one suffix per distinct (flags, rule, observed facts); a case repeats
-    # no encode, and to_json splices the templates' text
-    encoded = []
+    # a chunk writes one prefix per row that reaches an equality case and
+    # encodes one suffix per distinct (flags, rule, observed facts); a case
+    # repeats neither, and to_json splices the templates' text
+    encoded, prefixes = [], []
     monkeypatch.setattr(verifier, "_ENCODER", _CountingEncoder(verifier._ENCODER, encoded))
+    _count_calls(monkeypatch, verifier, "row_prefix", prefixes)
     built = []
     _count_calls(monkeypatch, verifier, "case_record", built)
     per_chunk = []
     for block in _ACCEPTANCE.a_blocks():
         encoded.clear()
+        prefixes.clear()
         chunk = _run_chunk((_ACCEPTANCE, block, 10**9))
-        prefixes = [value for value in encoded if "h" in value]
+        # the prefixes are written as text: every encode is a suffix
         suffixes = [value for value in encoded if "rule" in value]
-        assert len(prefixes) + len(suffixes) == len(encoded)
+        assert len(suffixes) == len(encoded)
         records = [_fields(template) for template, _ in CaseList(chunk.equality.kept)._pairs]
         rows = {(record["h"], record["kind"]) for record in records}
         tails = {tuple(record.items())[5:] for record in records}
