@@ -26,45 +26,38 @@ go further. The A half of the verdict (A's progression, its difference and
 ratio, and its dilation: structure.verdict_a_half, whose span test turns
 most sets away before any gap is walked) is taken once per A that has a
 hit; it holds no element of A, so progressions of one difference and ratio
-share it. An equality case's size is its row's bound, so its record less
-"a" depends on the row and A's half only: each chunk builds that template
-once per (row, observed facts) that occurs, laid out from structure.judge
-without any verdict dataclass, as the JSON text that follows '{"a":' and
-A's text. That text is the row's prefix (H, the kind, 0 in A, the size and
-the bound), written as text at the row's first equality case, where its H
-half (rule, hypotheses, H's progression and run) is derived, then a suffix
-(flags, rule, observed facts) encoded once per chunk. A case finds its
-template in its row's table, keyed by judge's observed facts; a
-violation's is the row's prefix at its size, then its formula. An A's
-cases in each report list, its closed and walk hits' templates in row
+share it. The row pass derives each row's H half (rule, hypotheses, H's
+progression and run) and writes its template prefix as text: H, the kind,
+0 in A, the size and the bound. An equality case's size is its row's
+bound, so its record less "a" is that prefix, then a suffix (flags, rule,
+observed facts) laid out from structure.judge without any verdict
+dataclass and encoded once per chunk: the JSON text that follows '{"a":'
+and A's text. A violation's is the row's prefix at its size, then its
+formula. An A's cases in each report list, its hits' templates in row
 order, depend on its half, f and walk hits alone, so each chunk resolves
-them once per (half, f, hits), a memo keyed on A's verdict inputs, into
-one tuple of templates per list: an A with no walk hit, as most are,
-shares its (half, f)'s. For each A and list the chunk adds the tuple's
-length to the list's count and keeps one run (templates, A text), cut at
-the room left under the case cap, so a repeat costs one tuple per list,
-and chunk results cross the worker pool as plain tuples. Each report list
-is a CaseList over its runs, read as the list of their cases' records (a
-plain dict per read, "a" first, each template decoded once per pass), and
-encode_json writes a case as '{"a":', its A text and its template,
-encoding no template and each run's A text once. A run that no list keeps,
-all of them being at the case cap, is only counted, and A's text is
-formatted once per A, only for a kept run. A block is the
-k-subsets of [1, N], or the first C(N-1, k-1) k-subsets of [0, N-1] in lex
-order, which are those that hold 0. Each nonempty block is one chunk, the
-one unit of work: it runs the int64 guard, sets up its rows and templates
-once, walks its sets with itertools.combinations and is one pool message.
-Chunk results merge in block order as they finish, so the report is
-byte-identical no matter how many workers ran. Chunks run in process or on
-a ProcessPoolExecutor of at most one process per 512 A-sets of the space
-and per block, where a worker that dies fails the run with WorkerLostError
-instead of leaving it waiting. A block is never split across processes, so
-a space of one block runs in process at any worker count: that costs wall
-time on a large single-block space, and saves the set-up that every split
-would repeat. Each case list stops at the case cap, in a chunk and in the
-merge alike, the run that crosses it cut there, so memory follows the cap
-rather than the number of cases. A chunk's runs that all fit under the
-cap are merged whole, as the same tuples.
+them once per (half, f, hits), its one resolution cache, into one tuple
+of templates per list: an A with no walk hit, as most are, shares its
+(half, f)'s. For each A and list the chunk adds the tuple's length to the
+list's count and keeps one run (templates, A text), cut at the room left
+under the case cap; A's text is formatted once per A, only for a kept
+run, and a run that no list keeps is only counted. The pairs checked are
+counted from the A-sets the walk yields. A block is the k-subsets of
+[1, N], or the first C(N-1, k-1) k-subsets of [0, N-1] in lex order, which
+are those that hold 0. Each nonempty block is one chunk, the one unit of
+work: it runs the int64 guard, sets up its rows once, walks its sets with
+itertools.combinations and is one pool message. Chunk results cross the
+pool as plain tuples and merge in block order as they finish, so the
+report is byte-identical no matter how many workers ran. Chunks run in
+process or on a ProcessPoolExecutor of at most one process per 512
+A-sets of the space and per block, where a worker that dies fails the run
+with WorkerLostError instead of leaving it waiting. A block is never
+split across processes, so a space of one block runs in process at any
+worker count: that costs wall time on a large single-block space, and
+saves the set-up that every split would repeat. Each case list stops at
+the case cap, in a chunk and in the merge alike, the run that crosses it
+cut there, so memory follows the cap rather than the number of cases. A
+chunk's runs that all fit under the cap are merged whole, as the same
+tuples.
 """
 
 from __future__ import annotations
@@ -77,6 +70,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from itertools import chain, combinations, islice
 from json.encoder import encode_basestring_ascii
 from math import comb, log10
@@ -197,7 +191,9 @@ class SearchSpace:
         return blocks
 
     def a_task_count(self) -> int:
-        return sum(block[-1] for block in self.a_blocks())
+        (lo, hi), n = self.k_range, self.universe_max
+        ranges = {ZeroMode.WITHOUT: (n, lo, hi), ZeroMode.WITH: (n - 1, lo - 1, hi - 1)}
+        return sum(_binomial_sum(*ranges[mode]) for mode in self.zero_mode.modes())
 
     def h_combos(self) -> Iterator[tuple[int, ...]]:
         """Every H as an increasing tuple, by size and then lex (report order)."""
@@ -205,9 +201,14 @@ class SearchSpace:
         return chain.from_iterable(combinations(multiplicities, r) for r in self.r_values())
 
     def h_subset_count(self) -> int:
-        return sum(_binomials(self.h_max, self.r_values()))
+        return _binomial_sum(self.h_max, *self.r_range)
 
     def enumeration_count(self) -> int:
+        return self._pair_count
+
+    @cached_property
+    def _pair_count(self) -> int:
+        # once per space: the CLI's empty-space test and the pair cap share it
         return self.a_task_count() * self.h_subset_count() * len(self.kinds)
 
     def to_dict(self) -> dict:
@@ -215,12 +216,13 @@ class SearchSpace:
 
     @classmethod
     def from_dict(cls, data: dict) -> SearchSpace:
+        kinds = data["kinds"]  # anything but a list is __post_init__'s to refuse
         return cls(
             universe_max=data["universe_max"],
             k_range=data["k_range"],
             h_max=data["h_max"],
             r_range=data["r_range"],
-            kinds=tuple(SumsetKind(v) for v in data["kinds"]),
+            kinds=[SumsetKind(v) for v in kinds] if isinstance(kinds, list) else kinds,
             zero_mode=ZeroMode(data["zero_mode"]),
         )
 
@@ -232,6 +234,18 @@ def _binomials(n: int, picks: range) -> list[int]:
     for r in picks[1:]:
         counts.append(counts[-1] * (n - r + 1) // r)
     return counts
+
+
+def _binomial_sum(n: int, lo: int, hi: int) -> int:
+    """The sum of comb(n, r) over lo <= r <= hi, exactly, from the shorter
+    side: the range's own terms, or 2^n less the terms outside it, so a
+    range that covers most of 0..n costs only the terms it leaves out."""
+    lo, hi = max(lo, 0), min(hi, n)
+    if lo > hi:
+        return 0
+    if hi - lo < lo + n - hi:
+        return sum(_binomials(n, range(lo, hi + 1)))
+    return 2**n - sum(_binomials(n, range(lo))) - sum(_binomials(n, range(hi + 1, n + 1)))
 
 
 def _block_sets(block: tuple[ZeroMode, int, range, int]) -> Iterator[tuple[int, ...]]:
@@ -340,9 +354,9 @@ class CaseList(Sequence):
     '{"a":' and its A text (see _template). A case's record is "a", its A
     text, then its template's keys in order, decoded into a plain dict on
     each read, so no read can change the list; a pass over the list decodes
-    each distinct template once. Every case of one (row, A's facts) in a
-    chunk shares one template, and a violation is its own template. Index
-    and slice read the (template, A text) pairs, flattened at the first such
+    each distinct template text once. The cases of one (row, A's facts)
+    share one template text, and a violation is its own template. Index and
+    slice read the (template, A text) pairs, flattened at the first such
     read. A CaseList equals a list of dicts that equals its records, and
     encode_json writes it by splicing its runs' text. It pickles and copies
     as its runs."""
@@ -569,7 +583,8 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int]) -> _Partial:
     # 2k - f (README, "Restricted positive inverse rule at H = {1, k-1}").
     # Such a key is compared with its limit here, once per f: closed[f]
     # holds its members' hits on every A of that f. Any other key is one
-    # walk row, made at its first member, under its caps
+    # walk row, made at its first member, under its caps. A row keeps its H
+    # half and its equality cases' template prefix, not its HSet
     closed_sizes = {(kind, (1,)): (k, k) for kind in space.kinds}
     closed_sizes[SumsetKind.RESTRICTED, (k,)] = (1, 1)
     if not zero_in:
@@ -595,53 +610,18 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int]) -> _Partial:
                     caps = _prefix_caps(kind, k, walked, limit, zero_in)
                     kind_rows.append((members, walked, caps))
                 members.append((len(rows), offset))
-            rows.append((h_text, kind, outcome, H))
-    # An equality case's size is its row's bound, so its record less "a"
-    # depends on the row and A's half only. tables[i] is row i's H half,
-    # template prefix and templates, from its first equality case on:
-    # by_facts maps judge's observed facts to a (template, lists its cases
-    # go to) pair. suffixes holds each template's text after its prefix,
-    # once per block. A violation's template is its row's prefix at its
-    # size, then its formula
-    tables = [None] * len(rows)
-    suffixes = {}
-
-    def resolved(i: int, size: int, a_half: tuple) -> tuple[str, tuple]:
-        """(template, lists) for row i's hit of the given size on an A of
-        the given half."""
-        h_text, kind, outcome, H = rows[i]
-        if size < outcome.value:
-            prefix = row_prefix(h_text, kind, zero_in, size, outcome.value)
-            formula = _template({"formula": outcome.formula.identifier})
-            return prefix + formula, (acc.violations,)
-        table = tables[i]
-        if table is None:
             h_half = verdict_h_half(kind, zero_in, k, H, outcome)
             prefix = row_prefix(h_text, kind, zero_in, outcome.value, outcome.value)
-            table = tables[i] = (h_half, prefix, {})
-        h_half, prefix, by_facts = table
-        _, flags, observed = judge(size, outcome, h_half, a_half)
-        entry = by_facts.get(observed)
-        if entry is None:
-            template = case_record(prefix, h_half[0], flags, observed, suffixes)
-            _, _, consistent, nonstructured = flags
-            lists = (acc.equality,)
-            if nonstructured:
-                lists += (acc.nonstructured,)
-            if not consistent:
-                lists += (acc.inconsistencies,)
-            entry = by_facts[observed] = (template, lists)
-        return entry
-
+            rows.append((h_text, kind, outcome, h_half, prefix))
     # an A's runs, each list's templates in row order, follow from its
-    # half, f and walk hits: resolved once per (half, f, hits). f is taken
-    # only where the closed rows' hits depend on it. Every A that is not a
-    # progression shares one half, and progressions of one difference and
-    # ratio share one; most have no walk hit
-    runs_by = {}
+    # half, f and walk hits: resolved once per (half, f, hits), the chunk's
+    # one resolution cache (f is taken only where the closed rows' hits
+    # depend on it, and most A-sets share one half and have no walk hit).
+    # suffixes holds each equality template's text after its prefix
+    runs_by, suffixes, a_sets = {}, {}, 0
     by_sum = closed[0] != closed[1]
-    acc.pairs = block[-1] * space.h_subset_count() * len(space.kinds)
-    for elements, hits in _walk(_block_sets(block), k, space.kinds, open_rows):
+    walk = _walk(_block_sets(block), k, space.kinds, open_rows)
+    for a_sets, (elements, hits) in enumerate(walk, 1):
         f = by_sum and 2 * elements[-1] == sum(elements)
         if not (hits or closed[f]):
             continue
@@ -651,8 +631,21 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int]) -> _Partial:
         runs = runs_by.get(key)
         if runs is None:
             by_list = {}
-            for i, s in sorted(closed[f] + hits):
-                template, lists = resolved(i, s, a_half)
+            for i, size in sorted(closed[f] + hits):
+                h_text, kind, outcome, h_half, prefix = rows[i]
+                if size < outcome.value:
+                    prefix = row_prefix(h_text, kind, zero_in, size, outcome.value)
+                    template = prefix + _template({"formula": outcome.formula.identifier})
+                    lists = (acc.violations,)
+                else:
+                    _, flags, observed = judge(size, outcome, h_half, a_half)
+                    template = case_record(prefix, h_half[0], flags, observed, suffixes)
+                    _, _, consistent, nonstructured = flags
+                    lists = (acc.equality,)
+                    if nonstructured:
+                        lists += (acc.nonstructured,)
+                    if not consistent:
+                        lists += (acc.inconsistencies,)
                 for cases in lists:
                     by_list.setdefault(cases, []).append(template)
             runs = runs_by[key] = [(cases, tuple(run)) for cases, run in by_list.items()]
@@ -663,6 +656,8 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int]) -> _Partial:
             if cases.held < case_cap:
                 a_text = a_text or format_elements(elements)
                 cases.keep(templates, a_text, case_cap)
+    # counted from the sets walked, so a walk that skipped one would show
+    acc.pairs = a_sets * space.h_subset_count() * len(space.kinds)
     return acc
 
 
@@ -671,12 +666,12 @@ class VerificationReport:
     """Outcome of one exhaustive run.
 
     Violation and inconsistency lists must be empty on every space the
-    catalog covers; a nonempty list is a counterexample. Case lists are
-    bounded by equality_case_cap (counts are always complete), and each is a
-    CaseList. Wall time is informational: it is left out of equality and of
-    the serialized form, so that reports compare byte for byte. The
-    serialized keys are the version, then the compared fields in declaration
-    order.
+    catalog covers; a nonempty list is a counterexample, and a clean report
+    checked every pair of its space. Case lists are bounded by
+    equality_case_cap (counts are always complete), and each is a CaseList.
+    Wall time is informational: it is left out of equality and of the
+    serialized form, so that reports compare byte for byte. The serialized
+    keys are the version, then the compared fields in declaration order.
     """
 
     space: SearchSpace
@@ -695,7 +690,8 @@ class VerificationReport:
 
     @property
     def clean(self) -> bool:
-        return self.bound_violation_count == 0 and self.inverse_inconsistency_count == 0
+        failures = self.bound_violation_count + self.inverse_inconsistency_count
+        return failures == 0 and self.pairs_checked == self.enumeration_count
 
     def _data(self) -> dict:
         """The serialized keys and values, case lists as they are."""
@@ -871,16 +867,18 @@ def find_extremal(
             f" {len(report.equality_cases)} kept under the case cap;"
             " raise --case-cap to group them all"
         )
-    # a chunk lies in one (k, zero mode) block, so every case of a template
-    # shares its row and its k: the key is read once per template
+    # a template holds its row's H, kind and bound, and a row's bound rises
+    # strictly with k, so the cases of one template text share their row
+    # and k: the key is read once per distinct text
     groups: dict[tuple[int, int, str], list] = {}
     keys = {}
     for template, a_text in report.equality_cases._pairs:
-        if id(template) not in keys:
+        key = keys.get(template)
+        if key is None:
             fields = _fields(template)
             k, r = len(parse_elements(a_text)), len(parse_elements(fields["h"]))
-            keys[id(template)] = (k, r, fields["kind"])
-        groups.setdefault(keys[id(template)], []).append(((template,), a_text))
+            key = keys[template] = (k, r, fields["kind"])
+        groups.setdefault(key, []).append(((template,), a_text))
     return [
         {"k": k, "r": r, "kind": kind, "cases": CaseList(runs)}
         for (k, r, kind), runs in sorted(groups.items())

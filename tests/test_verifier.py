@@ -132,6 +132,23 @@ def test_space_refuses_kinds_that_are_not_a_tuple_or_list(kinds):
     assert str(exc.value) == f"kinds must be a tuple or list of SumsetKind, got {kinds!r}"
 
 
+@pytest.mark.parametrize("kinds", ["ordinary", "restricted", None, 3])
+def test_space_from_dict_refuses_kinds_that_are_not_a_list(kinds):
+    # a string was converted letter by letter, failing as "'o' is not a
+    # valid SumsetKind"; from a report, the same message
+    data = SearchSpace(6, (1, 2), 2, (1, 2)).to_dict()
+    message = f"kinds must be a tuple or list of SumsetKind, got {kinds!r}"
+    with pytest.raises(TypeError) as exc:
+        SearchSpace.from_dict({**data, "kinds": kinds})
+    assert str(exc.value) == message
+    report = json.loads(verify(SearchSpace(6, (1, 2), 2, (1, 2)), workers=1).to_json())
+    report["space"]["kinds"] = kinds
+    with pytest.raises(TypeError) as exc:
+        VerificationReport.from_json(json.dumps(report))
+    assert str(exc.value) == message
+    assert SearchSpace.from_dict({**data, "kinds": ["restricted"]}).kinds == (RES,)
+
+
 def test_enumerate_pairs_refuses_a_non_int_pair_cap():
     # the pair cap is refused by the count both entry points share
     space = SearchSpace(4, (2, 2), 2, (1, 2))
@@ -203,6 +220,28 @@ def test_space_counts_stay_exact_on_long_ranges():
     space = SearchSpace(8000, (1, 8000), 1, (1, 1), zero_mode=ZeroMode.BOTH)
     # k-subsets of [1, 8000], then {0} plus (k-1)-subsets of [1, 7999]
     assert space.a_task_count() == 2**8000 - 1 + 2**7999
+
+
+def test_binomial_sum_matches_the_terms_for_every_range():
+    # summed from the shorter side, 2^n less the terms outside when the
+    # range covers most of 0..n; ends past 0..n hold no term
+    for n in range(13):
+        for lo in range(-2, 15):
+            for hi in range(lo - 2, 15):
+                expected = sum(comb(n, r) for r in range(max(lo, 0), hi + 1))
+                assert verifier._binomial_sum(n, lo, hi) == expected
+
+
+def test_huge_space_is_counted_once_per_cli_call(monkeypatch, capsys):
+    # H ranges over every nonempty subset of [1, 10^6]: 2^(10^6) - 1, taken
+    # as 2^n less one term rather than summed over 10^6 terms, and counted
+    # once for the empty-space test and the pair cap together
+    counted = []
+    _count_calls(monkeypatch, verifier, "_binomial_sum", counted)
+    argv = ["verify", "--universe", "6", "--k", "1..3", "--hmax", "1000000"]
+    assert cli.main(argv) == 1
+    assert "visit at least 10^301031 pairs, above the cap" in capsys.readouterr().err
+    assert len(counted) == 2
 
 
 def test_cap_message_stays_readable_for_any_count():
@@ -745,6 +784,32 @@ def test_bounds_looked_up_once_per_chunk_through_verify(monkeypatch):
     assert len(calls) == _chunk_count(space) * space.h_subset_count() * len(space.kinds)
 
 
+def test_pairs_checked_counts_the_sets_the_walk_yields(monkeypatch, capsys):
+    # a block that loses one A-set checks h_subset_count * kinds fewer pairs
+    # than its space holds, and a report that did not check every pair is
+    # not clean, though it holds no violation
+    space = SearchSpace(7, (2, 4), 3, (1, 3), zero_mode=ZeroMode.BOTH)
+    real = verifier._block_sets
+
+    def dropping(block):
+        sets = real(block)
+        if block[:2] == (ZeroMode.WITHOUT, 3):
+            next(sets)
+        return sets
+
+    monkeypatch.setattr(verifier, "_block_sets", dropping)
+    report = verify(space, workers=1)
+    missed = space.h_subset_count() * len(space.kinds)
+    assert report.pairs_checked == space.enumeration_count() - missed == 1_834
+    assert report.bound_violation_count == report.inverse_inconsistency_count == 0
+    assert not report.clean
+    argv = ["verify", "--universe", "7", "--k", "2..4", "--hmax", "3", "--r", "1..3",
+            "--kind", "both", "--zero-mode", "both", "--workers", "1"]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr().out
+    assert "pairs checked: 1834 (expected 1848)" in out and "result: FAIL" in out
+
+
 def _refuse_pools(monkeypatch):
     import concurrent.futures
 
@@ -1105,6 +1170,16 @@ _RECORD_KEYS = [
 ]
 
 
+def _applicable_rows(space, block):
+    """The block's applicable (H, kind) rows, counted from the catalog."""
+    mode, k = block[:2]
+    return sum(
+        bounds.catalog_bound(kind, k, HSet(hs), mode is ZeroMode.WITH).applicable
+        for hs in space.h_combos()
+        for kind in space.kinds
+    )
+
+
 def test_equality_templates_built_once_per_row_and_a_facts(monkeypatch):
     # progressions and non-progressions of every k in both zero modes
     space = SearchSpace(7, (1, 5), 4, (2, 4), zero_mode=ZeroMode.BOTH)
@@ -1121,25 +1196,26 @@ def test_equality_templates_built_once_per_row_and_a_facts(monkeypatch):
             rows.add(row)
             keys.add((row, facts))
             half_keys.add((row, structure.verdict_a_half(A.elements, zero_in)))
-    built, derived, dataclasses_made = [], [], []
+    built, judged, derived, dataclasses_made = [], [], [], []
     _count_calls(monkeypatch, verifier, "case_record", built)
+    _count_calls(monkeypatch, verifier, "judge", judged)
     _count_calls(monkeypatch, verifier, "verdict_h_half", derived)
     _count_calls(monkeypatch, structure, "InverseVerdict", dataclasses_made)
     _count_calls(monkeypatch, structure, "StructureFacts", dataclasses_made)
     chunk = _run_blocks(space, equalities)
     pairs = CaseList(chunk.equality.kept)._pairs
     assert chunk.equality.count == chunk.equality.held == len(pairs) == equalities
-    # one record per (row, A's observed facts), A's first element aside, and
-    # H's facts once per row that reaches an equality case; no verdict
-    # dataclass on the way
-    assert len(built) == len(keys) < len(half_keys) < equalities
-    assert len(derived) == len(rows) < len(keys)
+    # one template text per (row, A's observed facts), A's first element
+    # aside, built once per equality hit that a chunk judges: at most once
+    # per (A's half, f, walk hits); H's facts once per applicable row, in
+    # the row pass; no verdict dataclass on the way
+    texts = {template for template, _ in pairs}
+    assert len(texts) == len(keys) < len(half_keys) <= len(built) == len(judged) < equalities
+    applicable = sum(_applicable_rows(space, block) for block in space.a_blocks())
+    assert len(rows) < len(derived) == applicable
     assert dataclasses_made == []
-    # every case is a pair whose template is one of those built: the text
-    # of the record's keys after "a"
-    templates = {id(template): template for template, _ in pairs}
-    assert len(templates) == len(built)
-    assert all(list(_fields(template)) == _RECORD_KEYS[1:] for template in templates.values())
+    # every case's template is the text of the record's keys after "a"
+    assert all(list(_fields(template)) == _RECORD_KEYS[1:] for template in texts)
 
 
 @pytest.mark.parametrize("raised", [False, True])
@@ -1391,21 +1467,21 @@ _ACCEPTANCE = SearchSpace(12, (2, 6), 6, (1, 6), zero_mode=ZeroMode.BOTH)
 
 
 def test_acceptance_space_builds_one_template_per_row_and_facts(monkeypatch):
-    # a template per (row, A's observed facts) and one pair per case: a
-    # per-row table that rebuilt templates would raise the first count. A
-    # chunk judges each equality hit once per (A's half, walk hits) it meets,
-    # and progressions of one difference and ratio share a half whatever
-    # their first element
+    # a chunk judges each equality hit once per (A's half, f, walk hits) it
+    # meets, and builds that hit's template there and only there: a
+    # resolution that rebuilt templates per case would raise both counts.
+    # Progressions of one difference and ratio share a half whatever their
+    # first element, and the texts are one per (row, A's observed facts)
     built, verdicts, judged = [], [], []
     _count_calls(monkeypatch, verifier, "case_record", built)
     _count_calls(monkeypatch, structure, "build_verdict", verdicts)
     _count_calls(monkeypatch, verifier, "judge", judged)
     report = verify(_ACCEPTANCE, workers=1)
     assert report.equality_case_count == len(report.equality_cases) == 21027
-    assert len(built) == 2478 and verdicts == [] and len(judged) == 2731
+    assert len(built) == len(judged) == 2731 and verdicts == []
     pairs = report.equality_cases._pairs
     assert len(pairs) == 21027
-    assert len({id(template) for template, _ in pairs}) == 2478
+    assert len({template for template, _ in pairs}) == 2478
 
 
 def test_chunks_call_verdict_a_half_once_per_a_and_walk_gaps_past_the_span_test(monkeypatch):
@@ -1449,7 +1525,7 @@ class _CountingEncoder:
 
 
 def test_templates_are_encoded_per_row_and_suffix_and_to_json_encodes_none(monkeypatch):
-    # a chunk writes one prefix per row that reaches an equality case and
+    # a chunk writes one prefix per applicable row, in its row pass, and
     # encodes one suffix per distinct (flags, rule, observed facts); a case
     # repeats neither, and to_json splices the templates' text
     encoded, prefixes = [], []
@@ -1457,7 +1533,7 @@ def test_templates_are_encoded_per_row_and_suffix_and_to_json_encodes_none(monke
     _count_calls(monkeypatch, verifier, "row_prefix", prefixes)
     built = []
     _count_calls(monkeypatch, verifier, "case_record", built)
-    per_chunk = []
+    per_chunk, reached = [], 0
     for block in _ACCEPTANCE.a_blocks():
         encoded.clear()
         prefixes.clear()
@@ -1468,13 +1544,17 @@ def test_templates_are_encoded_per_row_and_suffix_and_to_json_encodes_none(monke
         records = [_fields(template) for template, _ in CaseList(chunk.equality.kept)._pairs]
         rows = {(record["h"], record["kind"]) for record in records}
         tails = {tuple(record.items())[5:] for record in records}
-        assert (len(prefixes), len(suffixes)) == (len(rows), len(tails))
+        applicable = _applicable_rows(_ACCEPTANCE, block)
+        assert (len(prefixes), len(suffixes)) == (applicable, len(tails))
+        reached += len(rows)
         per_chunk.append((len(prefixes), len(suffixes)))
     assert per_chunk == [
-        (36, 85), (40, 60), (45, 52), (50, 40), (58, 43),
-        (64, 99), (66, 53), (69, 33), (73, 22), (78, 22),
+        (66, 85), (70, 60), (78, 52), (94, 40), (126, 43),
+        (64, 99), (66, 53), (70, 33), (78, 22), (94, 22),
     ]
-    assert len(built) == 2478
+    # of the 806 applicable rows, 579 reach an equality case
+    assert sum(count for count, _ in per_chunk) == 806 and reached == 579
+    assert len(built) == 2731
     report = verify(_ACCEPTANCE, workers=1)
     encoded.clear()
     blob = report.to_json()
@@ -1607,6 +1687,24 @@ def test_sweep_templates_equal_check_inverse_records():
     assert seen == equal
     # both hypotheses met and unmet, structured and not
     assert len(facts) >= 3
+
+
+def test_extremal_reads_each_template_texts_k_once():
+    # find_extremal reads a group key from the first case of each distinct
+    # template text, and equal texts from different chunks are different
+    # objects. That is sound because a row's bound rises strictly with k,
+    # so a text (H, kind, 0 in A, bound) fixes its k
+    for hs in chain.from_iterable(combinations(range(1, 7), r) for r in range(1, 7)):
+        for kind, zero_in in product(SumsetKind, (False, True)):
+            outcomes = [bounds.catalog_bound(kind, k, HSet(hs), zero_in) for k in range(1, 17)]
+            values = [outcome.value for outcome in outcomes if outcome.applicable]
+            assert values == sorted(set(values))
+    space = SearchSpace(8, (1, 5), 3, (1, 3), zero_mode=ZeroMode.BOTH)
+    for group in find_extremal(space, workers=1):
+        for record in group["cases"]:
+            assert len(parse_elements(record["a"])) == group["k"]
+            assert len(parse_elements(record["h"])) == group["r"]
+            assert record["kind"] == group["kind"]
 
 
 def test_extremal_output_is_pinned(capsys):
