@@ -15,18 +15,19 @@ g(j) = j. A leaf is the walk's last step, whose cap is the bound. Rows of
 one kind whose sizes differ by a fixed offset on every A and whose bounds
 differ by the same offset form a class (the README's "Row classes": a
 restricted H, k - H and H plus a top k, and with 0 in A the ordinary rows
-of one h_r). A class is its key (H walked, limit). A key whose size on A
-is fixed, or fixed by f = (2 max A == ΣA) (the restricted {1, k-1}
-without 0), is compared with its limit once per chunk for each f and
-never walked. Any other key is one walk row, built in one pass in row
-order: the key's H, of least h_r in the class, under its own caps,
-carrying each member's (row index, size offset); its hit of size s is
-each member's hit at s plus its offset. Only pairs that reach their bound
-go further. The A half of the verdict (A's progression, its difference and
-ratio, and its dilation: structure.verdict_a_half, whose span test turns
-most sets away before any gap is walked) is taken once per A that has a
-hit; it holds no element of A, so progressions of one difference and ratio
-share it. The row pass derives each row's H half (rule, hypotheses, H's
+of one h_r). A class is its key (kind, H walked, limit), under which the
+row pass files each row as a member (row index, size offset). A key
+whose size on A is fixed, or fixed by f = (2 max A == ΣA) (the
+restricted {1, k-1} without 0), is compared with its limit once per
+chunk for each f and never walked. Any other key is one walk row (key, H,
+caps): the key's H, of least h_r in the class, under its own caps. A hit,
+closed or walked, is (key, size), and each member's hit is at that size
+plus its offset. Only pairs that reach their bound go further. The A
+half of the verdict (A's progression, its difference and ratio, and its
+dilation: structure.verdict_a_half, whose span test turns most sets
+away before any gap is walked) is taken once per A that has a hit; it
+holds no element of A, so progressions of one difference and ratio share
+it. The row pass derives each row's H half (rule, hypotheses, H's
 progression and run) and writes its template prefix as text: H, the kind,
 0 in A, the size and the bound. An equality case's size is its row's
 bound, so its record less "a" is that prefix, then a suffix (flags, rule,
@@ -37,13 +38,16 @@ formula. An A's cases in each report list, its hits' templates in row
 order, depend on its half, f and walk hits alone, so each chunk resolves
 them once per (half, f, hits), its one resolution cache, into one tuple
 of templates per list: an A with no walk hit, as most are, shares its
-(half, f)'s. For each A and list the chunk adds the tuple's length to the
-list's count and keeps one run (templates, A text), cut at the room left
-under the case cap; A's text is formatted once per A, only for a kept
-run, and a run that no list keeps is only counted. The pairs checked are
-counted from the A-sets the walk yields. A block is the k-subsets of
-[1, N], or the first C(N-1, k-1) k-subsets of [0, N-1] in lex order, which
-are those that hold 0. Each nonempty block is one chunk, the one unit of
+(half, f)'s. The walk yields a block's hits in its rows' fixed order and
+only filters them, so equal hit sets make equal keys; only a miss
+expands the keys hit into their members' (row index, size) hits, sorted.
+For each A and list the chunk adds the tuple's length to the list's
+count and keeps one run (templates, A text), cut at the room left under
+the case cap; A's text is formatted once per A, only for a kept run, and
+a run that no list keeps is only counted. The pairs checked are counted from the
+A-sets the walk yields. A block is the k-subsets of [1, N], or the
+first C(N-1, k-1) k-subsets of [0, N-1] in lex order, which are those
+that hold 0. Each nonempty block is one chunk, the one unit of
 work: it runs the int64 guard, sets up its rows once, walks its sets with
 itertools.combinations and is one pool message. Chunk results cross the
 pool as plain tuples and merge in block order as they finish, so the
@@ -499,16 +503,16 @@ def _row_class(
 
 
 def _walk(
-    a_sets: Iterable[tuple[int, ...]], k: int, kinds: tuple[SumsetKind, ...],
-    open_rows: list[list[tuple]],
-) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+    a_sets: Iterable[tuple[int, ...]], k: int, open_rows: dict[SumsetKind, list[tuple]]
+) -> Iterator[tuple[tuple[int, ...], list[tuple[tuple, int]]]]:
     """(A, hits) for each A-set of a k-block, in the given order: hits are
-    (row index, size) for the walk rows' members whose union of A is at
-    most their bound, in no set order; the closed rows' hits are not among
-    these. open_rows holds each kind's walk rows (members, rungs ORed,
-    caps): a walk row is a class key's H under its caps, and its members
-    are (row index, size offset) pairs; a member's size is the walk row's
-    plus its offset, and it hits exactly when the walk row does.
+    (key, size) for the walk rows whose union of A is at most their bound,
+    in the rows' fixed order (kind by kind as open_rows holds them, each
+    kind's rows in their list order), since a step only filters its
+    parent's rows; the closed keys' hits are not among these. open_rows
+    maps each kind that has one to its walk rows (key, H, caps): a class
+    key's H under its caps, whose size on A is every member's less its
+    offset, so the members hit exactly when the walk row does.
 
     The sets come in lex order, so consecutive ones share a prefix. A stack
     holds, per prefix length, (kind, rungs, rows) for each kind that still
@@ -528,8 +532,7 @@ def _walk(
     stack = [
         [
             (kind, [1] + [0] * max(hs[-1] for _, hs, _ in rows), rows)
-            for kind, rows in zip(kinds, open_rows)
-            if rows
+            for kind, rows in open_rows.items()
         ]
     ]
     prev = ()
@@ -538,11 +541,11 @@ def _walk(
         while m < depth and a[m] == prev[m]:
             m += 1
         del stack[m + 1 :]
-        prev, state, hits = a, stack[m], []
-        while m < k and state:
+        prev, hits = a, []
+        while m < k and stack[-1]:
             x, m = a[m], m + 1
             pushed = []
-            for kind, rungs, rows in state:
+            for kind, rungs, rows in stack[-1]:
                 rungs = rungs.copy()
                 extend_ladder(rungs, x, kind)
                 kept = []
@@ -556,12 +559,11 @@ def _walk(
                         if size > cap:
                             continue
                         if m == k:
-                            hits += [(index, size + offset) for index, offset in row[0]]
+                            hits.append((row[0], size))
                     kept.append(row)
                 if kept:
                     pushed.append((kind, rungs, kept))
             stack.append(pushed)
-            state = pushed
         yield a, hits
 
 
@@ -576,62 +578,67 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int]) -> _Partial:
     sumset_ladder(IntSet((universe[-1],)), space.h_max, SumsetKind.ORDINARY)
     # the block's applicable (H, kind) rows in one pass, built per call (not
     # cached): patched formulas show, since a class key holds its row's
-    # bound, and a row whose bound breaks its class's symmetry is walked
-    # apart. closed_sizes maps a (kind, key H) whose size on A is fixed by
-    # f = (2 max A == ΣA) to (size if not f, size if f): {1} is A, a
-    # restricted {k} is {ΣA}, and without 0 a restricted {1, k-1} has size
-    # 2k - f (README, "Restricted positive inverse rule at H = {1, k-1}").
-    # Such a key is compared with its limit here, once per f: closed[f]
-    # holds its members' hits on every A of that f. Any other key is one
-    # walk row, made at its first member, under its caps. A row keeps its H
-    # half and its equality cases' template prefix, not its HSet
-    closed_sizes = {(kind, (1,)): (k, k) for kind in space.kinds}
-    closed_sizes[SumsetKind.RESTRICTED, (k,)] = (1, 1)
-    if not zero_in:
-        closed_sizes[SumsetKind.RESTRICTED, (1, k - 1)] = (2 * k, 2 * k - 1)
-    rows, closed, open_rows, walk_rows = [], ([], []), [[] for _ in space.kinds], {}
+    # bound, and a row whose bound breaks its class's symmetry is keyed
+    # apart. classes maps each key (kind, H walked, limit) to its members
+    # (row index, size offset), in row order. A row keeps its H half and its
+    # equality cases' template prefix, not its HSet
+    rows, classes = [], {}
     for h_combo in space.h_combos():
         H = HSet(h_combo)
         h_text = format_elements(h_combo)
-        for kind, kind_rows in zip(space.kinds, open_rows):
+        for kind in space.kinds:
             outcome = bounds.catalog_bound(kind, k, H, zero_in)
             if not outcome.applicable:
                 continue
             (walked, limit), offset = _row_class(kind, k, h_combo, outcome.value, zero_in)
-            sizes = closed_sizes.get((kind, walked))
-            if sizes:
-                for hits, size in zip(closed, sizes):
-                    if size <= limit:
-                        hits.append((len(rows), size + offset))
-            else:
-                members = walk_rows.get((kind, walked, limit))
-                if members is None:
-                    members = walk_rows[kind, walked, limit] = []
-                    caps = _prefix_caps(kind, k, walked, limit, zero_in)
-                    kind_rows.append((members, walked, caps))
-                members.append((len(rows), offset))
+            classes.setdefault((kind, walked, limit), []).append((len(rows), offset))
             h_half = verdict_h_half(kind, zero_in, k, H, outcome)
             prefix = row_prefix(h_text, kind, zero_in, outcome.value, outcome.value)
             rows.append((h_text, kind, outcome, h_half, prefix))
+    # closed_sizes maps a (kind, H walked) whose size on A is fixed by
+    # f = (2 max A == ΣA) to (size if not f, size if f): {1} is A, a
+    # restricted {k} is {ΣA}, and without 0 a restricted {1, k-1} has size
+    # 2k - f (README, "Restricted positive inverse rule at H = {1, k-1}").
+    # Such a key is compared with its limit here, once per f: closed[f]
+    # holds its hit (key, size) on every A of that f. Any other key is one
+    # walk row under its caps, in key order within its kind
+    closed_sizes = {(kind, (1,)): (k, k) for kind in space.kinds}
+    closed_sizes[SumsetKind.RESTRICTED, (k,)] = (1, 1)
+    if not zero_in:
+        closed_sizes[SumsetKind.RESTRICTED, (1, k - 1)] = (2 * k, 2 * k - 1)
+    closed, open_rows = ([], []), {}
+    for key in classes:
+        kind, walked, limit = key
+        sizes = closed_sizes.get((kind, walked))
+        if sizes:
+            for hits, size in zip(closed, sizes):
+                if size <= limit:
+                    hits.append((key, size))
+        else:
+            caps = _prefix_caps(kind, k, walked, limit, zero_in)
+            open_rows.setdefault(kind, []).append((key, walked, caps))
     # an A's runs, each list's templates in row order, follow from its
     # half, f and walk hits: resolved once per (half, f, hits), the chunk's
-    # one resolution cache (f is taken only where the closed rows' hits
+    # one resolution cache (f is taken only where the closed keys' hits
     # depend on it, and most A-sets share one half and have no walk hit).
-    # suffixes holds each equality template's text after its prefix
+    # The walk yields a block's hits in its rows' fixed order, so equal hit
+    # sets make equal memo keys, and a class key's members are expanded
+    # into row hits only on a miss. suffixes holds each equality template's text after
+    # its prefix
     runs_by, suffixes, a_sets = {}, {}, 0
     by_sum = closed[0] != closed[1]
-    walk = _walk(_block_sets(block), k, space.kinds, open_rows)
-    for a_sets, (elements, hits) in enumerate(walk, 1):
+    for a_sets, (elements, hits) in enumerate(_walk(_block_sets(block), k, open_rows), 1):
         f = by_sum and 2 * elements[-1] == sum(elements)
         if not (hits or closed[f]):
             continue
         a_half = verdict_a_half(elements, zero_in)
-        hits.sort()
-        key = (a_half, f, *hits)
-        runs = runs_by.get(key)
+        memo = (a_half, f, *hits)
+        runs = runs_by.get(memo)
         if runs is None:
             by_list = {}
-            for i, size in sorted(closed[f] + hits):
+            for i, size in sorted(
+                (i, size + offset) for key, size in closed[f] + hits for i, offset in classes[key]
+            ):
                 h_text, kind, outcome, h_half, prefix = rows[i]
                 if size < outcome.value:
                     prefix = row_prefix(h_text, kind, zero_in, size, outcome.value)
@@ -648,7 +655,7 @@ def _run_chunk(args: tuple[SearchSpace, tuple, int]) -> _Partial:
                         lists += (acc.inconsistencies,)
                 for cases in lists:
                     by_list.setdefault(cases, []).append(template)
-            runs = runs_by[key] = [(cases, tuple(run)) for cases, run in by_list.items()]
+            runs = runs_by[memo] = [(cases, tuple(run)) for cases, run in by_list.items()]
         # A's text once per A, and only for a kept run
         a_text = None
         for cases, templates in runs:

@@ -1056,9 +1056,9 @@ def test_first_and_last_multiplicity_key_never_reaches_the_walk(monkeypatch):
     space = SearchSpace(12, (2, 8), 7, (1, 7), zero_mode=ZeroMode.BOTH)
     real, walked = verifier._walk, []
 
-    def spy(a_sets, k, kinds, open_rows):
-        walked.append({(kind, hs) for kind, rows in zip(kinds, open_rows) for _, hs, _ in rows})
-        return real(a_sets, k, kinds, open_rows)
+    def spy(a_sets, k, open_rows):
+        walked.append({(kind, hs) for kind, rows in open_rows.items() for _, hs, _ in rows})
+        return real(a_sets, k, open_rows)
 
     monkeypatch.setattr(verifier, "_walk", spy)
     for block in space.a_blocks():
@@ -1099,13 +1099,15 @@ _ONE_KIND_SPACE = SearchSpace(9, (1, 4), 3, (1, 1), zero_mode=ZeroMode.BOTH)
 
 
 def test_walk_with_a_kind_that_has_no_row_matches_brute_force(monkeypatch):
-    # a kind with no walk row is left out of the walk's entries from the
-    # first step: counts and lists equal check_inverse pair by pair
+    # a kind with no walk row has no entry in open_rows, so it is out of
+    # the walk from the first step: counts and lists equal check_inverse
+    # pair by pair
     real, walked = verifier._walk, []
 
-    def spy(a_sets, k, kinds, open_rows):
-        walked.append((k, [bool(rows) for rows in open_rows]))
-        return real(a_sets, k, kinds, open_rows)
+    def spy(a_sets, k, open_rows):
+        assert all(open_rows.values())
+        walked.append((k, [kind in open_rows for kind in _ONE_KIND_SPACE.kinds]))
+        return real(a_sets, k, open_rows)
 
     monkeypatch.setattr(verifier, "_walk", spy)
     report = verify(_ONE_KIND_SPACE, workers=1, case_cap=10**6)
@@ -1511,6 +1513,44 @@ def test_chunks_call_verdict_a_half_once_per_a_and_walk_gaps_past_the_span_test(
     a_walks = [elements for caller, elements in walked if caller == "verdict_a_half"]
     assert {caller for caller, _ in walked} == {"verdict_a_half", "ap_descriptor"}
     assert a_walks == passing and len(a_walks) == 335
+
+
+def test_walk_hits_name_class_keys(monkeypatch):
+    # the walk reports one hit per walk row within its bound on A, never
+    # one per member row: (key, size), the key one of the block's walk
+    # rows and the size its H's union on A. A's hits come in the rows'
+    # fixed order, so equal hit sets are equal memo keys
+    real, hits = verifier._walk, []
+
+    def spy(a_sets, k, open_rows):
+        order = [key for rows in open_rows.values() for key, _, _ in rows]
+        for a, found in real(a_sets, k, open_rows):
+            hits.append((a, order, found))
+            yield a, found
+
+    monkeypatch.setattr(verifier, "_walk", spy)
+    report = verify(_ACCEPTANCE, workers=1)
+    assert report.equality_case_count == 21027
+    assert sum(len(found) for _, _, found in hits) == 1430
+    for a, order, found in hits:
+        places = [order.index(key) for key, _ in found]
+        assert places == sorted(set(places))
+        for (kind, hs, limit), size in found:
+            assert size == len(union_bitmap(IntSet(a), HSet(hs), kind)) <= limit
+
+
+@pytest.mark.parametrize(
+    "space, steps",
+    [(_ACCEPTANCE, 4656), (SearchSpace(16, (2, 8), 7, (1, 7), zero_mode=ZeroMode.BOTH), 40320)],
+)
+def test_walk_ladder_steps_are_pinned(monkeypatch, space, steps):
+    # only the walk calls this module's extend_ladder (the chunk's guard
+    # steps engine's own): a prefix cap that stopped closing rows would show
+    # here as more steps, where the reports stay the same
+    calls = []
+    _count_calls(monkeypatch, verifier, "extend_ladder", calls)
+    verify(space, workers=1, case_cap=0)
+    assert len(calls) == steps
 
 
 class _CountingEncoder:
